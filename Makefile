@@ -16,7 +16,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build vet lint test race bench bench-out.txt bench-json \
+.PHONY: all build vet lint test race bench bench-test bench-out.txt bench-json \
 	bench-baseline-refresh profile campaign bisect tourney bisect-smoke \
 	campaign-smoke tourney-smoke explain-smoke trace-smoke dist-smoke \
 	bisect-nightly campaign-nightly baseline-refresh ci nightly
@@ -45,6 +45,15 @@ race:
 # `go test -bench=. -benchtime=...` directly.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+
+# The sweep benchmark's own tests. bench/ is a nested Go module, so the
+# root `go test ./...` never reaches them. They pin bench/ref/*.sha256 to
+# the committed baselines (a `make baseline-refresh` that leaves them
+# stale fails here), check the metric names and units against
+# BENCHMARK.json, run every workload on its reduced input and check the
+# profile attribution (~22 s).
+bench-test:
+	cd bench && $(GO) test .
 
 # The pinned perf-trajectory suite: the campaign throughput benchmark
 # (events/s + scenarios/s) plus the engine microbenchmarks, parsed into
@@ -181,4 +190,4 @@ baseline-refresh:
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
-ci: lint build race bisect-smoke campaign-smoke tourney-smoke explain-smoke dist-smoke
+ci: lint build race bench-test bisect-smoke campaign-smoke tourney-smoke explain-smoke dist-smoke

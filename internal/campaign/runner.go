@@ -51,7 +51,7 @@ type RunnerOpts struct {
 	// obs.DefaultCadence). Ignored unless Metrics.
 	MetricsCadence sim.Time
 	// Explain attaches the causal-observability layer to every scenario:
-	// decision provenance is recorded into a preallocated ring, and each
+	// decision provenance is recorded into a keep-last-N ring, and each
 	// confirmed checker episode (plus each wakeup streak) is replayed
 	// counterfactually under every single fix from a world forked at the
 	// detection instant. Each Result carries a deterministic Explain

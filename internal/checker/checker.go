@@ -44,7 +44,10 @@ type Config struct {
 	ProfileWindow sim.Time
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field set to the paper's
+// default. Layers that replay the checker's rule (internal/explain) use
+// it so their windows and sampling match the checker's exactly.
+func (c Config) WithDefaults() Config {
 	if c.S == 0 {
 		c.S = sim.Second
 	}
@@ -141,7 +144,7 @@ func (c *Checker) SetEpisodeHook(h EpisodeHook) { c.hook = h }
 // New creates a checker over s. rec may be nil; when present it is
 // activated for ProfileWindow after each confirmed violation.
 func New(s *sched.Scheduler, rec *trace.Recorder, cfg Config) *Checker {
-	c := &Checker{s: s, eng: s.Engine(), cfg: cfg.withDefaults(), rec: rec}
+	c := &Checker{s: s, eng: s.Engine(), cfg: cfg.WithDefaults(), rec: rec}
 	c.tm = c.eng.NewTimer(c.periodic)
 	return c
 }
@@ -213,7 +216,7 @@ func (c *Checker) periodic() {
 	}
 	c.checks++
 	if !c.monitoring {
-		if idle, busy, found := c.findViolation(); found {
+		if idle, busy, found := FindViolation(c.s); found {
 			c.candidates++
 			c.beginMonitoring(idle, busy)
 		}
@@ -221,19 +224,21 @@ func (c *Checker) periodic() {
 	c.tm.ResetAfter(c.cfg.S)
 }
 
-// findViolation implements Algorithm 2: an idle CPU1 plus a CPU2 with
-// nr_running >= 2 from which CPU1 could steal.
-func (c *Checker) findViolation() (idle, busy topology.CoreID, found bool) {
-	online := c.s.OnlineCPUs()
+// FindViolation implements Algorithm 2 over s: an idle CPU1 plus a CPU2
+// with nr_running >= 2 from which CPU1 could steal. It is the
+// confirmation rule itself, exported so counterfactual replays
+// (internal/explain) judge persistence exactly as the checker does.
+func FindViolation(s *sched.Scheduler) (idle, busy topology.CoreID, found bool) {
+	online := s.OnlineCPUs()
 	for _, cpu1 := range online {
-		if c.s.NrRunning(cpu1) >= 1 {
+		if s.NrRunning(cpu1) >= 1 {
 			continue // CPU1 is not idle
 		}
 		for _, cpu2 := range online {
 			if cpu2 == cpu1 {
 				continue
 			}
-			if c.s.NrRunning(cpu2) >= 2 && c.s.CanSteal(cpu1, cpu2) {
+			if s.NrRunning(cpu2) >= 2 && s.CanSteal(cpu1, cpu2) {
 				return cpu1, cpu2, true
 			}
 		}
@@ -259,7 +264,7 @@ func (c *Checker) beginMonitoring(idle, busy topology.CoreID) {
 	step := c.cfg.M / sim.Time(c.cfg.Samples)
 	var sample func(n int)
 	sample = func(n int) {
-		i, b, found := c.findViolation()
+		i, b, found := FindViolation(c.s)
 		if !found {
 			c.transients++
 			c.monitoring = false
@@ -280,7 +285,7 @@ func (c *Checker) beginMonitoring(idle, busy topology.CoreID) {
 
 // onsetOf anchors an episode's start at the instant the idle witness
 // core went idle, falling back to the detection instant when the core
-// is no longer idle (it can pick up work between findViolation and the
+// is no longer idle (it can pick up work between FindViolation and the
 // hook in pathological orderings).
 func (c *Checker) onsetOf(idle topology.CoreID, detectedAt sim.Time) sim.Time {
 	if c.s.IsIdle(idle) {

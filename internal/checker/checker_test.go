@@ -185,7 +185,7 @@ func TestCheckerStop(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	if cfg.S != sim.Second || cfg.M != 100*sim.Millisecond || cfg.Samples != 4 || cfg.ProfileWindow != 20*sim.Millisecond {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}

@@ -53,40 +53,13 @@ type Config struct {
 	// StreakK is the streak threshold replay collectors use (0 =
 	// latency.DefaultStreakK).
 	StreakK int
-	// MaxEpisodes caps replayed episodes per scenario (0 = 8). Episodes
-	// beyond the cap are counted in SkippedEpisodes, never silently
-	// dropped.
-	MaxEpisodes int
-	// ProvCap sizes the provenance rings (0 = obs.DefaultProvCap).
-	ProvCap int
 }
 
-// DefaultMaxEpisodes bounds per-scenario replay cost: each episode is
-// 5 forks plus 5 window replays.
+// DefaultMaxEpisodes caps replayed episodes per scenario, bounding its
+// replay cost: each episode is 5 forks plus 5 window replays. Episodes
+// beyond the cap are counted in SkippedEpisodes, never silently
+// dropped.
 const DefaultMaxEpisodes = 8
-
-func (c Config) withDefaults() Config {
-	if c.MaxEpisodes <= 0 {
-		c.MaxEpisodes = DefaultMaxEpisodes
-	}
-	if c.StreakK <= 0 {
-		c.StreakK = latency.DefaultStreakK
-	}
-	c.Checker = checkerDefaults(c.Checker)
-	return c
-}
-
-// checkerDefaults mirrors checker.Config's zero-field defaulting (the
-// checker keeps withDefaults unexported; the values are the paper's).
-func checkerDefaults(c checker.Config) checker.Config {
-	if c.M == 0 {
-		c.M = 100 * sim.Millisecond
-	}
-	if c.Samples == 0 {
-		c.Samples = 4
-	}
-	return c
-}
 
 // Divergence names the first provenance record where a fix replay's
 // decision stream departed from the control replay's — the concrete
@@ -180,7 +153,7 @@ type ScenarioExplain struct {
 	// CheckerEpisodes / StreakEpisodes count episodes by kind.
 	CheckerEpisodes int `json:"checker_episodes,omitempty"`
 	StreakEpisodes  int `json:"streak_episodes,omitempty"`
-	// SkippedEpisodes counts episodes past the MaxEpisodes cap;
+	// SkippedEpisodes counts episodes past the DefaultMaxEpisodes cap;
 	// ForkUnavailable counts episodes whose world could not be forked
 	// (workloads with external completion hooks, attached policies).
 	SkippedEpisodes int `json:"skipped_episodes,omitempty"`
@@ -226,6 +199,15 @@ type Observer struct {
 	base sched.Features
 	prov *obs.ProvRing
 
+	// Replay scratch, reset before each replay: every replay of the
+	// scenario's episodes shares one ring, one collector and two record
+	// buffers (the control's and a fix's, compared by firstDivergence),
+	// which allocate only to outgrow the largest replay so far.
+	replayProv  *obs.ProvRing
+	replayCol   *latency.Collector
+	controlRecs []obs.ProvRecord
+	fixedRecs   []obs.ProvRecord
+
 	pend   *pending
 	report ScenarioExplain
 }
@@ -234,18 +216,18 @@ type Observer struct {
 // ring on m's scheduler. The machine must not have started episodes yet
 // (attach during scenario setup, before the workload runs).
 func NewObserver(m *machine.Machine, cfg Config) *Observer {
+	cfg.Checker = cfg.Checker.WithDefaults()
 	o := &Observer{
-		m:    m,
-		cfg:  cfg.withDefaults(),
-		base: m.Sched.Config().Features,
-		prov: obs.NewProvRing(cfg.ProvCap),
+		m:          m,
+		cfg:        cfg,
+		base:       m.Sched.Config().Features,
+		prov:       obs.NewProvRing(obs.DefaultProvCap),
+		replayProv: obs.NewProvRing(obs.DefaultProvCap),
+		replayCol:  latency.NewCollector(latency.Config{StreakK: cfg.StreakK}),
 	}
 	m.Sched.SetProvenance(o.prov)
 	return o
 }
-
-// Prov returns the scenario's main provenance ring.
-func (o *Observer) Prov() *obs.ProvRing { return o.prov }
 
 // fork deep-copies the current world, absorbing the panic Machine.Fork
 // raises for worlds it cannot clone (queued Task.OnDone hooks, attached
@@ -261,8 +243,7 @@ func (o *Observer) fork() (m2 *machine.Machine) {
 }
 
 func (o *Observer) capped() bool {
-	return len(o.report.Episodes)+o.report.SkippedEpisodes >= o.cfg.MaxEpisodes &&
-		o.cfg.MaxEpisodes > 0
+	return len(o.report.Episodes)+o.report.SkippedEpisodes >= DefaultMaxEpisodes
 }
 
 // OnCandidate implements checker.EpisodeHook: fork the world at the
@@ -393,12 +374,12 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		WindowNs:    int64(window),
 	}
 
-	control, controlRecs := o.runReplay(spec, o.base)
+	control := o.runReplay(spec, o.base, &o.controlRecs)
 	ep.Control = control
 
 	for i, name := range policy.LatticeFixNames() {
 		feats := mergeFeatures(o.base, policy.LatticeFeatures(1<<i))
-		rep, recs := o.runReplay(spec, feats)
+		rep := o.runReplay(spec, feats, &o.fixedRecs)
 		fr := FixReplay{
 			Fix:            name,
 			Replay:         rep,
@@ -409,23 +390,27 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		if fr.Erases {
 			ep.Attribution = append(ep.Attribution, name)
 		}
-		fr.FirstDivergence = firstDivergence(controlRecs, recs)
+		fr.FirstDivergence = firstDivergence(o.controlRecs, o.fixedRecs)
 		ep.Fixes = append(ep.Fixes, fr)
 	}
 	return ep
 }
 
 // runReplay forks the episode world, applies feats, and advances it
-// through the window with the checker's own sampling schedule.
-func (o *Observer) runReplay(spec episodeSpec, feats sched.Features) (Replay, []obs.ProvRecord) {
+// through the window with the checker's own sampling schedule, on the
+// observer's reset replay scratch. The window's provenance records
+// overwrite *recs.
+func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, recs *[]obs.ProvRecord) Replay {
+	*recs = (*recs)[:0]
 	w := forkWorld(spec.world)
 	if w == nil {
-		return Replay{}, nil // second-level fork cannot realistically fail; stay safe
+		return Replay{} // second-level fork cannot realistically fail; stay safe
 	}
 	w.Sched.ApplyFeatures(feats)
-	ring := obs.NewProvRing(o.cfg.ProvCap)
+	ring, col := o.replayProv, o.replayCol
+	ring.Reset()
+	col.Reset()
 	w.Sched.SetProvenance(ring)
-	col := latency.NewCollector(latency.Config{StreakK: o.cfg.StreakK})
 	w.Sched.SetLatencyProbe(col)
 
 	startWasted := w.Sched.WastedCoreTime()
@@ -437,7 +422,7 @@ func (o *Observer) runReplay(spec episodeSpec, feats sched.Features) (Replay, []
 	sampled := true
 	for k := 1; k <= samples; k++ {
 		w.Eng.RunUntil(spec.from + step*sim.Time(k))
-		if !violationPresent(w.Sched) {
+		if _, _, found := checker.FindViolation(w.Sched); !found {
 			sampled = false
 		}
 	}
@@ -454,7 +439,8 @@ func (o *Observer) runReplay(spec episodeSpec, feats sched.Features) (Replay, []
 		rep.P99WakeNs = d.P99Ns
 	}
 	rep.Persisted = spec.persistFn(sampled, col)
-	return rep, ring.Records(nil)
+	*recs = ring.Records(*recs)
+	return rep
 }
 
 // forkWorld is Observer.fork for an already-forked episode world.
@@ -465,26 +451,6 @@ func forkWorld(m *machine.Machine) (m2 *machine.Machine) {
 		}
 	}()
 	return m.Fork()
-}
-
-// violationPresent is the checker's Algorithm 2 over the exported
-// scheduler API: an idle core next to a core with stealable waiters.
-func violationPresent(s *sched.Scheduler) bool {
-	online := s.OnlineCPUs()
-	for _, c1 := range online {
-		if s.NrRunning(c1) >= 1 {
-			continue
-		}
-		for _, c2 := range online {
-			if c2 == c1 {
-				continue
-			}
-			if s.NrRunning(c2) >= 2 && s.CanSteal(c1, c2) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // firstDivergence finds the first index where two provenance streams

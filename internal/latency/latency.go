@@ -238,6 +238,18 @@ func (c *Collector) Clone() *Collector {
 	return nc
 }
 
+// Reset discards every sample and the streak state, keeping the tuning,
+// the streak hook and the sample buffers' capacity: a collector reused
+// across runs (one per explain replay) stops allocating once its
+// buffers reach their high-water mark.
+func (c *Collector) Reset() {
+	c.wake = c.wake[:0]
+	c.wait = c.wait[:0]
+	c.run = 0
+	c.runStart = 0
+	c.st = Streaks{K: c.cfg.StreakK}
+}
+
 // WaitEnd implements sched.LatencyProbe.
 func (c *Collector) WaitEnd(at sim.Time, t *sched.Thread, cpu topology.CoreID, wait sim.Time, wakeup bool) {
 	c.wait = append(c.wait, int64(wait))

@@ -133,6 +133,32 @@ func TestStreakDetection(t *testing.T) {
 	}
 }
 
+// TestCollectorReset: a reset collector behaves like a new one — no
+// samples, no streaks, and a run open before the reset does not carry
+// over into the next streak.
+func TestCollectorReset(t *testing.T) {
+	c := NewCollector(Config{StreakK: 3})
+	for at := sim.Time(1); at <= 5; at++ {
+		c.WakeupPlaced(at, nil, 0, true, true)
+		c.WaitEnd(at, nil, 0, 10*at, true)
+	}
+	c.Reset()
+	if c.Wakeups() != 0 || c.Waits() != 0 || c.StreakCount() != 0 || c.StreakStats() != nil ||
+		c.WakeDigest() != nil {
+		t.Fatalf("Reset left samples or streaks: wakeups=%d waits=%d streaks=%d",
+			c.Wakeups(), c.Waits(), c.StreakCount())
+	}
+	c.WakeupPlaced(6, nil, 0, true, true)
+	c.WakeupPlaced(7, nil, 0, true, true)
+	if c.StreakCount() != 0 {
+		t.Fatal("a run open before Reset completed a streak after it")
+	}
+	c.WakeupPlaced(8, nil, 0, true, true)
+	if st := c.StreakStats(); st == nil || st.K != 3 || st.LongestStartNs != 6 {
+		t.Fatalf("streak after Reset = %+v, want K=3 starting at 6", st)
+	}
+}
+
 // TestCollectorOnMachine is the integration check: attached to a real
 // scheduler, the collector sees wakeup-to-run delays and runqueue waits
 // from an overcommitted core.

@@ -1,6 +1,6 @@
 package obs
 
-// Decision provenance: a preallocated ring of the scheduler decisions
+// Decision provenance: a bounded ring of the scheduler decisions
 // that the paper's visualization tool (§4.2) had to reconstruct after
 // the fact — why a balance pass declined to move work, which group
 // metric rejected a steal, which cores a wakeup considered before
@@ -11,9 +11,9 @@ package obs
 //
 // Like every other observability layer in the repo, provenance is
 // opt-in and zero-cost when off: producers guard hook sites with
-// `if prov == nil`, Record is allocation-free (fixed-size records into
-// a preallocated ring, keep-last-N with a drop counter), and nothing
-// here touches wall-clock state, so records are byte-deterministic.
+// `if prov == nil`. When on, a ring pays only for the records it keeps
+// (keep-last-N with a drop counter, see ProvRing), and nothing here
+// touches wall-clock state, so records are byte-deterministic.
 
 import (
 	"fmt"
@@ -120,13 +120,20 @@ func (r ProvRecord) String() string {
 	}
 }
 
-// ProvRing is a preallocated keep-last-N ring of provenance records.
-// Like trace.Recorder it bounds memory up front, but where the recorder
-// drops new events once full, the ring overwrites the oldest — replay
-// divergence analysis needs the records *nearest the episode*, which
-// are always the newest.
+// ProvRing is a keep-last-N ring of provenance records. Like
+// trace.Recorder it bounds memory by its capacity, but where the
+// recorder drops new events once full, the ring overwrites the oldest —
+// replay divergence analysis needs the records *nearest the episode*,
+// which are always the newest.
+//
+// The backing array starts empty and doubles on demand up to the
+// capacity, so a ring that keeps a few thousand records costs a few
+// thousand records, not the capacity: each explain replay keeps
+// hundreds to a few thousand. Reset keeps the array, so a reused ring
+// stops allocating once it reaches its high-water mark.
 type ProvRing struct {
-	recs    []ProvRecord // preallocated to cap; len grows to cap then wraps
+	recs    []ProvRecord // len grows to limit, then the ring wraps
+	limit   int          // capacity: the most records retained
 	head    int          // next write position once full
 	total   uint64       // records ever offered
 	dropped uint64       // records overwritten
@@ -137,20 +144,44 @@ type ProvRing struct {
 // monitoring windows of decisions at smoke scales.
 const DefaultProvCap = 1 << 16
 
-// NewProvRing returns a ring with room for capacity records.
+// minProvGrow is the backing array's first size, in records.
+const minProvGrow = 64
+
+// NewProvRing returns an empty ring that retains at most capacity
+// records. It allocates no record storage until the first Record.
 func NewProvRing(capacity int) *ProvRing {
 	if capacity <= 0 {
 		capacity = DefaultProvCap
 	}
-	return &ProvRing{recs: make([]ProvRecord, 0, capacity)}
+	return &ProvRing{limit: capacity}
 }
 
-// Record appends r, overwriting the oldest record when full. It never
-// allocates.
+// Record appends r, overwriting the oldest record when full. It
+// allocates only to grow the backing array: never once the ring holds
+// capacity records, and never below the high-water mark of a reused
+// ring.
 func (p *ProvRing) Record(r ProvRecord) {
 	p.total++
 	if len(p.recs) < cap(p.recs) {
 		p.recs = append(p.recs, r)
+		return
+	}
+	p.recordFull(r)
+}
+
+// recordFull is Record's path for a full backing array: below the
+// capacity the array doubles, clamped to [minProvGrow, limit] —
+// explicitly, since append grows large slices by only 1.25x and would
+// copy the records that many more times; at the capacity r overwrites
+// the oldest record. It stays out of line so that Record is small
+// enough to inline at the hook sites.
+//
+//go:noinline
+func (p *ProvRing) recordFull(r ProvRecord) {
+	if n := len(p.recs); n < p.limit {
+		recs := make([]ProvRecord, n, min(max(2*n, minProvGrow), p.limit))
+		copy(recs, p.recs)
+		p.recs = append(recs, r)
 		return
 	}
 	p.recs[p.head] = r
@@ -173,7 +204,7 @@ func (p *ProvRing) Len() int { return len(p.recs) }
 // Records appends the retained records to dst in time order (oldest
 // first) and returns the extended slice.
 func (p *ProvRing) Records(dst []ProvRecord) []ProvRecord {
-	if len(p.recs) < cap(p.recs) {
+	if len(p.recs) < p.limit {
 		return append(dst, p.recs...)
 	}
 	dst = append(dst, p.recs[p.head:]...)
@@ -181,7 +212,7 @@ func (p *ProvRing) Records(dst []ProvRecord) []ProvRecord {
 }
 
 // Reset discards all retained records and counters, keeping the
-// allocation.
+// backing array for the next use.
 func (p *ProvRing) Reset() {
 	p.recs = p.recs[:0]
 	p.head = 0

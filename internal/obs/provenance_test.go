@@ -43,17 +43,81 @@ func TestProvRingRecordsPartial(t *testing.T) {
 	}
 }
 
-// Record must stay allocation-free: producers call it from the
-// scheduler hot path with provenance enabled, and the explain replays
-// attach fresh rings whose cost must stay predictable.
+// TestProvRingMatchesKeepLastN: a ring that grows on demand must be
+// indistinguishable from a plain keep-last-N buffer — same Records,
+// Total, Dropped and Len — at every record count on both sides of each
+// growth step and of the wrap, fresh and after Reset.
+func TestProvRingMatchesKeepLastN(t *testing.T) {
+	for _, capacity := range []int{1, 3, 256, 257, 1000} {
+		p := NewProvRing(capacity)
+		for n := 0; n <= 2*capacity+1; n++ {
+			// Fresh for the first count, then reused: a dirty ring's
+			// Reset must leave no trace of the previous count.
+			p.Reset()
+			var model []ProvRecord
+			for i := 0; i < n; i++ {
+				r := ProvRecord{At: sim.Time(i), Kind: ProvWakeup, Arg: int64(i)}
+				p.Record(r)
+				model = append(model, r)
+			}
+			dropped := max(n-capacity, 0)
+			model = model[dropped:]
+			got := p.Records(nil)
+			if len(got) != len(model) {
+				t.Fatalf("cap %d, %d records: Records has %d, want %d", capacity, n, len(got), len(model))
+			}
+			for i := range model {
+				if got[i] != model[i] {
+					t.Fatalf("cap %d, %d records: record %d = %+v, want %+v", capacity, n, i, got[i], model[i])
+				}
+			}
+			if p.Total() != uint64(n) || p.Dropped() != uint64(dropped) || p.Len() != len(model) {
+				t.Fatalf("cap %d, %d records: total=%d dropped=%d len=%d, want %d/%d/%d",
+					capacity, n, p.Total(), p.Dropped(), p.Len(), n, dropped, len(model))
+			}
+			if c := cap(p.recs); c > capacity {
+				t.Fatalf("cap %d, %d records: backing array holds %d records", capacity, n, c)
+			}
+		}
+	}
+}
+
+// Record must stay allocation-free wherever it does not grow the ring:
+// producers call it from the scheduler hot path with provenance
+// enabled, and each explain replay reuses one ring per scenario, so
+// past its high-water mark — wrapping when full, or refilled after
+// Reset — the ring's cost must stay flat. The records go in as one
+// loop per measured run so that a single allocation cannot round away;
+// AllocsPerRun(1, f) calls f twice (a warm-up, then the measured run).
 func TestProvRingRecordAllocFree(t *testing.T) {
-	p := NewProvRing(16)
 	rec := ProvRecord{Kind: ProvBalance, Op: trace.OpPeriodicBalance}
-	allocs := testing.AllocsPerRun(200, func() {
-		p.Record(rec)
-	})
-	if allocs != 0 {
-		t.Fatalf("Record allocates %.1f/op, want 0", allocs)
+	recordN := func(p *ProvRing, n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				p.Record(rec)
+			}
+		})
+	}
+
+	full := NewProvRing(16)
+	recordN(full, 8) // reach capacity
+	if allocs := recordN(full, 100); allocs != 0 {
+		t.Fatalf("Record on a full ring allocates %.1f per 100 records, want 0", allocs)
+	}
+	full.Reset()
+	if allocs := recordN(full, 100); allocs != 0 {
+		t.Fatalf("Record after Reset allocates %.1f per 100 records, want 0", allocs)
+	}
+
+	// A ring well below its capacity: after Reset, refilling up to the
+	// high-water mark of its previous use reuses the backing array.
+	partial := NewProvRing(DefaultProvCap)
+	for i := 0; i < 1000; i++ {
+		partial.Record(rec)
+	}
+	partial.Reset()
+	if allocs := recordN(partial, 500); allocs != 0 {
+		t.Fatalf("Record below the high-water mark allocates %.1f, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -38,7 +39,9 @@ func TestPeriodicBalanceTickAllocs(t *testing.T) {
 
 // TestHotplugDomainRebuildReusesCache: cycling the same core off and on
 // must hit the domain cache (pointer swap), not reconstruct hierarchies,
-// while still resetting the per-level balance bookkeeping.
+// while still resetting the per-level balance bookkeeping. The cache
+// also survives ApplyFeatures, so it must stay exact across fix
+// switches: see checkApplyFeaturesMatchesFresh.
 func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 	e := newEnv(topology.Bulldozer8(), DefaultConfig().WithFixes(AllFixes()))
 	if err := e.s.DisableCPU(5); err != nil {
@@ -69,6 +72,72 @@ func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 	// so exactly the visited classes) and the set without core 5.
 	if n := len(e.s.domainCache); n != 2 {
 		t.Fatalf("domain cache has %d entries, want 2", n)
+	}
+
+	// The studied kernel plus one scheduler built with each single
+	// lattice fix, all put through the same hotplug cycle.
+	topo := topology.Bulldozer8()
+	base := newEnv(topo, DefaultConfig())
+	fixes := []Features{
+		{FixGroupImbalance: true},
+		{FixGroupConstruction: true},
+		{FixOverloadWakeup: true},
+		{FixMissingDomains: true},
+	}
+	built := make([]*Scheduler, len(fixes))
+	for i, f := range fixes {
+		built[i] = newEnv(topo, DefaultConfig().WithFixes(f)).s
+	}
+	checkApplyFeaturesMatchesFresh(t, "before hotplug", base, fixes, built)
+	for _, s := range append([]*Scheduler{base.s}, built...) {
+		if err := s.DisableCPU(5); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.EnableCPU(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkApplyFeaturesMatchesFresh(t, "after hotplug", base, fixes, built)
+}
+
+// checkApplyFeaturesMatchesFresh: Clone + ApplyFeatures(fixes[i]) on
+// base must give every core the hierarchy, and the scheduler the
+// counters, of built[i] (constructed with that fix), whatever the domain
+// cache holds. Switching the clone back must then give base's own
+// hierarchies: a gc-fixed cache entry is never served to a gc-buggy
+// scheduler, nor the reverse. Fixes that leave construction alone must
+// be cache hits, sharing base's Domain values.
+func checkApplyFeaturesMatchesFresh(t *testing.T, stage string, base *testEnv, fixes []Features, built []*Scheduler) {
+	t.Helper()
+	same := func(what string, a, b *Scheduler) {
+		t.Helper()
+		for cpu := range a.cpus {
+			id := topology.CoreID(cpu)
+			if !domainsEqual(a.Domains(id), b.Domains(id)) {
+				t.Fatalf("%s, %s: cpu %d %s want %s", stage, what, cpu, a.DescribeDomains(id), b.DescribeDomains(id))
+			}
+		}
+		if a.Counters() != b.Counters() {
+			t.Fatalf("%s, %s: counters %+v, want %+v", stage, what, a.Counters(), b.Counters())
+		}
+	}
+	for i, f := range fixes {
+		c := base.s.Clone(base.eng.Fork())
+		c.ApplyFeatures(f)
+		what := fmt.Sprintf("fix %+v", f)
+		same(what, c, built[i])
+		if !f.FixGroupConstruction && !f.FixMissingDomains {
+			for cpu := range c.cpus {
+				id := topology.CoreID(cpu)
+				for lvl, d := range c.Domains(id) {
+					if d != base.s.Domains(id)[lvl] {
+						t.Fatalf("%s, %s: cpu %d level %d rebuilt instead of cache-hit", stage, what, cpu, lvl)
+					}
+				}
+			}
+		}
+		c.ApplyFeatures(base.s.Config().Features)
+		same(what+" and back", c, base.s)
 	}
 }
 

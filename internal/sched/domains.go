@@ -67,12 +67,16 @@ func (d *Domain) String() string {
 }
 
 // domainKey identifies a domain-hierarchy equivalence class: the same
-// online set under the same NUMA-inclusion rule always yields the same
-// per-core hierarchies (topology and the construction-perspective fix are
-// fixed for a scheduler's lifetime).
+// online set under the same NUMA-inclusion rule and construction
+// perspective always yields the same per-core hierarchies (the topology
+// and balance interval are fixed for a scheduler's lifetime).
+// ApplyFeatures may flip the construction-perspective fix mid-run, so
+// gcFixed is part of the key: an entry built under one perspective is
+// never served to the other.
 type domainKey struct {
 	online      CPUSet
 	includeNUMA bool
+	gcFixed     bool
 }
 
 // rebuildDomains regenerates every core's domain hierarchy. It implements
@@ -81,20 +85,23 @@ type domainKey struct {
 // "the call to the function generating domains across NUMA nodes was
 // dropped by Linux developers during code refactoring".
 //
-// Hierarchies are cached per (online-set, includeNUMA): hotplug storms
-// revisit the same few online sets over and over, and a cache hit swaps
-// pointers instead of reconstructing per-core domain lists. The per-level
-// balance bookkeeping is still reset on every rebuild (reusing the backing
+// Hierarchies are cached per (online-set, includeNUMA, gcFixed): hotplug
+// storms revisit the same few online sets over and over, and a fix
+// replay or forked lattice point that leaves construction alone rebuilds
+// its parent's hierarchy; a cache hit swaps pointers instead of
+// reconstructing per-core domain lists. The per-level balance
+// bookkeeping is still reset on every rebuild (reusing the backing
 // arrays), exactly as an uncached rebuild would.
 func (s *Scheduler) rebuildDomains() {
 	includeNUMA := !s.domainsBroken || s.cfg.Features.FixMissingDomains
-	key := domainKey{online: s.online, includeNUMA: includeNUMA}
+	gcFixed := s.cfg.Features.FixGroupConstruction
+	key := domainKey{online: s.online, includeNUMA: includeNUMA, gcFixed: gcFixed}
 	hier, hit := s.domainCache[key]
 	if !hit {
 		hier = make([][]*Domain, len(s.cpus))
 		for _, c := range s.cpus {
 			if c.online {
-				hier[c.id] = s.buildDomainsFor(c.id, includeNUMA)
+				hier[c.id] = s.buildDomainsWith(c.id, includeNUMA, gcFixed)
 			}
 		}
 	}
@@ -138,12 +145,6 @@ func (s *Scheduler) rebuildDomains() {
 	}
 	s.counters.DomainRebuilds++
 	s.probeDomainsCheck()
-}
-
-// buildDomainsFor constructs the bottom-up domain list for one core under
-// the configured construction flags.
-func (s *Scheduler) buildDomainsFor(cpu topology.CoreID, includeNUMA bool) []*Domain {
-	return s.buildDomainsWith(cpu, includeNUMA, s.cfg.Features.FixGroupConstruction)
 }
 
 // buildDomainsWith constructs the bottom-up domain list for one core with

@@ -133,11 +133,14 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 
 // ApplyFeatures switches the fix set of a (typically just-cloned)
 // scheduler and rebuilds the domain hierarchy under the new flags. The
-// domain cache is dropped first: the construction-perspective flag is not
-// part of the cache key, so a stale entry built under the old flags would
-// otherwise be returned as a hit. The rebuild counter is restored so the
-// clone's counters match a scheduler constructed with f from the start —
-// the property the bisect fork path's byte-identity rests on.
+// domain cache stays: its key carries every construction input the flags
+// change (the construction perspective and, through includeNUMA, the
+// missing-domains fix), so an entry built under the old flags is never
+// served under the new ones, and a fix that leaves construction alone
+// (group imbalance, overload-on-wakeup) gets its hierarchy as a cache
+// hit. The rebuild counter is restored so the clone's counters match a
+// scheduler constructed with f from the start — the property the bisect
+// fork path's byte-identity rests on.
 //
 // Rebuilding resets every core's periodic-balance schedule, which is
 // right when the hierarchy changed (the old levels no longer exist) but
@@ -162,7 +165,6 @@ func (s *Scheduler) ApplyFeatures(f Features) {
 	}
 	s.cfg.Features = f
 	pre := s.counters.DomainRebuilds
-	s.domainCache = nil
 	s.rebuildDomains()
 	s.counters.DomainRebuilds = pre
 	for i, c := range s.cpus {

@@ -93,10 +93,10 @@ type Scheduler struct {
 
 	counters Counters
 
-	// Domain hierarchies are cached per (online-set, includeNUMA)
-	// equivalence class: hotplug storms cycle through a handful of
-	// online sets, and with the cache each revisit is a pointer swap
-	// instead of per-core reconstruction.
+	// Domain hierarchies are cached per (online-set, includeNUMA,
+	// gcFixed) equivalence class (domainKey): hotplug storms cycle
+	// through a handful of online sets, and with the cache each revisit
+	// is a pointer swap instead of per-core reconstruction.
 	domainCache map[domainKey][][]*Domain
 
 	// Balance-pass scratch buffers, reused across calls so the periodic
