@@ -1,12 +1,14 @@
 # Build / verify targets. `make ci` is what every PR must keep green:
 # the race detector covers the campaign runner's worker pool, and the
-# smoke artifacts are gated against the committed rolling baselines in
-# baselines/ — a scheduler-model change that shifts any scenario's
-# metrics fails the smoke targets with a per-scenario diff. The
-# underlying CLIs exit 3 on regression (vs 2 usage, 1 IO/runtime);
-# make itself folds any recipe failure into its own exit code, so
-# scripts that need the distinction invoke the CLIs directly or check
-# for a non-empty *-diff.txt (what .github/workflows/ci.yml does).
+# smoke and default-scale sweeps are gated against the committed
+# rolling baselines in baselines/. The simulator is deterministic, so
+# each gate ends in a `cmp` of its fresh artifact against its baseline:
+# any byte drift fails it. Before the cmp, the gating CLI compares the
+# metrics and writes a per-scenario diff of what moved; it exits 3
+# when a metric regresses past its tolerance (vs 2 usage, 1
+# IO/runtime). make folds any recipe failure into its own exit code,
+# so scripts that need the distinction invoke the CLIs directly or
+# check for a non-empty *-diff.txt (what .github/workflows/ci.yml does).
 
 GO ?= go
 
@@ -17,9 +19,9 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 .PHONY: all build vet lint test race bench bench-test bench-out.txt bench-json \
-	bench-baseline-refresh profile campaign bisect tourney bisect-smoke \
-	campaign-smoke tourney-smoke explain-smoke trace-smoke dist-smoke \
-	bisect-nightly campaign-nightly baseline-refresh ci nightly
+	bench-baseline-refresh profile campaign bisect tourney shard-usage \
+	bisect-smoke campaign-smoke tourney-smoke explain-smoke trace-smoke \
+	bisect-default campaign-default baseline-refresh ci
 
 all: ci
 
@@ -104,22 +106,44 @@ bisect:
 tourney:
 	$(GO) run ./cmd/tourney -preset default -out tourney.json
 
+# The -shard usage contract: malformed and out-of-range specs exit 2
+# (usage) on both campaign and bisect, with the shard parser's message
+# (a Go panic exits 2 as well). The CLIs are built once into a temp dir
+# because `go run` reports every non-zero exit as 1.
+SHARD_BAD_SPECS = banana 0/3 4/3 1/0 -2/3 1.5/3 3 a/b
+
+shard-usage:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/campaign" ./cmd/campaign; \
+	$(GO) build -o "$$tmp/bisect" ./cmd/bisect; \
+	expect2() { rc=0; err=$$("$$tmp/$$1" "$${@:2}" 2>&1 >/dev/null) || rc=$$?; \
+		case "$$rc:$$err" in "2:$$1: shard: "*) ;; \
+		*) echo "shard-usage: $$* exited $$rc, want 2 with a usage error: $$err"; exit 1;; esac; }; \
+	for spec in $(SHARD_BAD_SPECS); do \
+		expect2 campaign -matrix smoke -shard "$$spec" -out /dev/null; \
+		expect2 bisect -preset smoke -shard "$$spec" -out /dev/null; \
+	done; \
+	echo "shard-usage: bad -shard specs exit 2 on campaign and bisect"
+
 # The CI lattice: 48 scenarios under the race detector, gated against
 # the committed rolling baseline ("exit status 3" in the output = a
 # per-scenario regression, written to bisect-smoke-diff.txt). The second
 # run repeats the sweep through the sequential runner and cmp asserts
 # the forked runner's artifact is byte-identical to it — the
-# checkpoint/fork equivalence contract, enforced on every push.
+# checkpoint/fork equivalence contract, enforced on every push. The
+# last cmp is the exact gate: the artifact must equal the baseline.
 bisect-smoke:
 	$(GO) run -race ./cmd/bisect -preset smoke -q -out bisect-smoke.json \
 		-baseline baselines/bisect-smoke.json -diff-out bisect-smoke-diff.txt
 	$(GO) run -race ./cmd/bisect -preset smoke -q -no-fork -out bisect-smoke-nofork.json
 	cmp bisect-smoke.json bisect-smoke-nofork.json
+	cmp bisect-smoke.json baselines/bisect-smoke.json
 
 # The CI campaign: the 8-scenario smoke matrix, gated the same way.
 campaign-smoke:
 	$(GO) run ./cmd/campaign -matrix smoke -q -out campaign-smoke.json \
 		-baseline baselines/campaign-smoke.json -diff-out campaign-smoke-diff.txt
+	cmp campaign-smoke.json baselines/campaign-smoke.json
 
 # The CI tournament: 18 scenarios (bulldozer8 x {make2r, nas-pin:lu} x
 # nine policies), gated on two levels against the committed rolling
@@ -129,26 +153,19 @@ campaign-smoke:
 tourney-smoke:
 	$(GO) run ./cmd/tourney -preset smoke -q -out tourney-smoke.json \
 		-baseline baselines/tourney-smoke.json -diff-out tourney-smoke-diff.txt
+	cmp tourney-smoke.json baselines/tourney-smoke.json
 
 # The CI causal-observability gate: the smoke lattice with decision
 # provenance and counterfactual episode replay (-explain), distilled by
 # cmd/explain into just the explain data and gated against the
 # committed rolling baseline — "exit status 3" here means an episode's
 # counterfactual attribution or a cell's minimal-set cross-check
-# changed, written to explain-smoke-diff.txt.
+# changed, written to explain-smoke-diff.txt. cmd/explain's comparison
+# is exact on its own (any byte difference fails it), so no cmp follows.
 explain-smoke:
 	$(GO) run ./cmd/bisect -preset smoke -explain -q -out explain-bisect.json
 	$(GO) run ./cmd/explain -in explain-bisect.json -q -out explain-smoke.json \
 		-baseline baselines/explain-smoke.json -diff-out explain-smoke-diff.txt
-
-# The CI distributed-campaign gate: coordinator + two local workers
-# under the race detector, with injected faults (worker killed
-# mid-shard, straggler shard stolen, corrupted check-in). Each case's
-# merged artifact must be byte-identical (cmp) to the single-process
-# smoke artifact and clean against baselines/campaign-smoke.json; the
-# script also asserts the -shard usage contract (bad specs exit 2).
-dist-smoke:
-	./scripts/dist-smoke.sh
 
 # Export a Perfetto/Chrome trace of the smoke matrix's lead scenario
 # (a side run — artifact bytes are unaffected). Open trace-smoke.json
@@ -157,30 +174,23 @@ trace-smoke:
 	$(GO) run ./cmd/campaign -matrix smoke -q -out /dev/null \
 		-trace-out trace-smoke.json
 
-# The nightly gates: the default-scale sweeps (too slow for every push)
-# against their committed baselines. Run by .github/workflows/nightly.yml
-# on a schedule and on demand.
-bisect-nightly:
+# The default-scale gates: the 128-cell lattice and the 30-scenario
+# campaign, gated like the smoke ones. Each simulates in under a
+# second, so they run on every push.
+bisect-default:
 	$(GO) run ./cmd/bisect -preset default -q -out bisect-default.json \
 		-baseline baselines/bisect-default.json -diff-out bisect-default-diff.txt
+	cmp bisect-default.json baselines/bisect-default.json
 
-campaign-nightly:
+campaign-default:
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out campaign-default.json \
 		-baseline baselines/campaign-default.json -diff-out campaign-default-diff.txt
-
-# Run both gates even when the first regresses (a same-night campaign
-# regression must not be masked by a bisect one, and CI uploads both
-# artifacts either way); fail if either did.
-nightly:
-	@rc=0; \
-	$(MAKE) bisect-nightly || rc=1; \
-	$(MAKE) campaign-nightly || rc=1; \
-	exit $$rc
+	cmp campaign-default.json baselines/campaign-default.json
 
 # Regenerate the committed rolling baselines after an *intentional*
-# scheduler-model change (commit the result; CI diffs against these).
-# Covers both the per-push smoke baselines and the nightly default-scale
-# ones, so additive artifact fields land in all four at once.
+# scheduler-model change (commit the result; CI cmps against these).
+# Covers the smoke and the default-scale baselines, so additive
+# artifact fields land in all six at once.
 baseline-refresh:
 	$(GO) run ./cmd/bisect -preset smoke -q -out baselines/bisect-smoke.json
 	$(GO) run ./cmd/campaign -matrix smoke -q -out baselines/campaign-smoke.json
@@ -190,4 +200,5 @@ baseline-refresh:
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
-ci: lint build race bench-test bisect-smoke campaign-smoke tourney-smoke explain-smoke dist-smoke
+ci: lint build race bench-test shard-usage bisect-smoke campaign-smoke tourney-smoke \
+	explain-smoke bisect-default campaign-default

@@ -296,8 +296,8 @@ func Load(path string) (*Campaign, error) {
 }
 
 // Decode parses a campaign artifact from its JSON bytes — the same
-// validation Load applies, for artifacts that arrive over a wire rather
-// than from a file (the dist package's worker check-ins).
+// validation Load applies, for artifacts already in memory rather than
+// in a file (the sweep benchmark decodes its cached artifacts this way).
 func Decode(data []byte) (*Campaign, error) {
 	var c Campaign
 	if err := json.Unmarshal(data, &c); err != nil {

@@ -2,7 +2,7 @@
 // machine-readable performance trajectory.
 //
 // The simulator is the substrate every campaign, bisect lattice and
-// nightly sweep stands on, so its speed is a tracked artifact like any
+// tournament stands on, so its speed is a tracked artifact like any
 // scheduler metric: `make bench-json` parses a benchmark run into a
 // Report (BENCH_campaign.json), optionally embeds a reference run for
 // before/after deltas, and gates allocs/op against a committed baseline

@@ -169,18 +169,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Versions snapshots the registered (name -> version) pairs with
-// version 0 entries skipped — the form campaign artifacts stamp and the
-// shard package fingerprints.
-func Versions() map[string]int {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make(map[string]int, len(registry))
-	for name, p := range registry {
-		if p.Version != 0 {
-			out[name] = p.Version
-		}
-	}
-	return out
-}

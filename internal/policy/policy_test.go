@@ -99,19 +99,6 @@ func TestBuiltinListingExcludesLattice(t *testing.T) {
 	}
 }
 
-func TestVersionsSkipsUnversioned(t *testing.T) {
-	MustRegister(Policy{Name: "test-unversioned-" + t.Name()})
-	v := Versions()
-	for name, ver := range v {
-		if ver == 0 {
-			t.Errorf("Versions() carries %q at version 0", name)
-		}
-	}
-	if v["fixed"] == 0 || v["globalq-shared"] == 0 {
-		t.Error("builtin versions missing from Versions()")
-	}
-}
-
 func TestApplyResolvesModulesAndDetaches(t *testing.T) {
 	p, ok := ByName("modsched")
 	if !ok {

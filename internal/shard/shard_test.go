@@ -67,6 +67,29 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec: ParseSpec never panics, every spec it accepts is in
+// range, and String() of an accepted spec parses back to the same spec.
+// The seeds are the malformed and out-of-range specs the CLIs must
+// reject with exit 2 (make shard-usage), plus three valid ones.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"banana", "0/3", "4/3", "1/0", "-2/3", "1.5/3", "3", "a/b", "1/1", "2/3", " 2 / 3 "} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if sp.Index < 1 || sp.Index > sp.Count {
+			t.Fatalf("ParseSpec(%q) accepted out-of-range %+v", s, sp)
+		}
+		back, err := ParseSpec(sp.String())
+		if err != nil || back != sp {
+			t.Fatalf("ParseSpec(%q) = %+v, but its String %q parses to %+v, %v", s, sp, sp.String(), back, err)
+		}
+	})
+}
+
 // TestSelectPartition: for several shard counts, the shards are a
 // disjoint cover of the scenario list with balanced sizes, and the
 // assignment ignores input order.

@@ -8,7 +8,7 @@
 // need to replay them exactly in tests).
 //
 // The engine is also the hot path of every campaign, bisect lattice and
-// nightly sweep, so its steady state is allocation-free: one-shot events
+// tournament, so its steady state is allocation-free: one-shot events
 // come from a free-list pool (handles carry a generation counter, so a
 // stale handle can never cancel a recycled event), cancellation is lazy
 // (O(1), dead events are skipped when popped), and periodic activity uses
