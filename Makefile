@@ -60,13 +60,17 @@ bench-test:
 # The pinned perf-trajectory suite: the campaign throughput benchmark
 # (events/s + scenarios/s) plus the engine microbenchmarks, parsed into
 # a machine-readable report and gated against the committed allocation
-# baseline (allocs/op only — wall clock is not comparable across
-# machines). Exit 3 from benchjson = an allocation regression. The
+# baseline (allocs/op and B/op — wall clock is not comparable across
+# machines). Every benchmark runs a fixed iteration count, so the gated
+# figures repeat from run to run: B/op averages over b.N, and a
+# time-based -benchtime would let b.N, and with it a benchmark's
+# amortized heap growth (BenchmarkEventCancel's zombie queue), follow
+# host speed. Exit 3 from benchjson = an allocation regression. The
 # -max-allocs-per-event bound additionally asserts that obs-disabled
 # campaign runs stay at or under one allocation per simulation event,
 # so the observability hooks keep compiling down to a nil-check.
 BENCH_PKG_ARGS  = -run '^$$' -bench 'BenchmarkCampaign|BenchmarkSimulatorThroughput' -benchmem -benchtime 5x .
-BENCH_SIM_ARGS  = -run '^$$' -bench 'BenchmarkEngine|BenchmarkEvent' -benchmem -benchtime 1s ./internal/sim
+BENCH_SIM_ARGS  = -run '^$$' -bench 'BenchmarkEngine|BenchmarkEvent' -benchmem -benchtime 200000x ./internal/sim
 
 bench-out.txt:
 	@rm -f $@

@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` output into the repo's
 // machine-readable benchmark artifact (BENCH_campaign.json) and gates
-// allocs/op against a committed baseline.
+// allocs/op and B/op against a committed baseline.
 //
 // Usage:
 //
@@ -15,9 +15,11 @@
 //	                  carried forward, so regenerating the committed
 //	                  trajectory keeps its curated before column.
 //	-out file         write the JSON report here ("-" for stdout)
-//	-baseline file    gate allocs/op against this committed report;
-//	                  exit 3 when any pinned benchmark regresses
-//	-alloc-tolerance  allowed allocs/op growth percent (default 10)
+//	-baseline file    gate allocs/op and B/op against this committed
+//	                  report; exit 3 when any pinned benchmark regresses
+//	                  on either
+//	-alloc-tolerance  allowed allocs/op and B/op growth percent
+//	                  (default 10)
 //	-max-allocs-per-event
 //	                  gate allocs/op divided by the events/op metric on
 //	                  every benchmark reporting one; exit 3 when the
@@ -71,8 +73,8 @@ func main() {
 		in        = flag.String("in", "", "benchmark output file (default stdin)")
 		reference = flag.String("reference", "", "before-run benchmark output or report")
 		out       = flag.String("out", "", "write the JSON report here (\"-\" for stdout)")
-		baseline  = flag.String("baseline", "", "gate allocs/op against this report")
-		allocTol  = flag.Float64("alloc-tolerance", 10, "allowed allocs/op growth percent")
+		baseline  = flag.String("baseline", "", "gate allocs/op and B/op against this report")
+		allocTol  = flag.Float64("alloc-tolerance", 10, "allowed allocs/op and B/op growth percent")
 		maxAPE    = flag.Float64("max-allocs-per-event", 0, "max allocs/op per events/op metric (0 disables)")
 	)
 	flag.Parse()
@@ -138,13 +140,13 @@ func main() {
 			fatalf("no benchmark in common with %s — the gate would be vacuous (baseline names: check for stale pins)", *baseline)
 		}
 		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: allocs/op regressed beyond %.3g%% on %d pinned benchmarks:\n", *allocTol, len(regs))
+			fmt.Fprintf(os.Stderr, "benchjson: allocations regressed beyond %.3g%% on %d pinned benchmark metrics:\n", *allocTol, len(regs))
 			for _, r := range regs {
 				fmt.Fprintf(os.Stderr, "  %s\n", r)
 			}
 			os.Exit(exitRegression)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: allocs/op within %.3g%% of %s (%d benchmarks compared)\n", *allocTol, *baseline, matched)
+		fmt.Fprintf(os.Stderr, "benchjson: allocs/op and B/op within %.3g%% of %s (%d benchmarks compared)\n", *allocTol, *baseline, matched)
 	}
 
 	if *maxAPE > 0 {

@@ -221,7 +221,7 @@ func NewObserver(m *machine.Machine, cfg Config) *Observer {
 		m:          m,
 		cfg:        cfg,
 		base:       m.Sched.Config().Features,
-		prov:       obs.NewProvRing(obs.DefaultProvCap),
+		prov:       obs.NewProvCounter(obs.DefaultProvCap),
 		replayProv: obs.NewProvRing(obs.DefaultProvCap),
 		replayCol:  latency.NewCollector(latency.Config{StreakK: cfg.StreakK}),
 	}

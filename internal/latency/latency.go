@@ -28,6 +28,7 @@ package latency
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -115,9 +116,9 @@ func (d *Digest) String() string {
 }
 
 // MakeDigest summarizes a sample stream of nanosecond spans. The input
-// order is irrelevant (percentiles sort internally) and the samples are
-// not retained. Returns nil for an empty stream, so artifact fields can
-// omit empty digests.
+// order is irrelevant (the percentiles read one sorted copy) and the
+// samples are not retained. Returns nil for an empty stream, so artifact
+// fields can omit empty digests.
 func MakeDigest(ns []int64) *Digest {
 	if len(ns) == 0 {
 		return nil
@@ -129,7 +130,7 @@ func MakeDigest(ns []int64) *Digest {
 	buckets := make([]int64, NumBuckets)
 	for i, v := range ns {
 		// Spans are bounded by the scenario horizon (< 2^53 ns), so the
-		// float64 conversion is exact and stats.Percentile stays
+		// float64 conversion is exact and the percentiles stay
 		// byte-deterministic.
 		xs[i] = float64(v)
 		sum += v
@@ -143,9 +144,10 @@ func MakeDigest(ns []int64) *Digest {
 		}
 	}
 	d.MeanNs = sum / d.Count
-	d.P50Ns = int64(stats.Percentile(xs, 50))
-	d.P95Ns = int64(stats.Percentile(xs, 95))
-	d.P99Ns = int64(stats.Percentile(xs, 99))
+	sort.Float64s(xs)
+	d.P50Ns = int64(stats.PercentileSorted(xs, 50))
+	d.P95Ns = int64(stats.PercentileSorted(xs, 95))
+	d.P99Ns = int64(stats.PercentileSorted(xs, 99))
 	d.Buckets = buckets[:maxBucket+1]
 	return d
 }

@@ -65,9 +65,9 @@ func (m *Machine) Fork() *Machine {
 	for _, oq := range m.workqs {
 		nq := &WorkQueue{id: oq.id, outstanding: oq.outstanding,
 			Pushed: oq.Pushed, Completed: oq.Completed}
-		if len(oq.tasks) > 0 {
-			nq.tasks = make([]Task, len(oq.tasks))
-			for i, task := range oq.tasks {
+		if pending := oq.tasks[oq.head:]; len(pending) > 0 {
+			nq.tasks = make([]Task, len(pending))
+			for i, task := range pending {
 				if task.OnDone != nil {
 					panic("machine: Fork with a queued Task.OnDone hook")
 				}

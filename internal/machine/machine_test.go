@@ -459,3 +459,92 @@ func TestWorkerWakesWorker(t *testing.T) {
 		t.Fatalf("workers woken %d times, want >= 3", w0.T.Wakeups()+w1.T.Wakeups())
 	}
 }
+
+// TestWorkQueueReusesBuffer: pops advance a head index and clear the
+// slot they leave, and the queue rewinds when it empties, so a queue
+// that fills and drains in cycles keeps one buffer and, once warm,
+// allocates nothing. Tasks still come out in push order across the
+// slide-down of a buffer that fills behind a popped prefix.
+func TestWorkQueueReusesBuffer(t *testing.T) {
+	q := &WorkQueue{}
+	hook := func() {}
+	next, want := 0, 0
+	cycle := func() {
+		for round := 0; round < 8; round++ {
+			for i := 0; i < 5; i++ {
+				q.push(Task{Dur: sim.Time(next), OnDone: hook})
+				next++
+			}
+			for i := 0; i < 3; i++ {
+				if got := q.pop(); got.Dur != sim.Time(want) {
+					t.Fatalf("popped task %d, want %d (FIFO)", got.Dur, want)
+				}
+				want++
+			}
+			for i, task := range q.tasks[:q.head] {
+				if task.Dur != 0 || task.OnDone != nil {
+					t.Fatalf("popped slot %d not cleared: %+v", i, task)
+				}
+			}
+		}
+		for q.Pending() > 0 {
+			q.pop()
+			want++
+		}
+		if q.head != 0 || len(q.tasks) != 0 {
+			t.Fatalf("drained queue did not rewind: head %d len %d", q.head, len(q.tasks))
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("a warm push/pop/drain cycle allocates %.1f times, want 0", allocs)
+	}
+	if q.Pushed != uint64(next) {
+		t.Fatalf("Pushed = %d, want %d", q.Pushed, next)
+	}
+}
+
+// TestWorkQueueSaturatedPushIsAmortizedO1: a queue that never empties —
+// its backlog held at the buffer's capacity while pushes and pops
+// alternate, as in a saturated server — must not move its whole backlog
+// on every push. Counting the tasks each push moves (a slide-down moves
+// the pending tasks, a growth copies the buffer), the total stays within
+// a constant per push, the buffer stays within a small multiple of the
+// backlog, and tasks still come out in push order.
+func TestWorkQueueSaturatedPushIsAmortizedO1(t *testing.T) {
+	q := &WorkQueue{}
+	next, want := 0, 0
+	push := func() (moved int) {
+		head, n, c := q.head, len(q.tasks), cap(q.tasks)
+		q.push(Task{Dur: sim.Time(next)})
+		next++
+		switch {
+		case cap(q.tasks) != c:
+			moved = n
+		case head > 0 && q.head == 0:
+			moved = n - head
+		}
+		return moved
+	}
+	for len(q.tasks) < 64 || len(q.tasks) < cap(q.tasks) {
+		push()
+	}
+	q.pop()
+	want++
+	backlog := q.Pending()
+	const pushes = 10000
+	moved := 0
+	for i := 0; i < pushes; i++ {
+		moved += push()
+		if got := q.pop(); got.Dur != sim.Time(want) {
+			t.Fatalf("popped task %d, want %d (FIFO)", got.Dur, want)
+		}
+		want++
+	}
+	if moved > 4*pushes {
+		t.Fatalf("%d pushes at a backlog of %d moved %d tasks, want <= %d", pushes, backlog, moved, 4*pushes)
+	}
+	if cap(q.tasks) > 4*backlog {
+		t.Fatalf("buffer grew to %d for a backlog of %d", cap(q.tasks), backlog)
+	}
+}

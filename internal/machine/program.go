@@ -14,12 +14,13 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
 
 // OpKind identifies a program instruction.
-type OpKind int
+type OpKind uint8
 
 // Instruction kinds.
 const (
@@ -100,21 +101,30 @@ func (k OpKind) String() string {
 	}
 }
 
-// Instr is one program instruction.
+// Instr is one program instruction. It packs into 32 bytes — the NAS
+// programs are fully unrolled, so one 64-thread launch holds hundreds of
+// thousands of them — which bounds the integer fields to int32. Object
+// ids and jump targets are indices into in-memory slices, far below
+// that; for the caller-supplied repeat and push counts, fan-outs and
+// depths, the Builder panics on a value that does not fit rather than
+// truncate it.
 type Instr struct {
 	Kind   OpKind
+	Obj    int32    // lock/barrier/queue object id
 	Dur    sim.Time // compute/sleep/push durations
-	Obj    int      // lock/barrier/queue object id
-	To     int      // jump target pc
-	Count  int      // jump iterations or push count
-	Fanout int      // children per completed pushed task
-	Depth  int      // fan-out depth of pushed tasks
+	To     int32    // jump target pc
+	Count  int32    // jump iterations or push count
+	Fanout int32    // children per completed pushed task
+	Depth  int32    // fan-out depth of pushed tasks
 }
 
 // Program is an instruction list executed by one thread.
 type Program []Instr
 
-// Builder assembles Programs with structured loops.
+// Builder assembles Programs with structured loops. Its buffer is
+// scratch: Build copies the program out, and Reset empties the buffer
+// for the next program without releasing it, so one builder can emit
+// many programs while growing its buffer only to the largest.
 type Builder struct {
 	prog Program
 }
@@ -136,49 +146,50 @@ func (b *Builder) Sleep(d sim.Time) *Builder {
 
 // Lock appends a spinlock acquire of lock l.
 func (b *Builder) Lock(l *SpinLock) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpLock, Obj: l.id})
+	b.prog = append(b.prog, Instr{Kind: OpLock, Obj: int32(l.id)})
 	return b
 }
 
 // Unlock appends a spinlock release of lock l.
 func (b *Builder) Unlock(l *SpinLock) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpUnlock, Obj: l.id})
+	b.prog = append(b.prog, Instr{Kind: OpUnlock, Obj: int32(l.id)})
 	return b
 }
 
 // Barrier appends a spin-barrier join.
 func (b *Builder) Barrier(bar *SpinBarrier) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpBarrier, Obj: bar.id})
+	b.prog = append(b.prog, Instr{Kind: OpBarrier, Obj: int32(bar.id)})
 	return b
 }
 
 // Wait appends a blocking wait on q.
 func (b *Builder) Wait(q *WaitQueue) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpWait, Obj: q.id})
+	b.prog = append(b.prog, Instr{Kind: OpWait, Obj: int32(q.id)})
 	return b
 }
 
 // Signal appends a wake-one of q.
 func (b *Builder) Signal(q *WaitQueue) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpSignal, Obj: q.id})
+	b.prog = append(b.prog, Instr{Kind: OpSignal, Obj: int32(q.id)})
 	return b
 }
 
 // SignalAll appends a wake-all of q.
 func (b *Builder) SignalAll(q *WaitQueue) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpSignalAll, Obj: q.id})
+	b.prog = append(b.prog, Instr{Kind: OpSignalAll, Obj: int32(q.id)})
 	return b
 }
 
 // Pop appends a blocking task-pop from work queue q.
 func (b *Builder) Pop(q *WorkQueue) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpPop, Obj: q.id})
+	b.prog = append(b.prog, Instr{Kind: OpPop, Obj: int32(q.id)})
 	return b
 }
 
 // Push appends an enqueue of count tasks of duration each onto q.
 func (b *Builder) Push(q *WorkQueue, count int, each sim.Time) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpPush, Obj: q.id, Count: count, Dur: each})
+	b.prog = append(b.prog, Instr{Kind: OpPush, Obj: int32(q.id),
+		Count: fitInt32("push count", count), Dur: each})
 	return b
 }
 
@@ -186,25 +197,27 @@ func (b *Builder) Push(q *WorkQueue, count int, each sim.Time) *Builder {
 // spawns fanout children down to the given depth, so the worker that
 // finishes a task wakes the workers that take its children.
 func (b *Builder) PushTree(q *WorkQueue, count int, each sim.Time, fanout, depth int) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpPush, Obj: q.id, Count: count, Dur: each, Fanout: fanout, Depth: depth})
+	b.prog = append(b.prog, Instr{Kind: OpPush, Obj: int32(q.id),
+		Count: fitInt32("push count", count), Dur: each,
+		Fanout: fitInt32("push fanout", fanout), Depth: fitInt32("push depth", depth)})
 	return b
 }
 
 // Drain appends a block-until-queue-fully-processed on q.
 func (b *Builder) Drain(q *WorkQueue) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpDrain, Obj: q.id})
+	b.prog = append(b.prog, Instr{Kind: OpDrain, Obj: int32(q.id)})
 	return b
 }
 
 // WaitFlag appends a spin-wait on f (consume one token).
 func (b *Builder) WaitFlag(f *SpinFlag) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpWaitFlag, Obj: f.id})
+	b.prog = append(b.prog, Instr{Kind: OpWaitFlag, Obj: int32(f.id)})
 	return b
 }
 
 // PostFlag appends a token post to f.
 func (b *Builder) PostFlag(f *SpinFlag) *Builder {
-	b.prog = append(b.prog, Instr{Kind: OpPostFlag, Obj: f.id})
+	b.prog = append(b.prog, Instr{Kind: OpPostFlag, Obj: int32(f.id)})
 	return b
 }
 
@@ -213,18 +226,39 @@ func (b *Builder) Repeat(count int, body func(*Builder)) *Builder {
 	if count <= 0 {
 		return b
 	}
+	fitInt32("repeat count", count)
 	start := len(b.prog)
 	body(b)
 	if len(b.prog) == start {
 		return b // empty body: nothing to loop over
 	}
 	if count > 1 {
-		b.prog = append(b.prog, Instr{Kind: OpJump, To: start, Count: count - 1})
+		b.prog = append(b.prog, Instr{Kind: OpJump, To: int32(start), Count: int32(count - 1)})
 	}
 	return b
 }
 
-// Build finalizes the program with an implicit Exit.
+// Build returns the program with an implicit Exit appended, in a new
+// slice of exactly its length: the builder's buffer stays its own.
 func (b *Builder) Build() Program {
-	return append(append(Program{}, b.prog...), Instr{Kind: OpExit})
+	prog := make(Program, len(b.prog)+1)
+	copy(prog, b.prog)
+	prog[len(b.prog)] = Instr{Kind: OpExit}
+	return prog
+}
+
+// Reset empties the builder for the next program, keeping its buffer.
+// Programs already built are unaffected.
+func (b *Builder) Reset() *Builder {
+	b.prog = b.prog[:0]
+	return b
+}
+
+// fitInt32 narrows a builder argument to its int32 Instr field, panicking
+// rather than truncating a value out of range.
+func fitInt32(what string, v int) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("machine: %s %d does not fit in an int32 Instr field", what, v))
+	}
+	return int32(v)
 }

@@ -95,9 +95,20 @@ type Task struct {
 // of §3.3: "a handful of container processes each provide several dozens
 // of worker threads"). Pop blocks while empty; Push wakes blocked
 // poppers; Drain blocks until every pushed task has been fully processed.
+//
+// The pending tasks are tasks[head:]. Pops advance head and clear the
+// slot they leave, and the queue rewinds to the start of its buffer when
+// it empties, so a queue that fills and drains in cycles reuses one
+// buffer and stops allocating. A queue that never empties (a saturated
+// server) reclaims its popped prefix on push: when the buffer is full
+// and at least half of it has been popped, the pending tasks slide down
+// to the start; otherwise append grows the buffer. Each slide leaves at
+// least half the buffer free, so pushes stay O(1) amortized and the
+// buffer stays within a small multiple of the backlog.
 type WorkQueue struct {
 	id          int
 	tasks       []Task
+	head        int // index of the next task to pop
 	outstanding int // popped but not yet completed
 	popWaiters  []*MThread
 	drainers    []*MThread
@@ -107,10 +118,35 @@ type WorkQueue struct {
 }
 
 // Pending returns the number of queued (not yet popped) tasks.
-func (q *WorkQueue) Pending() int { return len(q.tasks) }
+func (q *WorkQueue) Pending() int { return len(q.tasks) - q.head }
 
 // Outstanding returns the number of popped-but-unfinished tasks.
 func (q *WorkQueue) Outstanding() int { return q.outstanding }
 
 // Idle reports whether the queue is empty with nothing outstanding.
-func (q *WorkQueue) Idle() bool { return len(q.tasks) == 0 && q.outstanding == 0 }
+func (q *WorkQueue) Idle() bool { return q.Pending() == 0 && q.outstanding == 0 }
+
+// push appends task at the tail.
+func (q *WorkQueue) push(task Task) {
+	if q.head > 0 && len(q.tasks) == cap(q.tasks) && 2*q.head >= len(q.tasks) {
+		n := copy(q.tasks, q.tasks[q.head:])
+		clear(q.tasks[n:])
+		q.tasks = q.tasks[:n]
+		q.head = 0
+	}
+	q.tasks = append(q.tasks, task)
+	q.Pushed++
+}
+
+// pop removes and returns the task at the head; the queue must not be
+// empty.
+func (q *WorkQueue) pop() Task {
+	task := q.tasks[q.head]
+	q.tasks[q.head] = Task{} // release its OnDone closure
+	q.head++
+	if q.head == len(q.tasks) {
+		q.tasks = q.tasks[:0]
+		q.head = 0
+	}
+	return task
+}

@@ -168,9 +168,8 @@ func (m *Machine) step(t *MThread) {
 
 		case OpPop:
 			q := m.workqs[ins.Obj]
-			if len(q.tasks) > 0 {
-				task := q.tasks[0]
-				q.tasks = q.tasks[1:]
+			if q.Pending() > 0 {
+				task := q.pop()
 				q.outstanding++
 				t.poppedFrom = q
 				t.poppedTask = task
@@ -188,7 +187,7 @@ func (m *Machine) step(t *MThread) {
 
 		case OpPush:
 			q := m.workqs[ins.Obj]
-			m.pushTasks(q, Task{Dur: ins.Dur, Fanout: ins.Fanout, Depth: ins.Depth}, ins.Count, t)
+			m.pushTasks(q, Task{Dur: ins.Dur, Fanout: int(ins.Fanout), Depth: int(ins.Depth)}, int(ins.Count), t)
 			t.pc++
 			continue
 
@@ -206,11 +205,11 @@ func (m *Machine) step(t *MThread) {
 		case OpJump:
 			cnt, seen := t.loops[t.pc]
 			if !seen {
-				cnt = ins.Count
+				cnt = int(ins.Count)
 			}
 			if cnt > 0 {
 				t.loops[t.pc] = cnt - 1
-				t.pc = ins.To
+				t.pc = int(ins.To)
 			} else {
 				delete(t.loops, t.pc)
 				t.pc++
@@ -396,8 +395,7 @@ func (m *Machine) deferFire(t *MThread, epoch uint64) {
 // per task, with pusher as the waker.
 func (m *Machine) pushTasks(q *WorkQueue, task Task, count int, pusher *MThread) {
 	for i := 0; i < count; i++ {
-		q.tasks = append(q.tasks, task)
-		q.Pushed++
+		q.push(task)
 	}
 	n := count
 	for n > 0 && len(q.popWaiters) > 0 {
@@ -414,8 +412,7 @@ func (m *Machine) pushTasks(q *WorkQueue, task Task, count int, pusher *MThread)
 // timer expiration, so placement starts from the wakee's previous core
 // and walks the §3.3 node-local search path.
 func (m *Machine) InjectTask(q *WorkQueue, task Task) {
-	q.tasks = append(q.tasks, task)
-	q.Pushed++
+	q.push(task)
 	if len(q.popWaiters) > 0 {
 		w := q.popWaiters[0]
 		q.popWaiters = q.popWaiters[1:]

@@ -131,12 +131,15 @@ func (r ProvRecord) String() string {
 // thousand records, not the capacity: each explain replay keeps
 // hundreds to a few thousand. Reset keeps the array, so a reused ring
 // stops allocating once it reaches its high-water mark.
+//
+// A ring made by NewProvCounter keeps no records at all, only the
+// counts, for a consumer that reads nothing but Total and Dropped.
 type ProvRing struct {
-	recs    []ProvRecord // len grows to limit, then the ring wraps
-	limit   int          // capacity: the most records retained
-	head    int          // next write position once full
-	total   uint64       // records ever offered
-	dropped uint64       // records overwritten
+	recs      []ProvRecord // len grows to limit, then the ring wraps
+	limit     int          // capacity: the most records retained
+	head      int          // next write position once full
+	total     uint64       // records ever offered
+	countOnly bool         // NewProvCounter: count records, keep none
 }
 
 // DefaultProvCap is the ring capacity used when NewProvRing is given a
@@ -156,6 +159,16 @@ func NewProvRing(capacity int) *ProvRing {
 	return &ProvRing{limit: capacity}
 }
 
+// NewProvCounter returns a ring that keeps no records but counts them
+// as a ring of the given capacity would: its Total and Dropped equal
+// those of NewProvRing(capacity) fed the same records, its Len is 0,
+// and Record never allocates.
+func NewProvCounter(capacity int) *ProvRing {
+	p := NewProvRing(capacity)
+	p.countOnly = true
+	return p
+}
+
 // Record appends r, overwriting the oldest record when full. It
 // allocates only to grow the backing array: never once the ring holds
 // capacity records, and never below the high-water mark of a reused
@@ -169,7 +182,8 @@ func (p *ProvRing) Record(r ProvRecord) {
 	p.recordFull(r)
 }
 
-// recordFull is Record's path for a full backing array: below the
+// recordFull is Record's path for a full backing array — for a
+// counter, whose array stays empty, every record's. Below the
 // capacity the array doubles, clamped to [minProvGrow, limit] —
 // explicitly, since append grows large slices by only 1.25x and would
 // copy the records that many more times; at the capacity r overwrites
@@ -178,6 +192,9 @@ func (p *ProvRing) Record(r ProvRecord) {
 //
 //go:noinline
 func (p *ProvRing) recordFull(r ProvRecord) {
+	if p.countOnly {
+		return
+	}
 	if n := len(p.recs); n < p.limit {
 		recs := make([]ProvRecord, n, min(max(2*n, minProvGrow), p.limit))
 		copy(recs, p.recs)
@@ -185,7 +202,6 @@ func (p *ProvRing) recordFull(r ProvRecord) {
 		return
 	}
 	p.recs[p.head] = r
-	p.dropped++
 	p.head++
 	if p.head == len(p.recs) {
 		p.head = 0
@@ -195,8 +211,11 @@ func (p *ProvRing) recordFull(r ProvRecord) {
 // Total reports how many records were ever offered.
 func (p *ProvRing) Total() uint64 { return p.total }
 
-// Dropped reports how many records were overwritten by newer ones.
-func (p *ProvRing) Dropped() uint64 { return p.dropped }
+// Dropped reports how many records were overwritten by newer ones:
+// every record past the capacity overwrote the oldest.
+func (p *ProvRing) Dropped() uint64 {
+	return p.total - min(p.total, uint64(p.limit))
+}
 
 // Len reports the number of retained records.
 func (p *ProvRing) Len() int { return len(p.recs) }
@@ -217,5 +236,4 @@ func (p *ProvRing) Reset() {
 	p.recs = p.recs[:0]
 	p.head = 0
 	p.total = 0
-	p.dropped = 0
 }

@@ -46,10 +46,13 @@ func TestProvRingRecordsPartial(t *testing.T) {
 // TestProvRingMatchesKeepLastN: a ring that grows on demand must be
 // indistinguishable from a plain keep-last-N buffer — same Records,
 // Total, Dropped and Len — at every record count on both sides of each
-// growth step and of the wrap, fresh and after Reset.
+// growth step and of the wrap, fresh and after Reset. A counter of the
+// same capacity must report the ring's Total and Dropped while keeping
+// nothing and never allocating.
 func TestProvRingMatchesKeepLastN(t *testing.T) {
 	for _, capacity := range []int{1, 3, 256, 257, 1000} {
 		p := NewProvRing(capacity)
+		ctr := NewProvCounter(capacity)
 		for n := 0; n <= 2*capacity+1; n++ {
 			// Fresh for the first count, then reused: a dirty ring's
 			// Reset must leave no trace of the previous count.
@@ -77,6 +80,22 @@ func TestProvRingMatchesKeepLastN(t *testing.T) {
 			}
 			if c := cap(p.recs); c > capacity {
 				t.Fatalf("cap %d, %d records: backing array holds %d records", capacity, n, c)
+			}
+
+			// AllocsPerRun runs the body twice; the Reset makes the
+			// second, measured run end with n records offered.
+			allocs := testing.AllocsPerRun(1, func() {
+				ctr.Reset()
+				for i := 0; i < n; i++ {
+					ctr.Record(ProvRecord{At: sim.Time(i), Kind: ProvWakeup, Arg: int64(i)})
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("cap %d, %d records: counter Record allocates %.1f", capacity, n, allocs)
+			}
+			if ctr.Total() != p.Total() || ctr.Dropped() != p.Dropped() || ctr.Len() != 0 {
+				t.Fatalf("cap %d, %d records: counter total=%d dropped=%d len=%d, want %d/%d/0",
+					capacity, n, ctr.Total(), ctr.Dropped(), ctr.Len(), p.Total(), p.Dropped())
 			}
 		}
 	}

@@ -5,9 +5,11 @@
 // tournament stands on, so its speed is a tracked artifact like any
 // scheduler metric: `make bench-json` parses a benchmark run into a
 // Report (BENCH_campaign.json), optionally embeds a reference run for
-// before/after deltas, and gates allocs/op against a committed baseline
-// (baselines/bench-smoke.json) — allocation counts are deterministic
-// enough to gate in CI, where wall-clock ns/op on shared runners is not.
+// before/after deltas, and gates allocs/op and B/op against a committed
+// baseline (baselines/bench-smoke.json). `make bench-json` runs every
+// benchmark at a fixed iteration count, so allocs/op and B/op repeat
+// from run to run and can be gated in CI, where wall-clock ns/op on
+// shared runners cannot.
 //
 // The parsed lines are also retained verbatim (Report.Raw), so
 // benchstat can consume the artifact's numbers without re-running:
@@ -205,24 +207,26 @@ func (r *Report) SetReference(ref *Report) {
 	sort.Slice(r.Deltas, func(i, j int) bool { return r.Deltas[i].Name < r.Deltas[j].Name })
 }
 
-// AllocRegression is one benchmark whose allocs/op got worse than the
-// committed baseline allows.
+// AllocRegression is one benchmark metric — allocs/op or B/op — that
+// got worse than the committed baseline allows.
 type AllocRegression struct {
 	Name          string
+	Metric        string // "allocs/op" or "B/op"
 	Base, Current int64
 	Pct           float64
 }
 
 func (r AllocRegression) String() string {
-	return fmt.Sprintf("%-50s allocs/op %8d -> %-8d (%+.1f%%)", r.Name, r.Base, r.Current, r.Pct)
+	return fmt.Sprintf("%-50s %-9s %10d -> %-10d (%+.1f%%)", r.Name, r.Metric, r.Base, r.Current, r.Pct)
 }
 
-// CompareAllocs gates cur's allocs/op against base for every benchmark
-// present in both: a regression is an increase beyond tolerancePct.
-// Benchmarks only in one report are ignored (adding a benchmark must not
-// fail the gate; removing one shows up in review as a baseline edit).
-// matched reports how many benchmarks were actually compared — callers
-// must treat zero as a broken gate, not a clean one.
+// CompareAllocs gates cur's allocs/op and B/op against base for every
+// benchmark present in both: a regression is an increase of either
+// beyond tolerancePct. Benchmarks only in one report are ignored
+// (adding a benchmark must not fail the gate; removing one shows up in
+// review as a baseline edit). matched reports how many benchmarks were
+// actually compared — callers must treat zero as a broken gate, not a
+// clean one.
 func CompareAllocs(base, cur *Report, tolerancePct float64) (regs []AllocRegression, matched int) {
 	byName := map[string]*Benchmark{}
 	for i := range base.Benchmarks {
@@ -235,20 +239,30 @@ func CompareAllocs(base, cur *Report, tolerancePct float64) (regs []AllocRegress
 			continue
 		}
 		matched++
-		// A zero-alloc baseline tolerates nothing: any allocation on a
-		// pinned allocation-free path is a regression.
-		if b.AllocsPerOp == 0 {
-			if c.AllocsPerOp > 0 {
-				regs = append(regs, AllocRegression{Name: c.Name, Base: 0, Current: c.AllocsPerOp, Pct: 100})
+		for _, m := range []struct {
+			metric    string
+			base, cur int64
+		}{
+			{"allocs/op", b.AllocsPerOp, c.AllocsPerOp},
+			{"B/op", b.BytesPerOp, c.BytesPerOp},
+		} {
+			if m.cur <= m.base {
+				continue
 			}
-			continue
-		}
-		pct := 100 * float64(c.AllocsPerOp-b.AllocsPerOp) / float64(b.AllocsPerOp)
-		if pct > tolerancePct {
-			regs = append(regs, AllocRegression{Name: c.Name, Base: b.AllocsPerOp, Current: c.AllocsPerOp, Pct: pct})
+			// A zero baseline tolerates nothing: any allocation on a
+			// pinned allocation-free path is a regression.
+			pct := 100.0
+			if m.base != 0 {
+				pct = 100 * float64(m.cur-m.base) / float64(m.base)
+				if pct <= tolerancePct {
+					continue
+				}
+			}
+			regs = append(regs, AllocRegression{Name: c.Name, Metric: m.metric,
+				Base: m.base, Current: m.cur, Pct: pct})
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
+	sort.SliceStable(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
 	return regs, matched
 }
 

@@ -72,23 +72,45 @@ func TestSetReferenceDeltas(t *testing.T) {
 
 func TestCompareAllocs(t *testing.T) {
 	base, _ := Parse(strings.NewReader(
-		"BenchmarkA 1 10 ns/op 0 B/op 0 allocs/op\nBenchmarkB 1 10 ns/op 800 B/op 100 allocs/op\n"))
+		"BenchmarkA 1 10 ns/op 0 B/op 0 allocs/op\nBenchmarkB 1 10 ns/op 800 B/op 100 allocs/op\n" +
+			"BenchmarkC 1 10 ns/op 1000 B/op 10 allocs/op\n"))
 	// The current run carries a -4 GOMAXPROCS suffix (multi-core CI
 	// runner); the pin still matches because Parse strips it.
 	cur, _ := Parse(strings.NewReader(
-		"BenchmarkA-4 1 10 ns/op 8 B/op 1 allocs/op\nBenchmarkB-4 1 10 ns/op 880 B/op 109 allocs/op\nBenchmarkNew-4 1 10 ns/op 99 B/op 99 allocs/op\n"))
-	regs, matched := CompareAllocs(base, cur, 10)
-	// A: 0 -> 1 regresses (zero baselines tolerate nothing); B: +9% is
-	// inside the 10% tolerance; New: not pinned, ignored.
-	if matched != 2 {
-		t.Fatalf("matched = %d, want 2 (the -N suffix must not break pin matching)", matched)
+		"BenchmarkA-4 1 10 ns/op 8 B/op 1 allocs/op\nBenchmarkB-4 1 10 ns/op 880 B/op 109 allocs/op\n" +
+			"BenchmarkC-4 1 10 ns/op 1200 B/op 10 allocs/op\nBenchmarkNew-4 1 10 ns/op 99 B/op 99 allocs/op\n"))
+	gated := func(regs []AllocRegression) []string {
+		var out []string
+		for _, r := range regs {
+			out = append(out, r.Name+" "+r.Metric)
+		}
+		return out
 	}
-	if len(regs) != 1 || regs[0].Name != "BenchmarkA" {
-		t.Fatalf("regressions = %+v", regs)
+	regs, matched := CompareAllocs(base, cur, 10)
+	// A: 0 -> 1 allocs and 0 -> 8 B regress (zero baselines tolerate
+	// nothing); B: +9% allocs and +10% B are inside the 10% tolerance;
+	// C: flat allocs but +20% B regresses on bytes alone; New: not
+	// pinned, ignored.
+	if matched != 3 {
+		t.Fatalf("matched = %d, want 3 (the -N suffix must not break pin matching)", matched)
+	}
+	if got, want := strings.Join(gated(regs), ", "), "BenchmarkA allocs/op, BenchmarkA B/op, BenchmarkC B/op"; got != want {
+		t.Fatalf("regressions = %s, want %s", got, want)
+	}
+	for _, r := range regs {
+		if !strings.Contains(r.String(), " "+r.Metric+" ") {
+			t.Fatalf("regression line does not name its metric: %q", r)
+		}
 	}
 	regs, _ = CompareAllocs(base, cur, 5)
-	if len(regs) != 2 {
-		t.Fatalf("at 5%% tolerance want A and B, got %+v", regs)
+	if got, want := strings.Join(gated(regs), ", "),
+		"BenchmarkA allocs/op, BenchmarkA B/op, BenchmarkB allocs/op, BenchmarkB B/op, BenchmarkC B/op"; got != want {
+		t.Fatalf("at 5%% tolerance regressions = %s, want %s", got, want)
+	}
+	// A zero baseline fails at any tolerance.
+	regs, _ = CompareAllocs(base, cur, 1000)
+	if got, want := strings.Join(gated(regs), ", "), "BenchmarkA allocs/op, BenchmarkA B/op"; got != want {
+		t.Fatalf("at 1000%% tolerance regressions = %s, want %s", got, want)
 	}
 	// Disjoint reports compare nothing — the caller must treat that as
 	// a broken gate.

@@ -74,11 +74,17 @@ func Median(xs []float64) float64 {
 // Percentile returns the p-th percentile (0-100) using linear
 // interpolation between order statistics, or 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile for input already sorted ascending: a
+// caller that reads several percentiles of one sample sorts it once.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +91,31 @@ func TestPercentileEdgeCases(t *testing.T) {
 	Percentile(unsorted, 50)
 	if unsorted[0] != 3 || unsorted[1] != 1 || unsorted[2] != 2 {
 		t.Errorf("Percentile mutated its input: %v", unsorted)
+	}
+}
+
+// TestPercentileSortedMatchesPercentile: a caller that sorts once and
+// reads several percentiles (the latency digests) must get exactly the
+// bits Percentile returns, for empty, tiny, odd and even samples full
+// of duplicates and for p inside, on and past both ends of [0, 100].
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 7, 10, 101, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				// Few distinct values, so duplicates are common.
+				xs[i] = float64(rng.Intn(n/3+2)) * 1.5
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, p := range []float64{-1, 0, 50, 95, 99, 100, 101} {
+				want, got := Percentile(xs, p), PercentileSorted(sorted, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d p=%v: PercentileSorted = %v, Percentile = %v", n, p, got, want)
+				}
+			}
+		}
 	}
 }
 

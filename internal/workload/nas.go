@@ -205,8 +205,12 @@ func (a NASApp) Launch(m *machine.Machine, opts NASLaunchOpts) *machine.Proc {
 		}
 	}
 
+	// One builder serves every thread: Build copies each program out at
+	// its exact size, and Reset keeps the buffer, so the buffer grows
+	// once per launch rather than once per thread.
+	b := machine.NewProgram()
 	for i := 0; i < opts.Threads; i++ {
-		b := machine.NewProgram()
+		b.Reset()
 		var lock *machine.SpinLock
 		if len(locks) > 0 {
 			lock = locks[i%len(locks)]

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -240,6 +241,25 @@ func TestUAShardsLocks(t *testing.T) {
 	ua.Launch(m2, NASLaunchOpts{Threads: 16, SpawnCore: 0, Seed: 5, Scale: 0.02})
 	if got := countLocks(m2); got != 1 {
 		t.Fatalf("lock shards at 16 threads = %d, want 1", got)
+	}
+}
+
+// TestNASLaunchAllocatesProgramsOnce bounds a launch's allocation by
+// roughly the size of its programs: lu at 64 threads unrolls ~2,250
+// instructions per thread, 4.6 MB of 32-byte Instrs in all. Building
+// every thread through one reused builder and copying each program out
+// at its exact size keeps the launch near that (5.0 MB); a builder per
+// thread, growing each program from empty, allocates 20 MB.
+func TestNASLaunchAllocatesProgramsOnce(t *testing.T) {
+	const limitMB = 6
+	m := fixedMachine(topology.SMP(64), 3)
+	lu, _ := NASAppByName("lu")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lu.Launch(m, NASLaunchOpts{Threads: 64, SpawnCore: 0, Seed: 5, Scale: 1})
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > limitMB {
+		t.Fatalf("launching lu with 64 threads allocated %.1f MB, want at most %d MB", mb, limitMB)
 	}
 }
 
