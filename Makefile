@@ -2,13 +2,14 @@
 # the race detector covers the campaign runner's worker pool, and the
 # smoke and default-scale sweeps are gated against the committed
 # rolling baselines in baselines/. The simulator is deterministic, so
-# each gate ends in a `cmp` of its fresh artifact against its baseline:
-# any byte drift fails it. Before the cmp, the gating CLI compares the
-# metrics and writes a per-scenario diff of what moved; it exits 3
-# when a metric regresses past its tolerance (vs 2 usage, 1
-# IO/runtime). make folds any recipe failure into its own exit code,
-# so scripts that need the distinction invoke the CLIs directly or
-# check for a non-empty *-diff.txt (what .github/workflows/ci.yml does).
+# the gating CLI's -baseline verdict is a byte comparison: it exits 3
+# when the fresh artifact differs from its baseline in any byte (vs 2
+# usage, 1 IO/runtime) and writes a report of which stamp fields,
+# scenarios and metrics moved to *-diff.txt. Each gate then ends in a
+# `cmp` against the baseline, which double-checks the verdict. make
+# folds any recipe failure into its own exit code, so scripts that need
+# the distinction invoke the CLIs directly or cmp the fresh artifacts
+# (what .github/workflows/ci.yml does).
 
 GO ?= go
 
@@ -19,7 +20,7 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 .PHONY: all build vet lint test race bench bench-test bench-out.txt bench-json \
-	bench-baseline-refresh profile campaign bisect tourney shard-usage \
+	bench-baseline-refresh profile campaign bisect tourney shard-usage baseline-verdict \
 	bisect-smoke campaign-smoke tourney-smoke explain-smoke trace-smoke \
 	bisect-default campaign-default baseline-refresh ci
 
@@ -129,9 +130,30 @@ shard-usage:
 	done; \
 	echo "shard-usage: bad -shard specs exit 2 on campaign and bisect"
 
+# The -baseline verdict itself, on built CLIs like shard-usage: against
+# a copy of its smoke baseline with one trailing newline appended, each
+# of campaign, bisect and tourney must exit 3 and print a non-empty
+# report equal to the one it writes to -diff-out; and a -streak-k change
+# must exit 3 with a report that names the streak_k stamp field.
+baseline-verdict:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for cli in campaign bisect tourney; do $(GO) build -o "$$tmp/$$cli" ./cmd/$$cli; done; \
+	expect3() { rc=0; "$$tmp/$$1" "$${@:2}" -q -diff-out "$$tmp/diff.txt" >"$$tmp/out.txt" 2>/dev/null || rc=$$?; \
+		if [ "$$rc" != 3 ] || [ ! -s "$$tmp/out.txt" ] || ! cmp -s "$$tmp/out.txt" "$$tmp/diff.txt"; then \
+			echo "baseline-verdict: $$* exited $$rc, want 3 with the same report printed and written:"; \
+			cat "$$tmp/out.txt"; exit 1; fi; }; \
+	for gate in campaign:-matrix bisect:-preset tourney:-preset; do \
+		cli=$${gate%%:*}; cp baselines/$$cli-smoke.json "$$tmp/base.json"; echo >>"$$tmp/base.json"; \
+		expect3 $$cli $${gate#*:} smoke -baseline "$$tmp/base.json"; \
+	done; \
+	expect3 bisect -preset smoke -streak-k 5 -baseline baselines/bisect-smoke.json; \
+	grep -q streak_k "$$tmp/out.txt" || { echo "baseline-verdict: report does not name streak_k:"; \
+		cat "$$tmp/out.txt"; exit 1; }; \
+	echo "baseline-verdict: byte drift exits 3 with a report on campaign, bisect and tourney"
+
 # The CI lattice: 48 scenarios under the race detector, gated against
-# the committed rolling baseline ("exit status 3" in the output = a
-# per-scenario regression, written to bisect-smoke-diff.txt). The second
+# the committed rolling baseline ("exit status 3" in the output = the
+# artifact differs from it; bisect-smoke-diff.txt says where). The second
 # run repeats the sweep through the sequential runner and cmp asserts
 # the forked runner's artifact is byte-identical to it — the
 # checkpoint/fork equivalence contract, enforced on every push. The
@@ -150,10 +172,8 @@ campaign-smoke:
 	cmp campaign-smoke.json baselines/campaign-smoke.json
 
 # The CI tournament: 18 scenarios (bulldozer8 x {make2r, nas-pin:lu} x
-# nine policies), gated on two levels against the committed rolling
-# baseline: raw campaign metrics (like the other smoke gates) and the
-# per-cell policy verdicts — "exit status 3" here means a policy's
-# winner circle changed, written to tourney-smoke-diff.txt.
+# nine policies), gated the same way; tourney-smoke-diff.txt also lists
+# the per-cell policy verdicts (winner circles) that changed.
 tourney-smoke:
 	$(GO) run ./cmd/tourney -preset smoke -q -out tourney-smoke.json \
 		-baseline baselines/tourney-smoke.json -diff-out tourney-smoke-diff.txt
@@ -204,5 +224,5 @@ baseline-refresh:
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
-ci: lint build race bench-test shard-usage bisect-smoke campaign-smoke tourney-smoke \
+ci: lint build race bench-test shard-usage baseline-verdict bisect-smoke campaign-smoke tourney-smoke \
 	explain-smoke bisect-default campaign-default

@@ -33,7 +33,7 @@
 //
 // Flags:
 //
-//	-preset name     sweep preset: smoke (32 scenarios), default, full
+//	-preset name     sweep preset: smoke (48 scenarios), default, full
 //	-topos csv       override topologies (see campaign -list)
 //	-loads csv       override workloads
 //	-seeds csv       override workload seeds
@@ -50,17 +50,13 @@
 //	-streak-k n      wakeup-streak threshold for the episode-level
 //	                 overload-on-wakeup witness (default 4)
 //	-out file        write the JSON artifact here ("-" for stdout)
-//	-baseline file   compare the embedded campaign against a previous
-//	                 bisect artifact's; exit 3 on regression
-//	-tolerance pct   baseline regression tolerance percent (default 2)
-//	-seed-bands file widen per-metric tolerances to the cross-seed spread
-//	                 observed in this multi-seed variance artifact
-//	-diff-out file   also write the -baseline comparison report to this file
+//	-baseline file   compare the artifact's bytes with a previous bisect
+//	                 artifact; exit 3 when they differ, with a report of why
+//	-diff-out file   also write the -baseline report to this file
 //	-trace-out file  export one scenario as Chrome trace-event / Perfetto
 //	                 JSON (a deterministic side run; the artifact is
 //	                 unaffected); open the file at ui.perfetto.dev
 //	-trace-key key   scenario to export (default: first key)
-//	-telemetry-addr a  serve live progress as expvar on this address
 //	-explain         record decision provenance and counterfactually replay
 //	                 each confirmed episode under every single fix; the
 //	                 report cross-checks per-episode attributions against
@@ -70,30 +66,30 @@
 //	                 of forking each cell's shared prefix (the escape
 //	                 hatch for validating the fork runner: both paths
 //	                 must produce byte-identical artifacts)
-//	-q               suppress the verdict summary
+//	-q               suppress the verdict summary and the end-of-run line
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a regression — so CI can distinguish "the
-// scheduler model regressed" from "the invocation is broken".
+// Exit codes: 0 on success, 1 on runtime/IO errors (including an
+// unreadable baseline), 2 on usage errors, 3 when the artifact differs
+// from -baseline — so CI can distinguish "the scheduler model changed"
+// from "the invocation is broken".
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/bisect"
 	"repro/internal/campaign"
-	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
-// exitRegression is the dedicated exit code for a -baseline regression,
-// distinct from runtime errors (1) and usage errors (2).
+// exitRegression is the dedicated exit code for an artifact that differs
+// from -baseline, distinct from runtime errors (1) and usage errors (2).
 const exitRegression = 3
 
 func main() {
@@ -113,16 +109,13 @@ func main() {
 		latTol      = flag.Float64("lattol", 0, "latency-verdict p99 tolerance percent (0 = default 10)")
 		streakK     = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
 		out         = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline    = flag.String("baseline", "", "compare against this bisect artifact")
-		tolerance   = flag.Float64("tolerance", 2, "baseline regression tolerance percent")
-		bandSource  = flag.String("seed-bands", "", "artifact whose cross-seed spread widens per-metric tolerances")
-		diffOut     = flag.String("diff-out", "", "write the baseline comparison report to this file")
+		baseline    = flag.String("baseline", "", "exit 3 when the artifact's bytes differ from this bisect artifact's")
+		diffOut     = flag.String("diff-out", "", "write the baseline report to this file")
 		traceOut    = flag.String("trace-out", "", "export one scenario as Perfetto JSON to this file")
 		traceKey    = flag.String("trace-key", "", "scenario key to export with -trace-out (default: first)")
-		telemetry   = flag.String("telemetry-addr", "", "serve live expvar progress on this address")
 		explainOn   = flag.Bool("explain", false, "record decision provenance and replay episodes counterfactually")
 		noFork      = flag.Bool("no-fork", false, "simulate every lattice point from scratch (bypass the checkpoint/fork runner)")
-		quiet       = flag.Bool("q", false, "suppress the verdict summary")
+		quiet       = flag.Bool("q", false, "suppress the verdict summary and the end-of-run line")
 	)
 	flag.Parse()
 
@@ -153,43 +146,11 @@ func main() {
 	o.StreakK = *streakK
 	o.NoFork = *noFork
 	o.Explain = *explainOn
-	opts := campaign.RunnerOpts{Workers: o.Workers, BaseSeed: o.BaseSeed, Checker: o.Checker, StreakK: o.StreakK, Explain: o.Explain}
-
-	// Wall-clock telemetry: progress lines on stderr plus an optional
-	// expvar endpoint. OnResult never influences artifact bytes.
-	var tel *obs.Telemetry
-	onResult := func(r campaign.Result) {
-		if tel == nil {
-			return
-		}
-		tel.Observe(r.Events)
+	opts := o.RunnerOpts()
+	start := time.Now()
+	logRun := func(ran int) {
 		if !*quiet {
-			if line, ok := tel.MaybeLine(); ok {
-				fmt.Fprintf(os.Stderr, "bisect: %s\n", line)
-			}
-		}
-	}
-	o.OnResult = onResult
-	opts.OnResult = onResult
-	var stopTel func() error
-	defer func() {
-		if stopTel != nil {
-			stopTel()
-		}
-	}()
-	startTelemetry := func(total int) {
-		w := o.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		tel = obs.NewTelemetry(total, w)
-		if *telemetry != "" {
-			addr, stop, err := tel.Serve(*telemetry)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			stopTel = stop
-			fmt.Fprintf(os.Stderr, "bisect: telemetry at http://%s/debug/vars\n", addr)
+			fmt.Fprintf(os.Stderr, "bisect: ran %d scenarios in %.2fs\n", ran, time.Since(start).Seconds())
 		}
 	}
 
@@ -199,7 +160,7 @@ func main() {
 		if *mergeMode || *incremental != "" || *baseline != "" {
 			usagef("-shard does not combine with -merge, -incremental or -baseline; merge the shards first")
 		}
-		runShard(o, opts, *shardSpec, *out, *quiet, startTelemetry)
+		runShard(o, opts, *shardSpec, *out, *quiet, logRun)
 		exportTrace(o, opts, *traceOut, *traceKey)
 		return
 	}
@@ -238,11 +199,11 @@ func main() {
 		scenarios := o.Matrix().Scenarios()
 		diff := shard.Plan(scenarios, prior.Campaign, opts)
 		fmt.Fprintf(os.Stderr, "bisect: incremental vs %s: %s\n", *incremental, diff.Summary())
-		startTelemetry(len(diff.ToRun))
 		c, err := diff.Execute(opts)
 		if err != nil {
 			fatalf("%v", err)
 		}
+		logRun(len(diff.ToRun))
 		if r, err = bisect.Analyze(c, o); err != nil {
 			fatalf("%v", err)
 		}
@@ -252,14 +213,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "bisect: running %d scenarios (%d cells x %d lattice points, base seed %d, scale %g)\n",
 			o.Matrix().Size(), o.Matrix().Size()/bisect.NumSets, bisect.NumSets, o.BaseSeed, o.Scale)
-		startTelemetry(o.Matrix().Size())
 		var err error
 		if r, err = bisect.Run(o); err != nil {
 			fatalf("%v", err)
 		}
-	}
-	if tel != nil && !*quiet && tel.Done() > 0 {
-		fmt.Fprintf(os.Stderr, "bisect: %s\n", tel.Line())
+		logRun(o.Matrix().Size())
 	}
 	exportTrace(o, opts, *traceOut, *traceKey)
 
@@ -270,62 +228,38 @@ func main() {
 			fmt.Print(r.FormatSummary())
 		}
 	}
-	if *out != "" {
-		data, err := r.EncodeJSON()
-		if err != nil {
+	if *out == "" && *baseline == "" {
+		return
+	}
+	data, err := r.EncodeJSON()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if *out == "-" {
+		os.Stdout.Write(data)
+	} else if *out != "" {
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
 			fatalf("%v", err)
 		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "bisect: wrote %s (%d bytes)\n", *out, len(data))
-		}
+		fmt.Fprintf(os.Stderr, "bisect: wrote %s (%d bytes)\n", *out, len(data))
 	}
 	if *baseline != "" {
-		base, err := bisect.Load(*baseline)
+		baseData, err := os.ReadFile(*baseline)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		// Metrics are only comparable across equal sweep parameters: a
-		// different checker lens, scale or base seed changes episode
-		// counts and makespans legitimately, not as regressions.
-		switch {
-		case base.CheckerSNs != r.CheckerSNs || base.CheckerMNs != r.CheckerMNs:
-			fatalf("baseline %s used checker lens S=%v M=%v, this run S=%v M=%v; not comparable",
-				*baseline, sim.Time(base.CheckerSNs), sim.Time(base.CheckerMNs),
-				sim.Time(r.CheckerSNs), sim.Time(r.CheckerMNs))
-		case base.ScaleMilli != r.ScaleMilli:
-			fatalf("baseline %s ran at scale %g, this run at %g; not comparable",
-				*baseline, float64(base.ScaleMilli)/1000, float64(r.ScaleMilli)/1000)
-		case base.BaseSeed != r.BaseSeed:
-			fatalf("baseline %s used base seed %d, this run %d; not comparable",
-				*baseline, base.BaseSeed, r.BaseSeed)
-		case base.StreakK != 0 && base.StreakK != r.StreakK:
-			fatalf("baseline %s used streak threshold K=%d, this run K=%d; not comparable",
-				*baseline, base.StreakK, r.StreakK)
-		case base.Campaign.Explain != r.Campaign.Explain:
-			fatalf("baseline %s ran with explain=%v, this run with explain=%v; not comparable",
-				*baseline, base.Campaign.Explain, r.Campaign.Explain)
+		base, err := bisect.Decode(baseData)
+		if err != nil {
+			fatalf("%s: %v", *baseline, err)
 		}
-		opts := campaign.CompareOpts{TolerancePct: *tolerance}
-		if *bandSource != "" {
-			src, err := campaign.Load(*bandSource)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			opts.Bands = campaign.SeedBands(src)
-		}
-		cmp := campaign.CompareWithOpts(base.Campaign, r.Campaign, opts)
-		report := campaign.FormatComparison(cmp)
+		report, differs := campaign.BaselineReport(*baseline, baseData, data, base.Campaign, r.Campaign, "")
 		fmt.Print(report)
 		if *diffOut != "" {
 			if err := os.WriteFile(*diffOut, []byte(report), 0o644); err != nil {
 				fatalf("%v", err)
 			}
 		}
-		if !cmp.Clean() {
+		if differs {
 			os.Exit(exitRegression)
 		}
 	}
@@ -333,7 +267,7 @@ func main() {
 
 // runShard executes one shard of the lattice matrix and writes the
 // campaign shard artifact.
-func runShard(o bisect.Options, opts campaign.RunnerOpts, spec, out string, quiet bool, startTelemetry func(int)) {
+func runShard(o bisect.Options, opts campaign.RunnerOpts, spec, out string, quiet bool, logRun func(int)) {
 	sp, err := shard.ParseSpec(spec)
 	if err != nil {
 		usagef("%v", err)
@@ -346,11 +280,11 @@ func runShard(o bisect.Options, opts campaign.RunnerOpts, spec, out string, quie
 	}
 	fmt.Fprintf(os.Stderr, "bisect: shard %s holds %d of %d scenarios (campaign artifact only; -merge analyzes)\n",
 		sp, len(scenarios), o.Matrix().Size())
-	startTelemetry(len(scenarios))
 	c, err := campaign.RunScenarios(scenarios, opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	logRun(len(scenarios))
 	if !quiet {
 		if out == "-" {
 			fmt.Fprint(os.Stderr, c.FormatSummary())
@@ -472,7 +406,7 @@ func fatalf(format string, args ...any) {
 }
 
 // usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
+// opposed to runtime failures (exit 1) and baseline differences (3).
 func usagef(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	msg = strings.TrimPrefix(msg, "bisect: ")

@@ -3,8 +3,9 @@
 // a sharded worker pool, with the §4.1 sanity checker watching every
 // run. The aggregate JSON artifact is byte-identical for any -workers
 // value, so artifacts from different machines diff cleanly, and
-// -baseline compares a run against a previous artifact to catch
-// makespan or idle-while-overloaded regressions.
+// -baseline fails a run whose artifact differs from a previous one by
+// a single byte, with a report of which stamp fields, scenarios and
+// metrics moved.
 //
 // Beyond one process, -shard i/n runs a deterministic slice of the
 // matrix (key-ordered round-robin, so a CI matrix of n jobs agrees on
@@ -56,21 +57,17 @@
 //	                 JSON (a deterministic side run — the artifact is
 //	                 unaffected); open the file at ui.perfetto.dev
 //	-trace-key key   scenario to export (default: first key)
-//	-telemetry-addr a  serve live progress as expvar on this address
-//	                 (e.g. ":8331"; variable "campaign" at /debug/vars)
 //	-out file        write the JSON artifact here ("-" for stdout)
-//	-baseline file   compare against a previous artifact; exit 3 on regression
-//	-tolerance pct   regression tolerance percent (default 2)
-//	-seed-bands file widen per-metric tolerances to the cross-seed spread
-//	                 observed in this multi-seed variance artifact (build
-//	                 one with e.g. -seeds 1,2,3,4,5,6,7,8)
-//	-diff-out file   also write the -baseline comparison report to this file
-//	-q               suppress the summary table
+//	-baseline file   compare the artifact's bytes with a previous artifact;
+//	                 exit 3 when they differ, with a report of why
+//	-diff-out file   also write the -baseline report to this file
+//	-q               suppress the summary table and the end-of-run line
 //	-list            print builtin topologies/workloads/configs and exit
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a regression — so CI can distinguish "the
-// scheduler model regressed" from "the invocation is broken".
+// Exit codes: 0 on success, 1 on runtime/IO errors (including an
+// unreadable baseline), 2 on usage errors, 3 when the artifact differs
+// from -baseline — so CI can distinguish "the scheduler model changed"
+// from "the invocation is broken".
 package main
 
 import (
@@ -83,15 +80,15 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
-// exitRegression is the dedicated exit code for a -baseline regression,
-// distinct from runtime errors (1) and usage errors (2).
+// exitRegression is the dedicated exit code for an artifact that differs
+// from -baseline, distinct from runtime errors (1) and usage errors (2).
 const exitRegression = 3
 
 func main() {
@@ -115,13 +112,10 @@ func main() {
 		cadenceMs   = flag.Float64("metrics-cadence-ms", 0, "metrics sampling interval in virtual ms (0 = 10)")
 		traceOut    = flag.String("trace-out", "", "export one scenario as Perfetto JSON to this file")
 		traceKey    = flag.String("trace-key", "", "scenario key to export with -trace-out (default: first)")
-		telemetry   = flag.String("telemetry-addr", "", "serve live expvar progress on this address")
 		out         = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline    = flag.String("baseline", "", "compare against this artifact")
-		tolerance   = flag.Float64("tolerance", 2, "regression tolerance percent")
-		bandSource  = flag.String("seed-bands", "", "artifact whose cross-seed spread widens per-metric tolerances")
-		diffOut     = flag.String("diff-out", "", "write the baseline comparison report to this file")
-		quiet       = flag.Bool("q", false, "suppress the summary table")
+		baseline    = flag.String("baseline", "", "exit 3 when the artifact's bytes differ from this artifact's")
+		diffOut     = flag.String("diff-out", "", "write the baseline report to this file")
+		quiet       = flag.Bool("q", false, "suppress the summary table and the end-of-run line")
 		list        = flag.Bool("list", false, "list builtin dimensions and exit")
 	)
 	flag.Parse()
@@ -135,6 +129,7 @@ func main() {
 		return
 	}
 
+	start := time.Now()
 	var c *campaign.Campaign
 	if *mergeMode {
 		if *shardSpec != "" || *incremental != "" {
@@ -198,39 +193,6 @@ func main() {
 			Explain:        *explainOn,
 		}
 
-		// Wall-clock telemetry: progress lines on stderr plus an optional
-		// expvar endpoint. Strictly observational — OnResult never touches
-		// the artifact, so byte-determinism is preserved.
-		var tel *obs.Telemetry
-		opts.OnResult = func(r campaign.Result) {
-			if tel == nil {
-				return
-			}
-			tel.Observe(r.Events)
-			if !*quiet {
-				if line, ok := tel.MaybeLine(); ok {
-					fmt.Fprintf(os.Stderr, "campaign: %s\n", line)
-				}
-			}
-		}
-		var stopTel func() error
-		defer func() {
-			if stopTel != nil {
-				stopTel()
-			}
-		}()
-		startTelemetry := func(total int) {
-			tel = obs.NewTelemetry(total, effectiveWorkers(*workers))
-			if *telemetry != "" {
-				addr, stop, err := tel.Serve(*telemetry)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				stopTel = stop
-				fmt.Fprintf(os.Stderr, "campaign: telemetry at http://%s/debug/vars\n", addr)
-			}
-		}
-
 		// Ctrl-C / SIGTERM cancels the run: the worker pool stops feeding
 		// scenarios, drains the in-flight ones, and campaign exits 1
 		// without writing a partial artifact.
@@ -243,6 +205,7 @@ func main() {
 			fatalf("%v", err)
 		}
 
+		ran := len(scenarios)
 		if *incremental != "" {
 			prior, err := campaign.Load(*incremental)
 			if err != nil {
@@ -250,24 +213,22 @@ func main() {
 			}
 			diff := shard.Plan(scenarios, prior, opts)
 			fmt.Fprintf(os.Stderr, "campaign: incremental vs %s: %s\n", *incremental, diff.Summary())
-			startTelemetry(len(diff.ToRun))
 			spliced, err := diff.ExecuteCtx(ctx, opts)
 			if err != nil {
 				runFatalf(err)
 			}
-			c = spliced
+			c, ran = spliced, len(diff.ToRun)
 		} else {
 			fmt.Fprintf(os.Stderr, "campaign: running %d scenarios on %d workers (base seed %d, scale %g)\n",
 				len(scenarios), effectiveWorkers(*workers), *baseSeed, m.Scale)
-			startTelemetry(len(scenarios))
 			run, err := campaign.RunScenariosCtx(ctx, scenarios, opts)
 			if err != nil {
 				runFatalf(err)
 			}
 			c = run
 		}
-		if tel != nil && !*quiet && tel.Done() > 0 {
-			fmt.Fprintf(os.Stderr, "campaign: %s\n", tel.Line())
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "campaign: ran %d scenarios in %.2fs\n", ran, time.Since(start).Seconds())
 		}
 
 		if *traceOut != "" {
@@ -303,41 +264,38 @@ func main() {
 			fmt.Print(c.FormatSummary())
 		}
 	}
-	if *out != "" {
-		data, err := c.EncodeJSON()
-		if err != nil {
+	if *out == "" && *baseline == "" {
+		return
+	}
+	data, err := c.EncodeJSON()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if *out == "-" {
+		os.Stdout.Write(data)
+	} else if *out != "" {
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
 			fatalf("%v", err)
 		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "campaign: wrote %s (%d bytes)\n", *out, len(data))
-		}
+		fmt.Fprintf(os.Stderr, "campaign: wrote %s (%d bytes)\n", *out, len(data))
 	}
 	if *baseline != "" {
-		base, err := campaign.Load(*baseline)
+		baseData, err := os.ReadFile(*baseline)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		opts := campaign.CompareOpts{TolerancePct: *tolerance}
-		if *bandSource != "" {
-			src, err := campaign.Load(*bandSource)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			opts.Bands = campaign.SeedBands(src)
+		base, err := campaign.Decode(baseData)
+		if err != nil {
+			fatalf("%s: %v", *baseline, err)
 		}
-		cmp := campaign.CompareWithOpts(base, c, opts)
-		report := campaign.FormatComparison(cmp)
+		report, differs := campaign.BaselineReport(*baseline, baseData, data, base, c, "")
 		fmt.Print(report)
 		if *diffOut != "" {
 			if err := os.WriteFile(*diffOut, []byte(report), 0o644); err != nil {
 				fatalf("%v", err)
 			}
 		}
-		if !cmp.Clean() {
+		if differs {
 			os.Exit(exitRegression)
 		}
 	}
@@ -415,7 +373,7 @@ func fatalf(format string, args ...any) {
 }
 
 // usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
+// opposed to runtime failures (exit 1) and baseline differences (3).
 func usagef(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	msg = strings.TrimPrefix(msg, "campaign: ")

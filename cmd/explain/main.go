@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/bisect"
@@ -264,49 +263,13 @@ func compare(baseBytes, curBytes []byte, basePath string) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "explain: report differs from baseline %s\n", basePath)
-	diffKeyed(&b, "scenario", keyedJSON(base.Scenarios, func(s scenarioExplain) string { return s.Key }),
-		keyedJSON(cur.Scenarios, func(s scenarioExplain) string { return s.Key }))
-	diffKeyed(&b, "cell", keyedJSON(base.Cells, func(c cellCheck) string { return c.Key }),
-		keyedJSON(cur.Cells, func(c cellCheck) string { return c.Key }))
+	scenarioKey := func(s scenarioExplain) string { return s.Key }
+	cellKey := func(c cellCheck) string { return c.Key }
+	campaign.DiffKeyed(&b, "scenario", "explain data",
+		campaign.KeyedJSON(base.Scenarios, scenarioKey), campaign.KeyedJSON(cur.Scenarios, scenarioKey))
+	campaign.DiffKeyed(&b, "cell", "explain data",
+		campaign.KeyedJSON(base.Cells, cellKey), campaign.KeyedJSON(cur.Cells, cellKey))
 	return b.String()
-}
-
-// keyedJSON indexes entries by key as canonical JSON for comparison.
-func keyedJSON[T any](entries []T, key func(T) string) map[string]string {
-	out := make(map[string]string, len(entries))
-	for _, e := range entries {
-		data, err := json.Marshal(e)
-		if err != nil {
-			data = []byte(err.Error())
-		}
-		out[key(e)] = string(data)
-	}
-	return out
-}
-
-func diffKeyed(b *strings.Builder, kind string, base, cur map[string]string) {
-	keys := make([]string, 0, len(base)+len(cur))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	for k := range cur {
-		if _, ok := base[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		bv, inBase := base[k]
-		cv, inCur := cur[k]
-		switch {
-		case !inCur:
-			fmt.Fprintf(b, "  %s %s: missing from this run\n", kind, k)
-		case !inBase:
-			fmt.Fprintf(b, "  %s %s: new in this run\n", kind, k)
-		case bv != cv:
-			fmt.Fprintf(b, "  %s %s: explain data changed\n", kind, k)
-		}
-	}
 }
 
 func fatalf(format string, args ...any) {

@@ -39,35 +39,33 @@
 //	                 plus a 100µs absolute slack on the p99-wake axis)
 //	-streak-k n      wakeup-streak threshold (default 4)
 //	-out file        write the JSON artifact here ("-" for stdout)
-//	-baseline file   compare against a previous tourney artifact: campaign
-//	                 metrics via the campaign comparator AND policy
-//	                 verdicts via the verdict differ; exit 3 if either
-//	                 regressed
-//	-tolerance pct   baseline metric-regression tolerance percent (default 2)
-//	-diff-out file   also write the -baseline comparison report to this file
+//	-baseline file   compare the artifact's bytes with a previous tourney
+//	                 artifact; exit 3 when they differ, with a report of
+//	                 the scenarios, metrics and policy verdicts that moved
+//	-diff-out file   also write the -baseline report to this file
 //	-list            print registered policies, topologies and workloads
-//	-q               suppress the verdict summary
+//	-q               suppress the verdict summary and the end-of-run line
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a metric or verdict regression.
+// Exit codes: 0 on success, 1 on runtime/IO errors (including an
+// unreadable baseline), 2 on usage errors, 3 when the artifact differs
+// from -baseline.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tourney"
 )
 
-// exitRegression is the dedicated exit code for a -baseline regression,
-// distinct from runtime errors (1) and usage errors (2).
+// exitRegression is the dedicated exit code for an artifact that differs
+// from -baseline, distinct from runtime errors (1) and usage errors (2).
 const exitRegression = 3
 
 func main() {
@@ -84,11 +82,10 @@ func main() {
 		verdictTol = flag.Float64("verdict-tol", 0, "verdict winner-circle tolerance percent (0 = default 5)")
 		streakK    = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
 		out        = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline   = flag.String("baseline", "", "compare against this tourney artifact")
-		tolerance  = flag.Float64("tolerance", 2, "baseline metric-regression tolerance percent")
-		diffOut    = flag.String("diff-out", "", "write the baseline comparison report to this file")
+		baseline   = flag.String("baseline", "", "exit 3 when the artifact's bytes differ from this tourney artifact's")
+		diffOut    = flag.String("diff-out", "", "write the baseline report to this file")
 		list       = flag.Bool("list", false, "print registered policies, topologies and workloads")
-		quiet      = flag.Bool("q", false, "suppress the verdict summary")
+		quiet      = flag.Bool("q", false, "suppress the verdict summary and the end-of-run line")
 	)
 	flag.Parse()
 
@@ -125,105 +122,70 @@ func main() {
 	}
 	o.StreakK = *streakK
 
-	// Wall-clock telemetry on stderr; OnResult never influences
-	// artifact bytes.
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	tel := obs.NewTelemetry(o.Matrix().Size(), w)
-	o.OnResult = func(r campaign.Result) {
-		tel.Observe(r.Events)
-		if !*quiet {
-			if line, ok := tel.MaybeLine(); ok {
-				fmt.Fprintf(os.Stderr, "tourney: %s\n", line)
-			}
-		}
-	}
-
+	start := time.Now()
 	fmt.Fprintf(os.Stderr, "tourney: running %d scenarios (%d cells x %d policies, base seed %d, scale %g)\n",
 		o.Matrix().Size(), o.Matrix().Size()/len(o.Policies), len(o.Policies), o.BaseSeed, o.Scale)
 	r, err := tourney.Run(o)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if !*quiet && tel.Done() > 0 {
-		fmt.Fprintf(os.Stderr, "tourney: %s\n", tel.Line())
-	}
-
 	if !*quiet {
+		fmt.Fprintf(os.Stderr, "tourney: ran %d scenarios in %.2fs\n", o.Matrix().Size(), time.Since(start).Seconds())
 		if *out == "-" {
 			fmt.Fprint(os.Stderr, r.FormatSummary())
 		} else {
 			fmt.Print(r.FormatSummary())
 		}
 	}
-	if *out != "" {
-		data, err := r.EncodeJSON()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "tourney: wrote %s (%d bytes)\n", *out, len(data))
-		}
+	if *out == "" && *baseline == "" {
+		return
 	}
-	if *baseline != "" {
-		compareBaseline(r, *baseline, *tolerance, *diffOut)
-	}
-}
-
-// compareBaseline gates the run against a committed tourney artifact on
-// two levels: raw campaign metrics (the same comparator campaign and
-// bisect use) and policy verdicts (winner circles and cell sets). A
-// regression on either level exits 3.
-func compareBaseline(r *tourney.Report, path string, tolerancePct float64, diffOut string) {
-	base, err := tourney.Load(path)
+	data, err := r.EncodeJSON()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Metrics and verdicts are only comparable across equal tournament
-	// parameters: a different lens changes numbers legitimately.
-	switch {
-	case base.CheckerSNs != r.CheckerSNs || base.CheckerMNs != r.CheckerMNs:
-		fatalf("baseline %s used checker lens S=%v M=%v, this run S=%v M=%v; not comparable",
-			path, sim.Time(base.CheckerSNs), sim.Time(base.CheckerMNs),
-			sim.Time(r.CheckerSNs), sim.Time(r.CheckerMNs))
-	case base.ScaleMilli != r.ScaleMilli:
-		fatalf("baseline %s ran at scale %g, this run at %g; not comparable",
-			path, float64(base.ScaleMilli)/1000, float64(r.ScaleMilli)/1000)
-	case base.BaseSeed != r.BaseSeed:
-		fatalf("baseline %s used base seed %d, this run %d; not comparable",
-			path, base.BaseSeed, r.BaseSeed)
-	case base.StreakK != 0 && base.StreakK != r.StreakK:
-		fatalf("baseline %s used streak threshold K=%d, this run K=%d; not comparable",
-			path, base.StreakK, r.StreakK)
-	case base.TolerancePct != r.TolerancePct || base.LatencySlackNs != r.LatencySlackNs:
-		fatalf("baseline %s used verdict tolerance %g%% slack %v, this run %g%% %v; not comparable",
-			path, base.TolerancePct, sim.Time(base.LatencySlackNs),
-			r.TolerancePct, sim.Time(r.LatencySlackNs))
+	if *out == "-" {
+		os.Stdout.Write(data)
+	} else if *out != "" {
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Fprintf(os.Stderr, "tourney: wrote %s (%d bytes)\n", *out, len(data))
 	}
-	cmp := campaign.CompareWithOpts(base.Campaign, r.Campaign, campaign.CompareOpts{TolerancePct: tolerancePct})
-	report := campaign.FormatComparison(cmp)
-	verdictDiffs := tourney.CompareVerdicts(base, r)
-	if len(verdictDiffs) == 0 {
-		report += "policy verdicts: unchanged\n"
+	if *baseline != "" {
+		compareBaseline(r, data, *baseline, *diffOut)
+	}
+}
+
+// compareBaseline gates the run on its artifact's bytes equalling the
+// baseline's. The report adds the policy verdicts that changed
+// (winner circles and cell sets) to the campaign-level explanation.
+func compareBaseline(r *tourney.Report, data []byte, path, diffOut string) {
+	baseData, err := os.ReadFile(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	base, err := tourney.Decode(baseData)
+	if err != nil {
+		fatalf("%s: %v", path, err)
+	}
+	var verdicts string
+	if diffs := tourney.CompareVerdicts(base, r); len(diffs) == 0 {
+		verdicts = "policy verdicts: unchanged\n"
 	} else {
-		report += fmt.Sprintf("policy verdicts: %d changed\n", len(verdictDiffs))
-		for _, d := range verdictDiffs {
-			report += "  " + d + "\n"
+		verdicts = fmt.Sprintf("policy verdicts: %d changed\n", len(diffs))
+		for _, d := range diffs {
+			verdicts += "  " + d + "\n"
 		}
 	}
+	report, differs := campaign.BaselineReport(path, baseData, data, base.Campaign, r.Campaign, verdicts)
 	fmt.Print(report)
 	if diffOut != "" {
 		if err := os.WriteFile(diffOut, []byte(report), 0o644); err != nil {
 			fatalf("%v", err)
 		}
 	}
-	if !cmp.Clean() || len(verdictDiffs) > 0 {
+	if differs {
 		os.Exit(exitRegression)
 	}
 }
@@ -295,7 +257,7 @@ func fatalf(format string, args ...any) {
 }
 
 // usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
+// opposed to runtime failures (exit 1) and baseline differences (3).
 func usagef(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	msg = strings.TrimPrefix(msg, "tourney: ")

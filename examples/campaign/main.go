@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -61,7 +60,11 @@ func main() {
 	if err := c.WriteFile(path); err != nil {
 		log.Fatal(err)
 	}
-	base, err := campaign.Load(path)
+	baseData, err := os.ReadFile(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := campaign.Decode(baseData)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,10 +72,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, _ := c.EncodeJSON()
-	b, _ := again.EncodeJSON()
-	fmt.Printf("\nworkers=4 vs workers=1 artifacts byte-identical: %v\n", bytes.Equal(a, b))
-	fmt.Print(campaign.FormatComparison(campaign.Compare(base, again, 2)))
+	data, err := again.EncodeJSON()
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, differs := campaign.BaselineReport(path, baseData, data, base, again, "")
+	fmt.Printf("\nworkers=4 vs workers=1 artifacts byte-identical: %v\n", !differs)
+	fmt.Print(report)
 }
 
 func topo(name string) campaign.TopologySpec {

@@ -25,8 +25,8 @@
 //     is very real.
 //
 // The bisect artifact embeds the underlying campaign artifact, so the
-// byte-identical-for-any-worker-count guarantee carries over and
-// campaign.Compare keeps working for baseline regression gates.
+// byte-identical-for-any-worker-count guarantee carries over, and a
+// -baseline report can explain a byte difference scenario by scenario.
 package bisect
 
 import (
@@ -95,11 +95,6 @@ type Options struct {
 	// cannot ride the checkpoint/fork fast path.
 	Explain bool
 
-	// OnResult, when non-nil, is passed through to the campaign runner
-	// for progress telemetry; like campaign.RunnerOpts.OnResult it never
-	// influences the report (see that field for the contract).
-	OnResult func(campaign.Result)
-
 	// NoFork disables the checkpoint/fork runner and simulates every
 	// lattice point from scratch — the escape hatch for validating that
 	// forked and sequential sweeps produce identical bytes (they must;
@@ -150,6 +145,15 @@ func (o Options) Matrix() campaign.Matrix {
 	}
 }
 
+// RunnerOpts is the campaign runner configuration of the sweep, with
+// the options' defaults applied: Run and cmd/bisect's shard, merge and
+// incremental paths all run the lattice under it.
+func (o Options) RunnerOpts() campaign.RunnerOpts {
+	o = o.withDefaults()
+	return campaign.RunnerOpts{Workers: o.Workers, BaseSeed: o.BaseSeed,
+		Checker: o.Checker, StreakK: o.StreakK, Explain: o.Explain}
+}
+
 // Run executes the sweep on the campaign worker pool and analyzes it.
 // Like campaign artifacts, the report is byte-identical for any worker
 // count and scenario order. By default each cell's 16 lattice points run
@@ -163,14 +167,7 @@ func Run(opts Options) (*Report, error) {
 	if opts.NoFork {
 		runner = campaign.Run
 	}
-	c, err := runner(opts.Matrix(), campaign.RunnerOpts{
-		Workers:  opts.Workers,
-		BaseSeed: opts.BaseSeed,
-		Checker:  opts.Checker,
-		StreakK:  opts.StreakK,
-		Explain:  opts.Explain,
-		OnResult: opts.OnResult,
-	})
+	c, err := runner(opts.Matrix(), opts.RunnerOpts())
 	if err != nil {
 		return nil, err
 	}

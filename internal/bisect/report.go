@@ -621,19 +621,28 @@ func Load(path string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	r, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("bisect: %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// Decode parses a bisect artifact from its JSON bytes, with the
+// checks Load applies.
+func Decode(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bisect: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("parsing artifact: %w", err)
 	}
 	if r.Version != Version {
-		return nil, fmt.Errorf("bisect: %s has artifact version %d, want %d", path, r.Version, Version)
+		return nil, fmt.Errorf("artifact version %d, want %d", r.Version, Version)
 	}
 	if r.Campaign == nil {
-		return nil, fmt.Errorf("bisect: %s has no embedded campaign artifact", path)
+		return nil, fmt.Errorf("no embedded campaign artifact")
 	}
 	if r.Campaign.Version != campaign.Version {
-		return nil, fmt.Errorf("bisect: %s embeds campaign artifact version %d, want %d",
-			path, r.Campaign.Version, campaign.Version)
+		return nil, fmt.Errorf("embedded campaign artifact version %d, want %d", r.Campaign.Version, campaign.Version)
 	}
 	return &r, nil
 }

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -51,108 +53,11 @@ func (c *Comparison) Clean() bool {
 	return len(c.Regressions) == 0 && len(c.NewlyIncomplete) == 0
 }
 
-// Bands maps a scenario family ("topology/workload/config", the key
-// minus its seed segment) to per-metric tolerance floors in percent —
-// the observed cross-seed spread of that metric. See SeedBands.
-type Bands map[string]map[string]float64
-
-// FamilyKey strips the trailing seed segment ("…/sN") from a scenario
-// key, grouping the seeds of one (topology, workload, config) cell.
-func FamilyKey(key string) string {
-	if i := strings.LastIndex(key, "/s"); i > 0 {
-		return key[:i]
-	}
-	return key
-}
-
-// SeedBands derives per-metric tolerance bands from the cross-seed
-// variance in c: for every scenario family with at least two seeds, the
-// band for a metric is its relative spread, 100*(max-min)/mean percent.
-// Feeding the result to CompareOpts.Bands makes the baseline gate
-// tolerate seed-sized noise per metric instead of one global knob —
-// run the matrix across seeds 1..8 (cmd/campaign -seeds 8) to build a
-// variance artifact worth deriving bands from.
-func SeedBands(c *Campaign) Bands {
-	type agg struct {
-		min, max, sum float64
-		n             int
-	}
-	fams := map[string]map[string]*agg{}
-	observe := func(fam, metric string, v float64) {
-		mm := fams[fam]
-		if mm == nil {
-			mm = map[string]*agg{}
-			fams[fam] = mm
-		}
-		a := mm[metric]
-		if a == nil {
-			a = &agg{min: v, max: v}
-			mm[metric] = a
-		}
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-		a.sum += v
-		a.n++
-	}
-	for i := range c.Results {
-		r := &c.Results[i]
-		if !r.Completed {
-			continue
-		}
-		fam := FamilyKey(r.Key)
-		observe(fam, "makespan_s", nsToS(r.MakespanNs))
-		observe(fam, "idle_while_overloaded_s", nsToS(r.IdleWhileOverloadedNs))
-		observe(fam, "p99_wake_ms", p99Ms(r.WakeLatency))
-		for metric, v := range r.Extra {
-			observe(fam, "extra:"+metric, v)
-		}
-	}
-	bands := Bands{}
-	for fam, mm := range fams {
-		for metric, a := range mm {
-			if a.n < 2 {
-				continue // one seed: no spread to derive
-			}
-			mean := a.sum / float64(a.n)
-			if mean <= 0 {
-				continue
-			}
-			band := 100 * (a.max - a.min) / mean
-			if band <= 0 {
-				continue
-			}
-			if bands[fam] == nil {
-				bands[fam] = map[string]float64{}
-			}
-			bands[fam][metric] = band
-		}
-	}
-	return bands
-}
-
-// CompareOpts tunes Compare. TolerancePct is the global floor; Bands,
-// when present, raises the per-(family, metric) tolerance to the
-// observed cross-seed spread, so metrics that are naturally noisy
-// across seeds don't trip the gate while tight metrics stay tight.
-type CompareOpts struct {
-	TolerancePct float64
-	Bands        Bands
-}
-
 // Compare diffs cur against base scenario by scenario. A metric is a
 // regression when it worsens by more than tolerancePct percent.
 // Makespan and idle-while-overloaded time regress upward; every Extra
 // metric is treated as lower-is-better as well.
 func Compare(base, cur *Campaign, tolerancePct float64) *Comparison {
-	return CompareWithOpts(base, cur, CompareOpts{TolerancePct: tolerancePct})
-}
-
-// CompareWithOpts is Compare with per-metric tolerance bands.
-func CompareWithOpts(base, cur *Campaign, opts CompareOpts) *Comparison {
 	cmp := &Comparison{}
 	baseByKey := map[string]*Result{}
 	for i := range base.Results {
@@ -174,7 +79,6 @@ func CompareWithOpts(base, cur *Campaign, opts CompareOpts) *Comparison {
 		if !b.Completed {
 			continue // baseline itself hit the horizon: nothing to compare
 		}
-		famBands := opts.Bands[FamilyKey(r.Key)]
 		diff := func(metric string, bv, cv float64) {
 			cmp.Compared++
 			if bv == 0 && cv == 0 {
@@ -184,15 +88,11 @@ func CompareWithOpts(base, cur *Campaign, opts CompareOpts) *Comparison {
 			if bv == 0 {
 				pct = 100 // metric appeared out of nothing
 			}
-			tol := opts.TolerancePct
-			if band, ok := famBands[metric]; ok && band > tol {
-				tol = band
-			}
 			reg := Regression{Key: r.Key, Metric: metric, Base: bv, Current: cv, Pct: pct}
 			switch {
-			case pct > tol:
+			case pct > tolerancePct:
 				cmp.Regressions = append(cmp.Regressions, reg)
-			case pct < -tol:
+			case pct < -tolerancePct:
 				cmp.Improvements = append(cmp.Improvements, reg)
 			}
 		}
@@ -286,4 +186,76 @@ func FormatComparison(c *Comparison) string {
 		}
 	}
 	return b.String()
+}
+
+// BaselineReport is the -baseline verdict of the sweep CLIs: differs is
+// true exactly when cur, the encoded artifact, differs from base, the
+// bytes of the baseline file at path. The report says which, and when
+// the bytes differ it says why: each stamp field that differs, each
+// scenario that is missing, new or whose result changed, Compare's
+// metric lines at zero tolerance, then extra (the caller's own lines),
+// and where the bytes first differ. baseC and curC are the campaigns
+// the two artifacts carry.
+func BaselineReport(path string, base, cur []byte, baseC, curC *Campaign, extra string) (report string, differs bool) {
+	if bytes.Equal(base, cur) {
+		return fmt.Sprintf("baseline: artifact matches %s byte for byte (%d bytes)\n", path, len(cur)), false
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "baseline: artifact differs from %s (%d bytes, baseline %d)\n", path, len(cur), len(base))
+	for _, d := range baseC.Stamp.Diff(curC.Stamp) {
+		fmt.Fprintf(&b, "  stamp %s\n", d)
+	}
+	key := func(r Result) string { return r.Key }
+	DiffKeyed(&b, "scenario", "result", KeyedJSON(baseC.Results, key), KeyedJSON(curC.Results, key))
+	cmp := Compare(baseC, curC, 0)
+	cmp.MissingKeys, cmp.NewKeys = nil, nil // DiffKeyed listed them
+	b.WriteString(FormatComparison(cmp))
+	b.WriteString(extra)
+	at := 0
+	for at < len(base) && at < len(cur) && base[at] == cur[at] {
+		at++
+	}
+	fmt.Fprintf(&b, "bytes first differ at line %d (offset %d)\n", 1+bytes.Count(base[:at], []byte("\n")), at)
+	return b.String(), true
+}
+
+// KeyedJSON indexes entries by key as canonical JSON for comparison.
+func KeyedJSON[T any](entries []T, key func(T) string) map[string]string {
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := json.Marshal(e)
+		if err != nil {
+			data = []byte(err.Error())
+		}
+		out[key(e)] = string(data)
+	}
+	return out
+}
+
+// DiffKeyed writes one line per key, in key order, that is missing from
+// cur, new in cur, or whose JSON differs ("<kind> <key>: <what>
+// changed"). Keys equal on both sides are not listed.
+func DiffKeyed(b *strings.Builder, kind, what string, base, cur map[string]string) {
+	keys := make([]string, 0, len(base)+len(cur))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	for k := range cur {
+		if _, ok := base[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		bv, inBase := base[k]
+		cv, inCur := cur[k]
+		switch {
+		case !inCur:
+			fmt.Fprintf(b, "  %s %s: missing from this run\n", kind, k)
+		case !inBase:
+			fmt.Fprintf(b, "  %s %s: new in this run\n", kind, k)
+		case bv != cv:
+			fmt.Fprintf(b, "  %s %s: %s changed\n", kind, k, what)
+		}
+	}
 }

@@ -34,7 +34,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
+	"strings"
 
 	"repro/internal/explain"
 	"repro/internal/latency"
@@ -146,9 +148,14 @@ type Result struct {
 	Explain *explain.ScenarioExplain `json:"explain,omitempty"`
 }
 
-// Campaign is the aggregate artifact of one matrix run.
-type Campaign struct {
-	Version int `json:"version"`
+// Stamp is an artifact's run identity: every campaign-wide setting its
+// results depend on. Two artifacts whose stamps differ are not results
+// of one run, so shard merges, incremental plans and the -baseline
+// report all check stamps through Diff. A new run setting that changes
+// what scenarios record is one field here plus one line in
+// RunnerOpts.Stamp; fields are omitted from the JSON when zero where
+// that keeps older artifacts' bytes.
+type Stamp struct {
 	// ModelVersion stamps the scheduler-model/metric revision that ran
 	// the scenarios (see the ModelVersion constant). Merge requires all
 	// shards to agree, and incremental re-runs treat a mismatch (or an
@@ -158,6 +165,8 @@ type Campaign struct {
 	BaseSeed     int64  `json:"base_seed"`
 	// ScaleMilli is the workload scale in thousandths (an integer so the
 	// artifact never depends on float formatting of user input).
+	// ScaleMilli and HorizonNs are stamped only when uniform across the
+	// scenarios (see Unscaled).
 	ScaleMilli int64 `json:"scale_milli"`
 	// HorizonNs is the per-scenario virtual-time bound.
 	HorizonNs int64 `json:"horizon_ns"`
@@ -170,29 +179,56 @@ type Campaign struct {
 	CheckerSNs int64 `json:"checker_s_ns"`
 	CheckerMNs int64 `json:"checker_m_ns"`
 	// Trace records whether the trace recorder was attached (it changes
-	// the per-result TraceEvents counts). Omitted when false so that
-	// pre-existing artifacts keep their bytes; incremental re-runs use it
-	// as part of the cache fingerprint.
+	// the per-result TraceEvents counts).
 	Trace bool `json:"trace,omitempty"`
 	// StreakK records the wakeup-streak threshold every scenario ran
 	// under (after campaign defaulting); per-result WakeStreaks counts
-	// are only meaningful against it, so it joins the merge checks and
-	// the incremental fingerprint.
+	// are only meaningful against it.
 	StreakK int `json:"streak_k,omitempty"`
 	// Metrics records whether the obs metrics registry was attached
 	// (it adds per-result Metrics snapshots and its sampling timer
 	// changes Events counts), and MetricsCadenceNs the resolved
-	// sampling interval. Both join the merge checks and the incremental
-	// fingerprint; both are omitted when metrics are off so
-	// pre-existing artifacts keep their bytes.
+	// sampling interval (zero when metrics are off).
 	Metrics          bool  `json:"metrics,omitempty"`
 	MetricsCadenceNs int64 `json:"metrics_cadence_ns,omitempty"`
 	// Explain records whether the causal-observability layer was attached
 	// (it adds per-result Explain reports and its episode forking changes
-	// Events counts on scenarios with streak episodes). Like Trace and
-	// Metrics it joins the merge checks and the incremental fingerprint;
-	// omitted when false so pre-existing artifacts keep their bytes.
+	// Events counts on scenarios with streak episodes).
 	Explain bool `json:"explain,omitempty"`
+}
+
+// Diff names each field in which o differs from s by its JSON key, with
+// both values ("base_seed 42 -> 7"), in field order; nil when the
+// stamps are equal.
+func (s Stamp) Diff(o Stamp) []string {
+	if s == o {
+		return nil
+	}
+	a, b := reflect.ValueOf(s), reflect.ValueOf(o)
+	var out []string
+	for i := 0; i < a.NumField(); i++ {
+		if av, bv := a.Field(i).Interface(), b.Field(i).Interface(); av != bv {
+			name, _, _ := strings.Cut(a.Type().Field(i).Tag.Get("json"), ",")
+			out = append(out, fmt.Sprintf("%s %#v -> %#v", name, av, bv))
+		}
+	}
+	return out
+}
+
+// Unscaled is s with ScaleMilli and HorizonNs zeroed: the part of the
+// stamp every shard of one run, and every reusable prior, must share.
+// Scale and horizon are stamped only when uniform across an artifact's
+// scenarios, so they follow their own rules: a non-uniform shard merge
+// zeroes them, and an incremental plan checks them per result.
+func (s Stamp) Unscaled() Stamp {
+	s.ScaleMilli, s.HorizonNs = 0, 0
+	return s
+}
+
+// Campaign is the aggregate artifact of one matrix run.
+type Campaign struct {
+	Version int `json:"version"`
+	Stamp
 	// Policies stamps the (name -> version) of every registered policy
 	// the artifact's scenarios ran under. Shard merges require
 	// overlapping names to agree (same name at different versions means

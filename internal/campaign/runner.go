@@ -20,7 +20,7 @@ import (
 
 // RunnerOpts tunes campaign execution. Workers and OnResult only affect
 // scheduling and reporting — the artifact bytes depend solely on the
-// scenarios plus BaseSeed, Trace and Checker.
+// scenarios plus the options' Stamp.
 type RunnerOpts struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -68,9 +68,7 @@ type RunnerOpts struct {
 // EffectiveChecker resolves the campaign's checker defaults: a 100ms
 // check interval with a 50ms monitoring window, denser than the paper's
 // 1s/100ms so that scaled-down scenario runs still get invariant
-// coverage. Both runScenario and the artifact stamp use this one
-// resolution; the shard package uses it to fingerprint prior artifacts
-// for incremental re-runs.
+// coverage. Both runScenario and Stamp use this one resolution.
 func (o RunnerOpts) EffectiveChecker() checker.Config {
 	cfg := o.Checker
 	if cfg.S == 0 {
@@ -83,8 +81,8 @@ func (o RunnerOpts) EffectiveChecker() checker.Config {
 }
 
 // EffectiveStreakK resolves the wakeup-streak threshold the campaign
-// runs (and stamps) — the single resolution shared by runScenario, the
-// artifact stamp, and the shard package's incremental fingerprint.
+// runs (and stamps) — the single resolution shared by runScenario and
+// Stamp.
 func (o RunnerOpts) EffectiveStreakK() int {
 	if o.StreakK <= 0 {
 		return latency.DefaultStreakK
@@ -93,13 +91,28 @@ func (o RunnerOpts) EffectiveStreakK() int {
 }
 
 // EffectiveMetricsCadence resolves the metrics sampling interval — the
-// single resolution shared by runScenario, the artifact stamp, and the
-// shard package's incremental fingerprint.
+// single resolution shared by runScenario and Stamp.
 func (o RunnerOpts) EffectiveMetricsCadence() sim.Time {
 	if o.MetricsCadence <= 0 {
 		return obs.DefaultCadence
 	}
 	return o.MetricsCadence
+}
+
+// Stamp is the run identity these options give an artifact, with every
+// default resolved: the model version, base seed, checker lens, streak
+// threshold and observation toggles, plus the metrics cadence when
+// metrics are on. Scale and horizon belong to the scenarios, so they
+// stay zero here; AssembleArtifact adds them.
+func (o RunnerOpts) Stamp() Stamp {
+	ck := o.EffectiveChecker()
+	s := Stamp{ModelVersion: ModelVersion, BaseSeed: o.BaseSeed,
+		CheckerSNs: int64(ck.S), CheckerMNs: int64(ck.M), Trace: o.Trace,
+		StreakK: o.EffectiveStreakK(), Metrics: o.Metrics, Explain: o.Explain}
+	if o.Metrics {
+		s.MetricsCadenceNs = int64(o.EffectiveMetricsCadence())
+	}
+	return s
 }
 
 // DeriveSeed maps (base seed, scenario key, scenario seed) to the engine
@@ -159,11 +172,7 @@ func RunScenariosCtx(ctx context.Context, scenarios []Scenario, opts RunnerOpts)
 // incremental splicing — which is what makes a spliced artifact
 // byte-identical to a full re-run.
 func AssembleArtifact(scenarios []Scenario, results []Result, opts RunnerOpts) (*Campaign, error) {
-	ck := opts.EffectiveChecker()
-	c := &Campaign{Version: Version, ModelVersion: ModelVersion,
-		BaseSeed: opts.BaseSeed, Trace: opts.Trace,
-		CheckerSNs: int64(ck.S), CheckerMNs: int64(ck.M),
-		StreakK: opts.EffectiveStreakK(), Results: results}
+	c := &Campaign{Version: Version, Stamp: opts.Stamp(), Results: results}
 	// Stamp the policy identities the scenarios ran under (registered
 	// policies carry a non-zero version; ad-hoc specs do not and are
 	// omitted). JSON objects encode with sorted keys, so the stamp is
@@ -176,11 +185,6 @@ func AssembleArtifact(scenarios []Scenario, results []Result, opts RunnerOpts) (
 			c.Policies[sc.Config.Name] = sc.Config.Version
 		}
 	}
-	if opts.Metrics {
-		c.Metrics = true
-		c.MetricsCadenceNs = int64(opts.EffectiveMetricsCadence())
-	}
-	c.Explain = opts.Explain
 	// Stamp the campaign-wide scale and horizon only when they are
 	// uniform across scenarios; a mixed list leaves them zero rather
 	// than mislabeling the artifact with the first scenario's values.

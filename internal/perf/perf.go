@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -132,31 +133,50 @@ func stripProcSuffix(name string) string {
 }
 
 // parseLine parses "BenchmarkX-8  5  12345 ns/op  7 B/op  3 allocs/op
-// 42.5 events/s" shaped lines. ok is false for non-result lines.
+// 42.5 events/s" shaped lines. ok is false for non-result lines. Every
+// value must be finite; the iteration count must be at least 1; ns/op
+// must be non-negative; and B/op and allocs/op must be non-negative
+// integers in int64 range, or the allocation gate could not judge them.
+// Custom units may be negative (improvement percentages are).
 func parseLine(line string) (Benchmark, bool, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 || f[3] != "ns/op" {
 		return Benchmark{}, false, nil
 	}
+	bad := func(what string, why any) (Benchmark, bool, error) {
+		return Benchmark{}, false, fmt.Errorf("perf: bad %s in %q: %v", what, line, why)
+	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, false, fmt.Errorf("perf: bad iteration count in %q: %v", line, err)
+		return bad("iteration count", err)
 	}
-	ns, err := strconv.ParseFloat(f[2], 64)
+	if iters < 1 {
+		return bad("iteration count", "below 1")
+	}
+	ns, err := parseFinite(f[2])
 	if err != nil {
-		return Benchmark{}, false, fmt.Errorf("perf: bad ns/op in %q: %v", line, err)
+		return bad("ns/op", err)
+	}
+	if ns < 0 {
+		return bad("ns/op", "negative")
 	}
 	b := Benchmark{Name: stripProcSuffix(f[0]), Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(f); i += 2 {
-		val, err := strconv.ParseFloat(f[i], 64)
+		val, err := parseFinite(f[i])
 		if err != nil {
-			return Benchmark{}, false, fmt.Errorf("perf: bad value in %q: %v", line, err)
+			return bad("value", err)
 		}
 		switch unit := f[i+1]; unit {
-		case "B/op":
-			b.BytesPerOp = int64(val)
-		case "allocs/op":
-			b.AllocsPerOp = int64(val)
+		case "B/op", "allocs/op":
+			// 1<<63 is the first float64 past math.MaxInt64.
+			if val < 0 || val >= 1<<63 || val != math.Trunc(val) {
+				return bad(unit, "not a non-negative integer in int64 range")
+			}
+			if unit == "B/op" {
+				b.BytesPerOp = int64(val)
+			} else {
+				b.AllocsPerOp = int64(val)
+			}
 		default:
 			// Custom b.ReportMetric units (events/s, speedups, MB/s, ...).
 			if b.Metrics == nil {
@@ -166,6 +186,16 @@ func parseLine(line string) (Benchmark, bool, error) {
 		}
 	}
 	return b, true, nil
+}
+
+// parseFinite parses a float, rejecting NaN and the infinities (which
+// strconv accepts, and JSON cannot encode).
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%v is not finite", v)
+	}
+	return v, err
 }
 
 func sortBenchmarks(bs []Benchmark) {

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -133,4 +134,63 @@ func TestStripProcSuffix(t *testing.T) {
 			t.Errorf("stripProcSuffix(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// TestParseRejectsUngateableValues: a value the allocation gate cannot
+// judge (or JSON cannot encode) fails the parse with the offending line
+// quoted, while a negative custom metric (an improvement percentage)
+// stays legal.
+func TestParseRejectsUngateableValues(t *testing.T) {
+	for _, tc := range []struct {
+		line, want string // want "" = accepted
+	}{
+		{"BenchmarkX 5 10 ns/op NaN B/op -3 allocs/op", "bad value"},
+		{"BenchmarkX 5 10 ns/op 1000 B/op -3 allocs/op", "bad allocs/op"},
+		{"BenchmarkX 5 NaN ns/op", "bad ns/op"},
+		{"BenchmarkX 5 +Inf ns/op", "bad ns/op"},
+		{"BenchmarkX 5 -1 ns/op", "bad ns/op"},
+		{"BenchmarkX 0 10 ns/op", "bad iteration count"},
+		{"BenchmarkX -2 10 ns/op", "bad iteration count"},
+		{"BenchmarkX 5 10 ns/op 1.5 B/op", "bad B/op"},
+		{"BenchmarkX 5 10 ns/op 1e19 B/op", "bad B/op"},
+		{"BenchmarkX 5 10 ns/op 9.223372036854775807e18 allocs/op", "bad allocs/op"},
+		{"BenchmarkX 5 10 ns/op -Inf speedup", "bad value"},
+		{"BenchmarkX 5 10 ns/op -4.5 x_improvement_pct 8 B/op 1 allocs/op", ""},
+	} {
+		_, err := Parse(strings.NewReader(tc.line + "\n"))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q: %v, want accepted", tc.line, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "perf: "+tc.want+" in ")):
+			t.Errorf("%q: error %v, want %q", tc.line, err, tc.want)
+		}
+	}
+}
+
+// FuzzParse: Parse never panics, and every report it accepts encodes,
+// with non-empty names and finite, non-negative gated values.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Add("BenchmarkX 5 10 ns/op NaN B/op -3 allocs/op\n")
+	f.Add("BenchmarkX-4 1 0.5 ns/op 0 B/op 0 allocs/op -12.5 x_improvement_pct\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		rep, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if _, err := rep.EncodeJSON(); err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		for _, b := range rep.Benchmarks {
+			if b.Name == "" || b.Iterations < 1 || b.BytesPerOp < 0 || b.AllocsPerOp < 0 ||
+				!(b.NsPerOp >= 0) || math.IsInf(b.NsPerOp, 0) {
+				t.Fatalf("accepted ungateable benchmark %+v", b)
+			}
+			for unit, v := range b.Metrics {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted non-finite %s = %v", unit, v)
+				}
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/campaign"
 )
@@ -15,8 +16,8 @@ import (
 // A prior result is reusable only when the scenario's whole execution
 // fingerprint matches — the same derived engine seed (which covers the
 // base seed and the scenario coordinates), the same scale and horizon,
-// the same campaign-level lens (checker tuning, streak threshold, trace
-// setting), and the same model-version stamp. The stamp
+// and the same campaign.Stamp, which holds the model version and every
+// campaign-wide run setting. The model version
 // (campaign.ModelVersion, bumped with every metric-visible change to
 // the scheduler model or its instrumentation) is what closes the
 // "same-binary assumption": an artifact produced by an older model —
@@ -35,10 +36,11 @@ type Diff struct {
 	// whole artifact Invalidated); present in the prior artifact but no
 	// longer in the scenario list (their results are dropped).
 	New, Changed, Removed []string
-	// Invalidated is non-empty when a campaign-level fingerprint
-	// mismatch (base seed, checker lens, trace, artifact version) made
-	// the whole prior artifact unusable; every prior key is then
-	// Changed or Removed, and nothing is Cached.
+	// Invalidated is non-empty when the prior's artifact version or
+	// campaign.Stamp (scale and horizon aside, which are checked per
+	// result) differs from this run's, making the whole prior artifact
+	// unusable; every prior key is then Changed or Removed, and nothing
+	// is Cached.
 	Invalidated string
 
 	// scenarios is the full requested list, kept so Execute assembles
@@ -88,30 +90,14 @@ func Plan(scenarios []campaign.Scenario, prior *campaign.Campaign, opts campaign
 // staleCampaign reports why the prior artifact is unusable as a cache
 // under opts, or "" when it is usable.
 func staleCampaign(prior *campaign.Campaign, opts campaign.RunnerOpts) string {
-	ck := opts.EffectiveChecker()
 	switch {
 	case prior == nil:
 		return "no prior artifact"
 	case prior.Version != campaign.Version:
 		return fmt.Sprintf("artifact version %d, want %d", prior.Version, campaign.Version)
-	case prior.ModelVersion != campaign.ModelVersion:
-		return fmt.Sprintf("model version %q, this binary %q", prior.ModelVersion, campaign.ModelVersion)
-	case prior.BaseSeed != opts.BaseSeed:
-		return fmt.Sprintf("base seed %d, this run %d", prior.BaseSeed, opts.BaseSeed)
-	case prior.CheckerSNs != int64(ck.S) || prior.CheckerMNs != int64(ck.M):
-		return fmt.Sprintf("checker lens S=%dns M=%dns, this run S=%dns M=%dns",
-			prior.CheckerSNs, prior.CheckerMNs, int64(ck.S), int64(ck.M))
-	case prior.StreakK != opts.EffectiveStreakK():
-		return fmt.Sprintf("streak threshold K=%d, this run K=%d", prior.StreakK, opts.EffectiveStreakK())
-	case prior.Trace != opts.Trace:
-		return fmt.Sprintf("trace=%v, this run %v", prior.Trace, opts.Trace)
-	case prior.Metrics != opts.Metrics:
-		return fmt.Sprintf("metrics=%v, this run %v", prior.Metrics, opts.Metrics)
-	case prior.Explain != opts.Explain:
-		return fmt.Sprintf("explain=%v, this run %v", prior.Explain, opts.Explain)
-	case opts.Metrics && prior.MetricsCadenceNs != int64(opts.EffectiveMetricsCadence()):
-		return fmt.Sprintf("metrics cadence %dns, this run %dns",
-			prior.MetricsCadenceNs, int64(opts.EffectiveMetricsCadence()))
+	}
+	if d := prior.Stamp.Unscaled().Diff(opts.Stamp()); d != nil {
+		return "stamp " + strings.Join(d, ", ")
 	}
 	return ""
 }

@@ -92,11 +92,11 @@ func (s Spec) Select(scenarios []campaign.Scenario) ([]campaign.Scenario, error)
 // Merge reconstructs a single artifact from shard artifacts. The merged
 // artifact is byte-identical to the one a single process running the
 // whole scenario list would have produced, provided the parts really are
-// a partition of one run: same base seed, model version, checker lens,
-// streak threshold, trace and metrics settings (verified here) and disjoint keys
-// (verified here). The model-version stamp is what approximates the
-// "same binary" requirement: two processes at the same stamp are
-// declared metric-compatible, a discipline enforced by bumping
+// a partition of one run: equal campaign.Stamp fields apart from scale
+// and horizon (verified here) and disjoint keys (verified here). The
+// model-version stamp is what approximates the "same binary"
+// requirement: two processes at the same stamp are declared
+// metric-compatible, a discipline enforced by bumping
 // campaign.ModelVersion with every metric-visible model change.
 //
 // Scale and horizon stamps follow the campaign's uniformity rule: they
@@ -106,46 +106,16 @@ func Merge(parts ...*campaign.Campaign) (*campaign.Campaign, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("shard: nothing to merge")
 	}
-	first := parts[0]
-	merged := &campaign.Campaign{
-		Version:          first.Version,
-		ModelVersion:     first.ModelVersion,
-		BaseSeed:         first.BaseSeed,
-		CheckerSNs:       first.CheckerSNs,
-		CheckerMNs:       first.CheckerMNs,
-		Trace:            first.Trace,
-		StreakK:          first.StreakK,
-		Metrics:          first.Metrics,
-		MetricsCadenceNs: first.MetricsCadenceNs,
-		Explain:          first.Explain,
-	}
+	stamp := parts[0].Stamp.Unscaled()
+	merged := &campaign.Campaign{Version: parts[0].Version, Stamp: stamp}
 	scaleSet := false
 	for i, p := range parts {
 		if p.Version != campaign.Version {
 			return nil, fmt.Errorf("shard: part %d has artifact version %d, want %d", i, p.Version, campaign.Version)
 		}
-		switch {
-		case p.BaseSeed != merged.BaseSeed:
-			return nil, fmt.Errorf("shard: part %d has base seed %d, others %d — not shards of one run",
-				i, p.BaseSeed, merged.BaseSeed)
-		case p.ModelVersion != merged.ModelVersion:
-			return nil, fmt.Errorf("shard: part %d has model version %q, others %q — not shards of one run",
-				i, p.ModelVersion, merged.ModelVersion)
-		case p.CheckerSNs != merged.CheckerSNs || p.CheckerMNs != merged.CheckerMNs:
-			return nil, fmt.Errorf("shard: part %d has checker lens S=%dns M=%dns, others S=%dns M=%dns — not shards of one run",
-				i, p.CheckerSNs, p.CheckerMNs, merged.CheckerSNs, merged.CheckerMNs)
-		case p.StreakK != merged.StreakK:
-			return nil, fmt.Errorf("shard: part %d has streak threshold K=%d, others K=%d — not shards of one run",
-				i, p.StreakK, merged.StreakK)
-		case p.Trace != merged.Trace:
-			return nil, fmt.Errorf("shard: part %d has trace=%v, others %v — not shards of one run",
-				i, p.Trace, merged.Trace)
-		case p.Metrics != merged.Metrics || p.MetricsCadenceNs != merged.MetricsCadenceNs:
-			return nil, fmt.Errorf("shard: part %d has metrics=%v cadence=%dns, others metrics=%v cadence=%dns — not shards of one run",
-				i, p.Metrics, p.MetricsCadenceNs, merged.Metrics, merged.MetricsCadenceNs)
-		case p.Explain != merged.Explain:
-			return nil, fmt.Errorf("shard: part %d has explain=%v, others %v — not shards of one run",
-				i, p.Explain, merged.Explain)
+		if d := stamp.Diff(p.Stamp.Unscaled()); d != nil {
+			return nil, fmt.Errorf("shard: part %d differs from part 0 in %s — not shards of one run",
+				i, strings.Join(d, ", "))
 		}
 		// Policy stamps must agree wherever they overlap: the same policy
 		// name at two versions means the parts were built against

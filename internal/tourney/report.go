@@ -154,7 +154,7 @@ type Report struct {
 	// Flips lists the non-monotone pairs, sorted by (axis, a, b).
 	Flips []Flip `json:"flips,omitempty"`
 	// Campaign embeds the underlying campaign artifact, preserving the
-	// byte-determinism guarantee and campaign.Compare baseline gating.
+	// byte-determinism guarantee and the scenario-level -baseline report.
 	Campaign *campaign.Campaign `json:"campaign"`
 }
 
@@ -353,8 +353,8 @@ func flips(r *Report, opts Options) []Flip {
 
 // CompareVerdicts diffs two reports' verdicts: changed winner circles
 // per (cell, axis), plus cells present on only one side. An empty
-// slice means the policy verdicts are identical — the rolling-baseline
-// gate next to campaign.Compare's metric gate.
+// slice means the policy verdicts are identical. The -baseline report
+// lists these lines next to the metrics that moved.
 func CompareVerdicts(base, cur *Report) []string {
 	keys := map[string]bool{}
 	bc := map[string]*Cell{}
@@ -454,19 +454,28 @@ func Load(path string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	r, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("tourney: %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// Decode parses a tournament artifact from its JSON bytes, with the
+// checks Load applies.
+func Decode(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("tourney: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("parsing artifact: %w", err)
 	}
 	if r.Version != Version {
-		return nil, fmt.Errorf("tourney: %s has artifact version %d, want %d", path, r.Version, Version)
+		return nil, fmt.Errorf("artifact version %d, want %d", r.Version, Version)
 	}
 	if r.Campaign == nil {
-		return nil, fmt.Errorf("tourney: %s has no embedded campaign artifact", path)
+		return nil, fmt.Errorf("no embedded campaign artifact")
 	}
 	if r.Campaign.Version != campaign.Version {
-		return nil, fmt.Errorf("tourney: %s embeds campaign artifact version %d, want %d",
-			path, r.Campaign.Version, campaign.Version)
+		return nil, fmt.Errorf("embedded campaign artifact version %d, want %d", r.Campaign.Version, campaign.Version)
 	}
 	return &r, nil
 }

@@ -20,7 +20,7 @@
 // where A beats B on some cell and B beats A on another (beyond
 // tolerance), the policy-space analogue of the lattice's interaction
 // anomalies. Like bisect, the report embeds the campaign artifact, so
-// byte-determinism and campaign.Compare baseline gating carry over.
+// byte-determinism and the scenario-level -baseline report carry over.
 package tourney
 
 import (
@@ -66,10 +66,6 @@ type Options struct {
 	// without it a best p99 of zero would demand bit-exact zeroes from
 	// every co-winner (0 = 100µs).
 	LatencySlack sim.Time
-
-	// OnResult, when non-nil, is passed through to the campaign runner
-	// for progress telemetry; it never influences the report.
-	OnResult func(campaign.Result)
 }
 
 func (o Options) withDefaults() Options {
@@ -123,7 +119,6 @@ func Run(opts Options) (*Report, error) {
 		BaseSeed: opts.BaseSeed,
 		Checker:  opts.Checker,
 		StreakK:  opts.StreakK,
-		OnResult: opts.OnResult,
 	})
 	if err != nil {
 		return nil, err
