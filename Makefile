@@ -111,16 +111,19 @@ bisect:
 tourney:
 	$(GO) run ./cmd/tourney -preset default -out tourney.json
 
-# The -shard usage contract: malformed and out-of-range specs exit 2
-# (usage) on both campaign and bisect, with the shard parser's message
-# (a Go panic exits 2 as well). The CLIs are built once into a temp dir
-# because `go run` reports every non-zero exit as 1.
+# The usage contract, on CLIs built once into a temp dir because `go run`
+# reports every non-zero exit as 1. Malformed and out-of-range -shard
+# specs exit 2 (usage) on both campaign and bisect, with the shard
+# parser's message (a Go panic exits 2 as well). And each sweep CLI
+# refuses, with exit 2 and before its "running" line, a negative or
+# non-finite number and a dimension entry given twice (serve:050 names
+# serve:50), with or without -shard.
 SHARD_BAD_SPECS = banana 0/3 4/3 1/0 -2/3 1.5/3 3 a/b
+BAD_NUMBERS = -scale=-1 -scale=NaN -horizon=-1 -horizon=NaN -horizon=Inf -workers=-1 -streak-k=-1
 
 shard-usage:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/campaign" ./cmd/campaign; \
-	$(GO) build -o "$$tmp/bisect" ./cmd/bisect; \
+	for cli in campaign bisect tourney; do $(GO) build -o "$$tmp/$$cli" ./cmd/$$cli; done; \
 	expect2() { rc=0; err=$$("$$tmp/$$1" "$${@:2}" 2>&1 >/dev/null) || rc=$$?; \
 		case "$$rc:$$err" in "2:$$1: shard: "*) ;; \
 		*) echo "shard-usage: $$* exited $$rc, want 2 with a usage error: $$err"; exit 1;; esac; }; \
@@ -128,7 +131,24 @@ shard-usage:
 		expect2 campaign -matrix smoke -shard "$$spec" -out /dev/null; \
 		expect2 bisect -preset smoke -shard "$$spec" -out /dev/null; \
 	done; \
-	echo "shard-usage: bad -shard specs exit 2 on campaign and bisect"
+	refuse() { rc=0; err=$$("$$tmp/$$1" "$${@:2}" -out /dev/null 2>&1 >/dev/null) || rc=$$?; \
+		if [ "$$rc" != 2 ] || grep -q "^$$1: running" <<<"$$err"; then \
+			echo "shard-usage: $$* exited $$rc, want 2 before running: $$err"; exit 1; fi; }; \
+	for bad in $(BAD_NUMBERS); do \
+		refuse campaign -matrix smoke "$$bad"; \
+		refuse bisect -preset smoke "$$bad"; \
+		refuse tourney -preset smoke "$$bad"; \
+	done; \
+	refuse campaign -matrix smoke -metrics-cadence-ms=-1; \
+	refuse bisect -preset smoke -perftol=-1; \
+	refuse bisect -preset smoke -lattol=NaN; \
+	refuse tourney -preset smoke -verdict-tol=Inf; \
+	refuse campaign -matrix smoke -loads make2r,make2r; \
+	refuse campaign -matrix smoke -loads serve:50,serve:050 -shard 1/2; \
+	refuse bisect -preset smoke -loads tpch -seeds 1,1; \
+	refuse bisect -preset smoke -seeds 1,1 -shard 1/2; \
+	refuse tourney -preset smoke -policies bugs,bugs; \
+	echo "shard-usage: bad -shard specs, bad numbers and repeated entries exit 2 on campaign, bisect and tourney"
 
 # The -baseline verdict itself, on built CLIs like shard-usage: against
 # a copy of its smoke baseline with one trailing newline appended, each
@@ -154,8 +174,8 @@ baseline-verdict:
 # The CI lattice: 48 scenarios under the race detector, gated against
 # the committed rolling baseline ("exit status 3" in the output = the
 # artifact differs from it; bisect-smoke-diff.txt says where). The second
-# run repeats the sweep through the sequential runner and cmp asserts
-# the forked runner's artifact is byte-identical to it — the
+# run repeats the sweep with -no-fork, one job per scenario, and cmp
+# asserts the forked path's artifact is byte-identical to it — the
 # checkpoint/fork equivalence contract, enforced on every push. The
 # last cmp is the exact gate: the artifact must equal the baseline.
 bisect-smoke:

@@ -132,7 +132,10 @@ func BenchmarkFig5(b *testing.B) {
 // per CPU. The artifacts are byte-identical either way (asserted in
 // internal/campaign's tests); this benchmark tracks the wall-clock win,
 // reporting scenarios/sec and simulation events/sec so BENCH_*.json
-// records both parallel and raw-engine throughput.
+// records both parallel and raw-engine throughput. Every run sets
+// NoFork: forked cells copy results whose events were never simulated,
+// so the allocation-per-event gate would stop measuring the sequential
+// hot path it exists to check.
 func BenchmarkCampaign(b *testing.B) {
 	m := schedsim.DefaultCampaignMatrix()
 	m.Scale = 0.1
@@ -144,6 +147,7 @@ func BenchmarkCampaign(b *testing.B) {
 				c, err := schedsim.RunCampaign(m, schedsim.CampaignRunnerOpts{
 					Workers:  workers,
 					BaseSeed: 42,
+					NoFork:   true,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -176,6 +180,7 @@ func BenchmarkCampaign(b *testing.B) {
 				Workers:  1,
 				BaseSeed: 42,
 				Checker:  checker.Config{S: 20 * sim.Millisecond, M: 15 * sim.Millisecond},
+				NoFork:   true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -191,9 +196,9 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkCampaignBisectFork measures the checkpoint/fork win on the
-// bisect lattice: the smoke sweep run through the forked runner (shared
+// bisect lattice: the smoke sweep run on the forked path (shared
 // per-cell prefix simulated once, one fork per lattice point, prove
-// collapse for equivalent configs) versus the sequential runner that
+// collapse for equivalent configs) versus RunnerOpts.NoFork, which
 // simulates every scenario from t=0. Both paths produce byte-identical
 // artifacts (asserted in internal/bisect's tests and by `make
 // bisect-smoke`); this benchmark records the wall-clock ratio. It
@@ -203,18 +208,22 @@ func BenchmarkCampaign(b *testing.B) {
 func BenchmarkCampaignBisectFork(b *testing.B) {
 	var forkSec, seqSec float64
 	var scenarios int
+	o := bisect.SmokeOptions()
+	o.BaseSeed = 42
 	for i := 0; i < b.N; i++ {
 		for _, noFork := range []bool{false, true} {
-			o := bisect.SmokeOptions()
-			o.BaseSeed = 42
-			o.NoFork = noFork
+			opts := o.RunnerOpts()
+			opts.NoFork = noFork
 			start := time.Now()
-			r, err := bisect.Run(o)
+			c, err := schedsim.RunCampaign(o.Matrix(), opts)
+			if err == nil {
+				_, err = bisect.Analyze(c, o)
+			}
 			elapsed := time.Since(start).Seconds()
 			if err != nil {
 				b.Fatal(err)
 			}
-			scenarios = len(r.Campaign.Results)
+			scenarios = len(c.Results)
 			if noFork {
 				seqSec += elapsed
 			} else {

@@ -37,24 +37,12 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/perf"
 )
 
-const (
-	exitRuntime    = 1
-	exitUsage      = 2
-	exitRegression = 3
-)
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
-	os.Exit(exitRuntime)
-}
-
-func usagef(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
-	os.Exit(exitUsage)
-}
+// cmd prefixes messages and exits with the shared codes.
+const cmd cli.Cmd = "benchjson"
 
 // loadAny reads a reference as either a JSON report or raw bench text.
 func loadAny(path string) (*perf.Report, error) {
@@ -79,31 +67,31 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
+		cmd.Usagef("unexpected arguments %q", flag.Args())
 	}
 
 	src := os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		}
 		defer f.Close()
 		src = f
 	}
 	rep, err := perf.Parse(src)
 	if err != nil {
-		fatalf("%v", err)
+		cmd.Fatalf("%v", err)
 	}
 	if len(rep.Benchmarks) == 0 {
-		fatalf("no benchmark results found in input")
+		cmd.Fatalf("no benchmark results found in input")
 	}
 	rep.ModelVersion = campaign.ModelVersion
 
 	if *reference != "" {
 		ref, err := loadAny(*reference)
 		if err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		}
 		rep.SetReference(ref)
 	} else if *out != "" && *out != "-" {
@@ -119,12 +107,12 @@ func main() {
 	if *out != "" {
 		data, err := rep.EncodeJSON()
 		if err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		}
 		if *out == "-" {
 			os.Stdout.Write(data)
 		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		} else {
 			fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
 		}
@@ -133,18 +121,18 @@ func main() {
 	if *baseline != "" {
 		base, err := perf.Load(*baseline)
 		if err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		}
 		regs, matched := perf.CompareAllocs(base, rep, *allocTol)
 		if matched == 0 {
-			fatalf("no benchmark in common with %s — the gate would be vacuous (baseline names: check for stale pins)", *baseline)
+			cmd.Fatalf("no benchmark in common with %s — the gate would be vacuous (baseline names: check for stale pins)", *baseline)
 		}
 		if len(regs) > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: allocations regressed beyond %.3g%% on %d pinned benchmark metrics:\n", *allocTol, len(regs))
 			for _, r := range regs {
 				fmt.Fprintf(os.Stderr, "  %s\n", r)
 			}
-			os.Exit(exitRegression)
+			os.Exit(cli.ExitRegression)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: allocs/op and B/op within %.3g%% of %s (%d benchmarks compared)\n", *allocTol, *baseline, matched)
 	}
@@ -164,14 +152,14 @@ func main() {
 			}
 		}
 		if checked == 0 {
-			fatalf("-max-allocs-per-event set but no benchmark reports an events/op metric")
+			cmd.Fatalf("-max-allocs-per-event set but no benchmark reports an events/op metric")
 		}
 		if len(breaches) > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: allocs per simulation event above %.3g on %d benchmarks:\n", *maxAPE, len(breaches))
 			for _, s := range breaches {
 				fmt.Fprintf(os.Stderr, "  %s\n", s)
 			}
-			os.Exit(exitRegression)
+			os.Exit(cli.ExitRegression)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: allocs per event within %.3g (%d benchmarks checked)\n", *maxAPE, checked)
 	}

@@ -46,12 +46,12 @@ import (
 
 	"repro/internal/bisect"
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/explain"
 )
 
-// exitRegression is the dedicated exit code for a -baseline mismatch,
-// distinct from runtime errors (1) and usage errors (2).
-const exitRegression = 3
+// cmd prefixes messages and exits with the shared codes.
+const cmd cli.Cmd = "explain"
 
 // report is the distilled explain artifact: scenario explain blocks and
 // (for bisect inputs) per-cell attribution cross-checks, both
@@ -85,10 +85,10 @@ func main() {
 	)
 	flag.Parse()
 	if *in == "" {
-		usagef("-in is required (a campaign or bisect artifact produced with -explain)")
+		cmd.Usagef("-in is required (a campaign or bisect artifact produced with -explain)")
 	}
 	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
+		cmd.Usagef("unexpected arguments %q", flag.Args())
 	}
 
 	rep := load(*in)
@@ -97,9 +97,9 @@ func main() {
 	}
 	if len(rep.Scenarios) == 0 {
 		if *key != "" {
-			fatalf("no scenario %q with explain data in %s", *key, *in)
+			cmd.Fatalf("no scenario %q with explain data in %s", *key, *in)
 		}
-		fatalf("%s carries no explain data; re-run the sweep with -explain", *in)
+		cmd.Fatalf("%s carries no explain data; re-run the sweep with -explain", *in)
 	}
 
 	if !*quiet {
@@ -107,13 +107,13 @@ func main() {
 	}
 	data, err := encode(rep)
 	if err != nil {
-		fatalf("%v", err)
+		cmd.Fatalf("%v", err)
 	}
 	if *out != "" {
 		if *out == "-" {
 			os.Stdout.Write(data)
 		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		} else {
 			fmt.Fprintf(os.Stderr, "explain: wrote %s (%d bytes)\n", *out, len(data))
 		}
@@ -121,17 +121,17 @@ func main() {
 	if *baseline != "" {
 		base, err := os.ReadFile(*baseline)
 		if err != nil {
-			fatalf("%v", err)
+			cmd.Fatalf("%v", err)
 		}
 		diff := compare(base, data, *baseline)
 		if *diffOut != "" {
 			if err := os.WriteFile(*diffOut, []byte(diff), 0o644); err != nil {
-				fatalf("%v", err)
+				cmd.Fatalf("%v", err)
 			}
 		}
 		if diff != "" {
 			fmt.Print(diff)
-			os.Exit(exitRegression)
+			os.Exit(cli.ExitRegression)
 		}
 		fmt.Fprintf(os.Stderr, "explain: matches baseline %s\n", *baseline)
 	}
@@ -154,7 +154,7 @@ func load(path string) *report {
 	}
 	c, err := campaign.Load(path)
 	if err != nil {
-		fatalf("%v", err)
+		cmd.Fatalf("%v", err)
 	}
 	rep := &report{Version: 1, Source: "campaign"}
 	fill(rep, c)
@@ -270,20 +270,4 @@ func compare(baseBytes, curBytes []byte, basePath string) string {
 	campaign.DiffKeyed(&b, "cell", "explain data",
 		campaign.KeyedJSON(base.Cells, cellKey), campaign.KeyedJSON(cur.Cells, cellKey))
 	return b.String()
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "explain: ")
-	fmt.Fprintf(os.Stderr, "explain: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline mismatches (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "explain: ")
-	fmt.Fprintf(os.Stderr, "explain: %s\n", msg)
-	os.Exit(2)
 }

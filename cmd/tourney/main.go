@@ -34,7 +34,8 @@
 //	-workers n       worker pool size (default GOMAXPROCS)
 //	-seed n          campaign base seed (default 42)
 //	-scale f         workload scale factor (default per preset)
-//	-horizon s       per-scenario virtual-time bound in seconds
+//	-horizon s       per-scenario virtual-time bound in seconds (default
+//	                 per preset)
 //	-verdict-tol pct verdict winner-circle tolerance percent (default 5,
 //	                 plus a 100µs absolute slack on the p99-wake axis)
 //	-streak-k n      wakeup-streak threshold (default 4)
@@ -43,8 +44,13 @@
 //	                 artifact; exit 3 when they differ, with a report of
 //	                 the scenarios, metrics and policy verdicts that moved
 //	-diff-out file   also write the -baseline report to this file
-//	-list            print registered policies, topologies and workloads
+//	-list            print every topology, workload and policy name the
+//	                 overrides accept (with the family patterns) and exit
 //	-q               suppress the verdict summary and the end-of-run line
+//
+// A negative or non-finite number, or a dimension entry given twice, is
+// a usage error. Ctrl-C or SIGTERM drains the in-flight scenarios and
+// exits 1 without writing anything.
 //
 // Exit codes: 0 on success, 1 on runtime/IO errors (including an
 // unreadable baseline), 2 on usage errors, 3 when the artifact differs
@@ -54,213 +60,47 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/sim"
+	"repro/internal/cli"
 	"repro/internal/tourney"
 )
 
-// exitRegression is the dedicated exit code for an artifact that differs
-// from -baseline, distinct from runtime errors (1) and usage errors (2).
-const exitRegression = 3
-
 func main() {
+	f := cli.Register("tourney", cli.Preset|cli.List)
 	var (
-		preset     = flag.String("preset", "default", "tournament preset: smoke, default, full")
 		policies   = flag.String("policies", "", "comma-separated policy lineup overrides")
-		topos      = flag.String("topos", "", "comma-separated topology overrides")
-		loads      = flag.String("loads", "", "comma-separated workload overrides")
-		seeds      = flag.String("seeds", "", "comma-separated workload seed overrides")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		baseSeed   = flag.Int64("seed", 42, "campaign base seed")
-		scale      = flag.Float64("scale", 0, "workload scale factor (0 = preset default)")
-		horizon    = flag.Float64("horizon", 0, "per-scenario horizon in virtual seconds (0 = preset default)")
-		verdictTol = flag.Float64("verdict-tol", 0, "verdict winner-circle tolerance percent (0 = default 5)")
-		streakK    = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
-		out        = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline   = flag.String("baseline", "", "exit 3 when the artifact's bytes differ from this tourney artifact's")
-		diffOut    = flag.String("diff-out", "", "write the baseline report to this file")
-		list       = flag.Bool("list", false, "print registered policies, topologies and workloads")
-		quiet      = flag.Bool("q", false, "suppress the verdict summary and the end-of-run line")
+		verdictTol = cli.Float("verdict-tol", "verdict winner-circle tolerance `percent` (0 = default 5)")
 	)
-	flag.Parse()
-
-	if *list {
-		fmt.Printf("policies:   %s\n", campaign.ConfigNames())
-		fmt.Printf("topologies: %s\n", campaign.TopologyNames())
-		fmt.Printf("workloads:  %s (plus nas:<app>, nas-pin:<app>, nas-hotplug:<app>, serve:<qps>)\n",
-			campaign.WorkloadNames())
-		return
-	}
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
-	}
-	if *streakK < 0 {
-		usagef("-streak-k must be >= 0 (0 = default)")
-	}
-	o, ok := tourney.OptionsByName(*preset)
+	f.Parse("policies")
+	o, ok := tourney.OptionsByName(f.Preset)
 	if !ok {
-		usagef("unknown preset %q (want smoke, default or full)", *preset)
+		f.Usagef("unknown preset %q (want smoke, default or full)", f.Preset)
 	}
-	if err := applyOverrides(&o, *policies, *topos, *loads, *seeds); err != nil {
-		usagef("%v", err)
+	m := f.Matrix(o.Matrix(), "policy", *policies)
+	if o.Policies = m.Configs; len(o.Policies) < 2 {
+		f.Usagef("a tournament needs at least two policies, got %d", len(o.Policies))
 	}
-	o.Workers = *workers
-	o.BaseSeed = *baseSeed
-	if *scale > 0 {
-		o.Scale = *scale
-	}
-	if *horizon > 0 {
-		o.Horizon = sim.Time(*horizon * float64(sim.Second))
-	}
-	if *verdictTol > 0 {
-		o.TolerancePct = *verdictTol
-	}
-	o.StreakK = *streakK
-
-	start := time.Now()
-	fmt.Fprintf(os.Stderr, "tourney: running %d scenarios (%d cells x %d policies, base seed %d, scale %g)\n",
-		o.Matrix().Size(), o.Matrix().Size()/len(o.Policies), len(o.Policies), o.BaseSeed, o.Scale)
-	r, err := tourney.Run(o)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "tourney: ran %d scenarios in %.2fs\n", o.Matrix().Size(), time.Since(start).Seconds())
-		if *out == "-" {
-			fmt.Fprint(os.Stderr, r.FormatSummary())
-		} else {
-			fmt.Print(r.FormatSummary())
-		}
-	}
-	if *out == "" && *baseline == "" {
-		return
-	}
-	data, err := r.EncodeJSON()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if *out == "-" {
-		os.Stdout.Write(data)
-	} else if *out != "" {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "tourney: wrote %s (%d bytes)\n", *out, len(data))
-	}
-	if *baseline != "" {
-		compareBaseline(r, data, *baseline, *diffOut)
-	}
+	// A zero tolerance resolves to its default in Analyze.
+	o.TolerancePct = *verdictTol
+	cli.Run(f, cli.Sweep[*tourney.Report]{
+		Analyze:  func(c *campaign.Campaign) (*tourney.Report, error) { return tourney.Analyze(c, o) },
+		Decode:   tourney.Decode,
+		Campaign: func(r *tourney.Report) *campaign.Campaign { return r.Campaign },
+		Verdicts: verdicts,
+	}, m.Scenarios(), f.RunnerOpts(o.RunnerOpts()))
 }
 
-// compareBaseline gates the run on its artifact's bytes equalling the
-// baseline's. The report adds the policy verdicts that changed
-// (winner circles and cell sets) to the campaign-level explanation.
-func compareBaseline(r *tourney.Report, data []byte, path, diffOut string) {
-	baseData, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("%v", err)
+// verdicts lists the policy verdicts (winner circles and cell sets)
+// that changed, for the -baseline report.
+func verdicts(base, cur *tourney.Report) string {
+	diffs := tourney.CompareVerdicts(base, cur)
+	if len(diffs) == 0 {
+		return "policy verdicts: unchanged\n"
 	}
-	base, err := tourney.Decode(baseData)
-	if err != nil {
-		fatalf("%s: %v", path, err)
+	s := fmt.Sprintf("policy verdicts: %d changed\n", len(diffs))
+	for _, d := range diffs {
+		s += "  " + d + "\n"
 	}
-	var verdicts string
-	if diffs := tourney.CompareVerdicts(base, r); len(diffs) == 0 {
-		verdicts = "policy verdicts: unchanged\n"
-	} else {
-		verdicts = fmt.Sprintf("policy verdicts: %d changed\n", len(diffs))
-		for _, d := range diffs {
-			verdicts += "  " + d + "\n"
-		}
-	}
-	report, differs := campaign.BaselineReport(path, baseData, data, base.Campaign, r.Campaign, verdicts)
-	fmt.Print(report)
-	if diffOut != "" {
-		if err := os.WriteFile(diffOut, []byte(report), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if differs {
-		os.Exit(exitRegression)
-	}
-}
-
-// applyOverrides swaps tournament dimensions for the ones named on the
-// command line.
-func applyOverrides(o *tourney.Options, policies, topos, loads, seeds string) error {
-	if policies != "" {
-		o.Policies = o.Policies[:0]
-		for _, name := range splitCSV(policies) {
-			p, ok := campaign.ConfigByName(name)
-			if !ok {
-				return fmt.Errorf("unknown policy %q (have: %s)", name, campaign.ConfigNames())
-			}
-			o.Policies = append(o.Policies, p)
-		}
-		if len(o.Policies) < 2 {
-			return fmt.Errorf("a tournament needs at least two policies, got %d", len(o.Policies))
-		}
-	}
-	if topos != "" {
-		o.Topologies = o.Topologies[:0]
-		for _, name := range splitCSV(topos) {
-			t, ok := campaign.TopologyByName(name)
-			if !ok {
-				return fmt.Errorf("unknown topology %q (have: %s)", name, campaign.TopologyNames())
-			}
-			o.Topologies = append(o.Topologies, t)
-		}
-	}
-	if loads != "" {
-		o.Workloads = o.Workloads[:0]
-		for _, name := range splitCSV(loads) {
-			w, ok := campaign.WorkloadByName(name)
-			if !ok {
-				return fmt.Errorf("unknown workload %q (have: %s, plus nas:<app>)", name, campaign.WorkloadNames())
-			}
-			o.Workloads = append(o.Workloads, w)
-		}
-	}
-	if seeds != "" {
-		o.Seeds = o.Seeds[:0]
-		for _, s := range splitCSV(seeds) {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %v", s, err)
-			}
-			o.Seeds = append(o.Seeds, n)
-		}
-	}
-	return nil
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "tourney: ")
-	fmt.Fprintf(os.Stderr, "tourney: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline differences (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "tourney: ")
-	fmt.Fprintf(os.Stderr, "tourney: %s\n", msg)
-	os.Exit(2)
+	return s
 }

@@ -90,17 +90,10 @@ type Options struct {
 	// campaign.RunnerOpts.Explain) to every lattice point: decision
 	// provenance plus per-episode counterfactual replays. Analyze then
 	// cross-checks each cell's per-episode single-fix attributions
-	// against the lattice's minimal fix sets (Cell.ExplainCheck). Forces
-	// the sequential runner for affected cells — the explain hooks
-	// cannot ride the checkpoint/fork fast path.
+	// against the lattice's minimal fix sets (Cell.ExplainCheck). The
+	// explain hooks cannot ride the checkpoint/fork path, so every
+	// lattice point then runs from scratch as its own job.
 	Explain bool
-
-	// NoFork disables the checkpoint/fork runner and simulates every
-	// lattice point from scratch — the escape hatch for validating that
-	// forked and sequential sweeps produce identical bytes (they must;
-	// `make bisect-smoke` asserts it), and for debugging the fork
-	// machinery itself.
-	NoFork bool
 }
 
 func (o Options) withDefaults() Options {
@@ -146,8 +139,8 @@ func (o Options) Matrix() campaign.Matrix {
 }
 
 // RunnerOpts is the campaign runner configuration of the sweep, with
-// the options' defaults applied: Run and cmd/bisect's shard, merge and
-// incremental paths all run the lattice under it.
+// the options' defaults applied: Run and every run path of cmd/bisect
+// run the lattice under it.
 func (o Options) RunnerOpts() campaign.RunnerOpts {
 	o = o.withDefaults()
 	return campaign.RunnerOpts{Workers: o.Workers, BaseSeed: o.BaseSeed,
@@ -156,18 +149,14 @@ func (o Options) RunnerOpts() campaign.RunnerOpts {
 
 // Run executes the sweep on the campaign worker pool and analyzes it.
 // Like campaign artifacts, the report is byte-identical for any worker
-// count and scenario order. By default each cell's 16 lattice points run
-// on the checkpoint/fork runner (campaign.RunForked), which shares one
-// t=0 world per cell and copies the results of lattice points whose
-// extra fixes provably never fired; NoFork forces the sequential runner.
-// Both produce identical bytes.
+// count and scenario order. Each cell's 16 lattice points run on the
+// checkpoint/fork path, which shares one t=0 world per cell and copies
+// the results of lattice points whose extra fixes provably never fired
+// (campaign.RunnerOpts.NoFork simulates every point instead; both
+// produce identical bytes).
 func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	runner := campaign.RunForked
-	if opts.NoFork {
-		runner = campaign.Run
-	}
-	c, err := runner(opts.Matrix(), opts.RunnerOpts())
+	c, err := campaign.Run(opts.Matrix(), opts.RunnerOpts())
 	if err != nil {
 		return nil, err
 	}

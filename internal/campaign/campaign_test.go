@@ -48,48 +48,55 @@ func TestDefaultMatrixMeetsFloor(t *testing.T) {
 }
 
 // TestDeterminismAcrossWorkers is the core guarantee: the artifact is
-// byte-identical for any worker count.
+// byte-identical for any worker count, on the forked path (every smoke
+// cell can fork) and with NoFork, one job per scenario.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	m := testMatrix()
-	var artifacts [][]byte
-	for _, workers := range []int{1, 8} {
-		c, err := Run(m, RunnerOpts{Workers: workers, BaseSeed: 42})
-		if err != nil {
-			t.Fatal(err)
+	for _, noFork := range []bool{false, true} {
+		var artifacts [][]byte
+		for _, workers := range []int{1, 8} {
+			c, err := Run(m, RunnerOpts{Workers: workers, BaseSeed: 42, NoFork: noFork})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := c.EncodeJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			artifacts = append(artifacts, data)
 		}
-		data, err := c.EncodeJSON()
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(artifacts[0], artifacts[1]) {
+			t.Fatalf("NoFork=%v: artifacts differ between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s",
+				noFork, artifacts[0], artifacts[1])
 		}
-		artifacts = append(artifacts, data)
-	}
-	if !bytes.Equal(artifacts[0], artifacts[1]) {
-		t.Fatalf("artifacts differ between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s",
-			artifacts[0], artifacts[1])
 	}
 }
 
 // TestDeterminismAcrossOrder: shuffling the scenario list must not
-// change the artifact (results are keyed, seeds derive from keys).
+// change the artifact (results are keyed, seeds derive from keys), on
+// either path.
 func TestDeterminismAcrossOrder(t *testing.T) {
 	m := testMatrix()
 	scs := m.Scenarios()
-	ordered, err := RunScenarios(scs, RunnerOpts{Workers: 4, BaseSeed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
 	shuffled := append([]Scenario(nil), scs...)
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	perm, err := RunScenarios(shuffled, RunnerOpts{Workers: 4, BaseSeed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := ordered.EncodeJSON()
-	b, _ := perm.EncodeJSON()
-	if !bytes.Equal(a, b) {
-		t.Fatal("artifact depends on scenario order")
+	for _, noFork := range []bool{false, true} {
+		opts := RunnerOpts{Workers: 4, BaseSeed: 42, NoFork: noFork}
+		ordered, err := RunScenarios(scs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, err := RunScenarios(shuffled, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := ordered.EncodeJSON()
+		b, _ := perm.EncodeJSON()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("NoFork=%v: artifact depends on scenario order", noFork)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -23,30 +24,49 @@ func TestRunScenariosCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestRunScenariosCtxMidRunCancel cancels on the first result, both on
+// the forked path (every cell of the matrix can fork) and with NoFork.
 func TestRunScenariosCtxMidRunCancel(t *testing.T) {
 	scenarios := testMatrix().Scenarios()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var done atomic.Int64
-	opts := RunnerOpts{Workers: 2, BaseSeed: 42}
-	opts.OnResult = func(Result) {
-		// Cancel as soon as the first scenario lands; the pool must
-		// drain cleanly (the race detector would flag an abandoned
-		// worker touching shared state after return).
-		if done.Add(1) == 1 {
-			cancel()
+	for _, noFork := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var done atomic.Int64
+		opts := RunnerOpts{Workers: 2, BaseSeed: 42, NoFork: noFork}
+		opts.OnResult = func(Result) {
+			// Cancel as soon as the first scenario lands; the pool must
+			// drain cleanly (the race detector would flag an abandoned
+			// worker touching shared state after return).
+			if done.Add(1) == 1 {
+				cancel()
+			}
+		}
+		c, err := RunScenariosCtx(ctx, scenarios, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("NoFork=%v: want context.Canceled, got %v", noFork, err)
+		}
+		if c != nil {
+			t.Fatalf("NoFork=%v: mid-run cancel returned a partial artifact", noFork)
+		}
+		if got := done.Load(); got == 0 || got >= int64(len(scenarios)) {
+			t.Fatalf("NoFork=%v: cancel after first result should stop the feed early; %d of %d scenarios ran",
+				noFork, got, len(scenarios))
 		}
 	}
-	c, err := RunScenariosCtx(ctx, scenarios, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+}
+
+// TestRunScenariosRejectsRepeatedKeys: a repeated scenario key is an
+// error before anything is simulated.
+func TestRunScenariosRejectsRepeatedKeys(t *testing.T) {
+	scenarios := testMatrix().Scenarios()
+	var ran atomic.Int64
+	opts := RunnerOpts{Workers: 2, OnResult: func(Result) { ran.Add(1) }}
+	_, err := RunScenarios(append(scenarios, scenarios[3]), opts)
+	if err == nil || !strings.Contains(err.Error(), "duplicate scenario key") {
+		t.Fatalf("want a duplicate scenario key error, got %v", err)
 	}
-	if c != nil {
-		t.Fatal("mid-run cancel returned a partial artifact")
-	}
-	if got := done.Load(); got == 0 || got >= int64(len(scenarios)) {
-		t.Fatalf("cancel after first result should stop the feed early; %d of %d scenarios ran", got, len(scenarios))
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d scenarios ran before the repeated key was rejected", n)
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the forked lattice runner: the campaign half of
+// This file is the forked cell runner: the campaign half of
 // checkpoint/fork. A bisect sweep runs every subset of the paper's four
 // fixes over each (topology, workload, seed) cell — 16 scenarios whose
-// configs differ only in sched.Features. The sequential runner simulates
-// all 16 from scratch; this runner builds one t=0 world per cell, forks
-// it per config, and — the real win — runs a config only when its
-// behaviour can actually differ.
+// configs differ only in sched.Features, as do the cells of the smoke
+// and default campaign matrices and of tourney lineups of plain
+// configs. Run one job per scenario, each simulates from scratch; this
+// runner builds one t=0 world per cell, forks it per config, and — the
+// real win — runs a config only when its behaviour can actually differ.
 //
 // The collapse rests on the divergence probe (sched.DivergenceProbe):
 // each guarded decision in the scheduler re-evaluates itself under the
@@ -33,49 +34,18 @@ import (
 // ApplyFeatures' rebuild writes the same balance deadlines a sequential
 // run's initial build wrote. Cells the machinery cannot replicate
 // exactly — trace recorders, obs registries, placement modules, configs
-// differing beyond Features — fall back to runScenario per scenario, so
-// RunScenariosForked is always byte-equivalent to RunScenarios.
+// differing beyond Features — fail cellForkable, and RunScenariosCtx
+// runs their scenarios one job each, so both paths write the same bytes.
 
-// RunForked executes a matrix with per-cell forking and equivalence
-// collapse. The artifact is byte-identical to Run's.
-func RunForked(m Matrix, opts RunnerOpts) (*Campaign, error) {
-	return RunScenariosForked(m.withDefaults().Scenarios(), opts)
-}
-
-// RunScenariosForked executes scenarios grouped by cell: each cell runs
-// on one worker, sharing a forked t=0 world across its configs. The
-// artifact is byte-identical to RunScenarios on the same inputs.
+// RunScenariosForked is RunScenarios, kept for the sweep benchmark in
+// bench/, which calls it by name: every runner forks forkable cells.
 func RunScenariosForked(scenarios []Scenario, opts RunnerOpts) (*Campaign, error) {
-	byCell := map[string][]int{}
-	var order []string
-	for i, sc := range scenarios {
-		key := sc.CellKey()
-		if _, seen := byCell[key]; !seen {
-			order = append(order, key)
-		}
-		byCell[key] = append(byCell[key], i)
-	}
-	results := make([]Result, len(scenarios))
-	ForEach(len(order), opts.Workers, func(g int) struct{} {
-		runCell(scenarios, byCell[order[g]], opts, results)
-		return struct{}{}
-	})
-	return AssembleArtifact(scenarios, results, opts)
+	return RunScenarios(scenarios, opts)
 }
 
-// runCell executes one cell's scenarios into results (disjoint indices,
-// so concurrent cells never race).
+// runCell executes one forkable cell's scenarios into results (disjoint
+// indices, so concurrent cells never race).
 func runCell(scenarios []Scenario, idxs []int, opts RunnerOpts, results []Result) {
-	if !cellForkable(scenarios, idxs, opts) {
-		for _, i := range idxs {
-			results[i] = runScenario(scenarios[i], opts)
-			if opts.OnResult != nil {
-				opts.OnResult(results[i])
-			}
-		}
-		return
-	}
-
 	// Ascending lattice order: lower masks run first, so a never-fired
 	// flag set collapses the configs above before they are visited.
 	sorted := append([]int(nil), idxs...)

@@ -215,14 +215,25 @@ func TopologyNames() string {
 	return specNames(BuiltinTopologies(), func(t TopologySpec) string { return t.Name })
 }
 
-// ConfigNames lists the builtin config names, sorted.
+// ConfigNames lists every name ConfigByName accepts: the builtin config
+// names, sorted, plus the pattern of the 16 lattice points.
 func ConfigNames() string {
-	return specNames(BuiltinConfigs(), func(c ConfigSpec) string { return c.Name })
+	return specNames(BuiltinConfigs(), func(c ConfigSpec) string { return c.Name }) +
+		", plus fx-none and fx-<fix>[+<fix>...] with fixes " + strings.Join(LatticeFixNames(), ", ") +
+		" in that order"
 }
 
-// WorkloadNames lists the builtin workload names, sorted.
+// WorkloadNames lists every name WorkloadByName accepts: the builtin
+// workload names, sorted, plus the pattern of each registered family.
 func WorkloadNames() string {
-	return specNames(BuiltinWorkloads(), func(w Workload) string { return w.Name })
+	loadMu.RLock()
+	patterns := make([]string, len(families))
+	for i, f := range families {
+		patterns[i] = f.pattern
+	}
+	loadMu.RUnlock()
+	return specNames(BuiltinWorkloads(), func(w Workload) string { return w.Name }) +
+		", plus " + strings.Join(patterns, ", ")
 }
 
 // --- preset matrices -----------------------------------------------------

@@ -93,3 +93,60 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Error("empty workload name accepted")
 	}
 }
+
+// TestNamesListEveryFamily: WorkloadNames lists each registered family's
+// pattern, and each pattern, filled in, resolves — the one line that
+// registers a family also lists it. ConfigNames covers the lattice.
+func TestNamesListEveryFamily(t *testing.T) {
+	fill := strings.NewReplacer("<app>", "lu", "<cycles>", "2", "<qps>", "100")
+	for _, fam := range families {
+		if !strings.Contains(WorkloadNames(), fam.pattern) {
+			t.Errorf("WorkloadNames() does not list %s: %s", fam.pattern, WorkloadNames())
+		}
+		if name := fill.Replace(fam.pattern); !strings.Contains(name, "<") {
+			if w, ok := WorkloadByName(name); !ok || w.Name != name {
+				t.Errorf("listed pattern %s: %q does not resolve to itself (ok=%v)", fam.pattern, name, ok)
+			}
+		} else {
+			t.Errorf("pattern %s has a placeholder this test cannot fill", fam.pattern)
+		}
+	}
+	if len(families) != 5 {
+		t.Errorf("%d workload families, want 5", len(families))
+	}
+	for _, c := range LatticeConfigs() {
+		if _, ok := ConfigByName(c.Name); !ok {
+			t.Errorf("lattice config %s does not resolve", c.Name)
+		}
+	}
+	if !strings.Contains(ConfigNames(), "fx-none") || !strings.Contains(ConfigNames(), "gi, gc, oow, md") {
+		t.Errorf("ConfigNames() does not describe the lattice: %s", ConfigNames())
+	}
+}
+
+// FuzzWorkloadByName: resolving any name must not panic, and an accepted
+// name's Workload.Name must resolve to a workload of that same Name —
+// the canonical name is what scenario keys and the repeated-entry check
+// of the sweep commands rely on.
+func FuzzWorkloadByName(f *testing.F) {
+	for _, s := range []string{
+		"make2r", "tpch", "nas:lu", "nas-pin:cg", "nas-hotplug:ep",
+		"nas-hotplug-storm:lu:4", "nas-hotplug-storm:cg:04", "nas-hotplug-storm:lu",
+		"serve:50", "serve:050", "serve:+7", "serve:0", "serve:-1", "nas:", "", "bogus",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		w, ok := WorkloadByName(name)
+		if !ok {
+			return
+		}
+		if w.Name == "" || w.Run == nil {
+			t.Fatalf("%q resolves to an unnamed or unrunnable workload", name)
+		}
+		again, ok := WorkloadByName(w.Name)
+		if !ok || again.Name != w.Name {
+			t.Fatalf("%q resolves to %q, which resolves to %q (ok=%v)", name, w.Name, again.Name, ok)
+		}
+	})
+}

@@ -18,12 +18,17 @@ import (
 	"repro/internal/trace"
 )
 
-// RunnerOpts tunes campaign execution. Workers and OnResult only affect
-// scheduling and reporting — the artifact bytes depend solely on the
-// scenarios plus the options' Stamp.
+// RunnerOpts tunes campaign execution. Workers, NoFork and OnResult only
+// affect scheduling and reporting — the artifact bytes depend solely on
+// the scenarios plus the options' Stamp.
 type RunnerOpts struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
+	// NoFork runs every scenario from t=0 as its own job, instead of
+	// running each forkable cell on one forked world (see runCell). Both
+	// paths write the same bytes, so, like Workers, it is not stamped;
+	// it is the escape hatch for checking that they do.
+	NoFork bool
 	// BaseSeed perturbs every scenario's derived engine seed; campaigns
 	// with equal BaseSeed and scenarios are byte-identical.
 	BaseSeed int64
@@ -144,19 +149,61 @@ func RunScenarios(scenarios []Scenario, opts RunnerOpts) (*Campaign, error) {
 	return RunScenariosCtx(context.Background(), scenarios, opts)
 }
 
-// RunScenariosCtx is RunScenarios under a context: when ctx is
-// cancelled the pool stops starting scenarios, in-flight ones drain to
-// completion (a scenario's engine cannot be interrupted mid-run, but no
+// RunScenariosCtx is the campaign executor. It groups the scenarios by
+// cell (CellKey): a cell that cellForkable accepts runs as one job on a
+// forked t=0 world (runCell), unless opts.NoFork; every other scenario
+// is its own job, in input order. Both paths write the same bytes.
+// Repeated scenario keys are an error before anything runs.
+//
+// When ctx is cancelled the pool stops starting jobs, in-flight ones
+// drain to completion (an engine cannot be interrupted mid-run, but no
 // goroutine is abandoned), and ctx.Err() is returned instead of a
 // partial artifact — an incomplete campaign would violate the
 // one-result-per-scenario invariant every consumer relies on.
 func RunScenariosCtx(ctx context.Context, scenarios []Scenario, opts RunnerOpts) (*Campaign, error) {
-	results, err := ForEachCtx(ctx, len(scenarios), opts.Workers, func(i int) Result {
-		r := runScenario(scenarios[i], opts)
-		if opts.OnResult != nil {
-			opts.OnResult(r)
+	cells := map[string][]int{}
+	cellOf := make([]string, len(scenarios))
+	keys := make(map[string]bool, len(scenarios))
+	for i, sc := range scenarios {
+		key := sc.Key()
+		if keys[key] {
+			return nil, fmt.Errorf("campaign: duplicate scenario key %q", key)
 		}
-		return r
+		keys[key] = true
+		cellOf[i] = sc.CellKey()
+		cells[cellOf[i]] = append(cells[cellOf[i]], i)
+	}
+	type job struct {
+		idxs []int // a forked cell's scenarios, or one scenario
+		fork bool
+	}
+	var jobs []job
+	forkable := map[string]bool{}
+	for i := range scenarios {
+		cell := cells[cellOf[i]]
+		if i == cell[0] {
+			forkable[cellOf[i]] = !opts.NoFork && cellForkable(scenarios, cell, opts)
+			if forkable[cellOf[i]] {
+				jobs = append(jobs, job{idxs: cell, fork: true})
+			}
+		}
+		if !forkable[cellOf[i]] {
+			jobs = append(jobs, job{idxs: []int{i}})
+		}
+	}
+
+	results := make([]Result, len(scenarios))
+	_, err := ForEachCtx(ctx, len(jobs), opts.Workers, func(j int) struct{} {
+		if jb := jobs[j]; jb.fork {
+			runCell(scenarios, jb.idxs, opts, results)
+		} else {
+			i := jb.idxs[0]
+			results[i] = runScenario(scenarios[i], opts)
+			if opts.OnResult != nil {
+				opts.OnResult(results[i])
+			}
+		}
+		return struct{}{}
 	})
 	if err != nil {
 		return nil, err

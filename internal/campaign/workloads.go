@@ -55,8 +55,8 @@ var (
 )
 
 type workloadFamily struct {
-	prefix  string
-	resolve func(rest string) (Workload, bool)
+	pattern, prefix string
+	resolve         func(rest string) (Workload, bool)
 }
 
 // RegisterWorkload adds a named workload to the registry. It errors on
@@ -83,11 +83,13 @@ func MustRegisterWorkload(w Workload) {
 }
 
 // registerFamily adds a prefix-resolved workload family (first match
-// wins; static names take precedence).
-func registerFamily(prefix string, resolve func(rest string) (Workload, bool)) {
+// wins; static names take precedence). The pattern is how WorkloadNames
+// lists the family; its prefix is everything before the first "<".
+func registerFamily(pattern string, resolve func(rest string) (Workload, bool)) {
+	prefix, _, _ := strings.Cut(pattern, "<")
 	loadMu.Lock()
 	defer loadMu.Unlock()
-	families = append(families, workloadFamily{prefix: prefix, resolve: resolve})
+	families = append(families, workloadFamily{pattern: pattern, prefix: prefix, resolve: resolve})
 }
 
 func init() {
@@ -110,10 +112,10 @@ func init() {
 			return Workload{}, false
 		}
 	}
-	registerFamily("nas:", nasFamily(nasWorkload))
-	registerFamily("nas-pin:", nasFamily(nasPinnedWorkload))
-	registerFamily("nas-hotplug:", nasFamily(nasHotplugWorkload))
-	registerFamily("nas-hotplug-storm:", func(rest string) (Workload, bool) {
+	registerFamily("nas:<app>", nasFamily(nasWorkload))
+	registerFamily("nas-pin:<app>", nasFamily(nasPinnedWorkload))
+	registerFamily("nas-hotplug:<app>", nasFamily(nasHotplugWorkload))
+	registerFamily("nas-hotplug-storm:<app>:<cycles>", func(rest string) (Workload, bool) {
 		app, cyc, ok := strings.Cut(rest, ":")
 		if !ok {
 			return Workload{}, false
@@ -127,7 +129,7 @@ func init() {
 		}
 		return nasHotplugStormWorkload(app, cycles), true
 	})
-	registerFamily("serve:", func(rest string) (Workload, bool) {
+	registerFamily("serve:<qps>", func(rest string) (Workload, bool) {
 		qps, err := strconv.Atoi(rest)
 		if err != nil || qps < 1 {
 			return Workload{}, false
@@ -137,8 +139,8 @@ func init() {
 }
 
 // BuiltinWorkloads lists the registered workloads in registration order
-// (the stock set first). Any NAS program is additionally reachable as
-// "nas:<name>" through WorkloadByName.
+// (the stock set first). The family members WorkloadNames lists, such as
+// "nas:<app>", are additionally reachable through WorkloadByName.
 func BuiltinWorkloads() []Workload {
 	loadMu.RLock()
 	defer loadMu.RUnlock()
@@ -149,9 +151,8 @@ func BuiltinWorkloads() []Workload {
 	return out
 }
 
-// WorkloadByName resolves a registered workload, including the dynamic
-// prefix families ("nas:<app>", "nas-pin:<app>", "nas-hotplug:<app>",
-// "nas-hotplug-storm:<app>:<cycles>", "serve:<qps>").
+// WorkloadByName resolves a registered workload, including the members
+// of the prefix families WorkloadNames lists.
 func WorkloadByName(name string) (Workload, bool) {
 	loadMu.RLock()
 	if w, ok := loadByName[name]; ok {

@@ -149,19 +149,6 @@ func (d *Diff) ExecuteCtx(ctx context.Context, opts campaign.RunnerOpts) (*campa
 	return campaign.AssembleArtifact(d.scenarios, combined, opts)
 }
 
-// RunIncremental plans and executes in one call: only the changed
-// subset of the scenario list runs, with the prior artifact's results
-// spliced for the rest. The Diff reports what was executed, spliced
-// and removed.
-func RunIncremental(scenarios []campaign.Scenario, prior *campaign.Campaign, opts campaign.RunnerOpts) (*campaign.Campaign, *Diff, error) {
-	d := Plan(scenarios, prior, opts)
-	c, err := d.Execute(opts)
-	if err != nil {
-		return nil, d, err
-	}
-	return c, d, nil
-}
-
 // Summary renders the diff in one line for progress reporting.
 func (d *Diff) Summary() string {
 	s := fmt.Sprintf("%d to run (%d new, %d changed), %d cached, %d removed",

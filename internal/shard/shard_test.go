@@ -31,6 +31,14 @@ func mustRun(t *testing.T, scs []campaign.Scenario, opts campaign.RunnerOpts) *c
 	return c
 }
 
+// planAndExecute plans scs against prior and executes the plan, as the
+// sweep commands' -incremental does.
+func planAndExecute(scs []campaign.Scenario, prior *campaign.Campaign, opts campaign.RunnerOpts) (*campaign.Campaign, *Diff, error) {
+	d := Plan(scs, prior, opts)
+	c, err := d.Execute(opts)
+	return c, d, err
+}
+
 func encode(t *testing.T, c *campaign.Campaign) []byte {
 	t.Helper()
 	data, err := c.EncodeJSON()
@@ -221,7 +229,7 @@ func TestIncrementalNoChanges(t *testing.T) {
 
 	var executed atomic.Int64
 	opts.OnResult = func(campaign.Result) { executed.Add(1) }
-	c, d, err := RunIncremental(scs, prior, opts)
+	c, d, err := planAndExecute(scs, prior, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +263,7 @@ func TestIncrementalSpliceEqualsFullRun(t *testing.T) {
 
 	var executed atomic.Int64
 	opts.OnResult = func(campaign.Result) { executed.Add(1) }
-	c, d, err := RunIncremental(scs, prior, opts)
+	c, d, err := planAndExecute(scs, prior, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +286,7 @@ func TestIncrementalSpliceEqualsFullRun(t *testing.T) {
 	priorHalf := mustRun(t, half, opts)
 	executed.Store(0)
 	opts.OnResult = func(campaign.Result) { executed.Add(1) }
-	c, d, err = RunIncremental(scs, priorHalf, opts)
+	c, d, err = planAndExecute(scs, priorHalf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +317,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 		wider := *prior
 		wider.Results = append(append([]campaign.Result(nil), prior.Results...),
 			campaign.Result{Key: "zzz/gone/bugs/s1", EngineSeed: 1})
-		c, d, err := RunIncremental(scs, &wider, opts)
+		c, d, err := planAndExecute(scs, &wider, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +334,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 	t.Run("trace", func(t *testing.T) {
 		opts := testOpts()
 		opts.Trace = true
-		_, d, err := RunIncremental(scs, prior, opts)
+		_, d, err := planAndExecute(scs, prior, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +348,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 		// splices into a new run.
 		stale := *prior
 		stale.ModelVersion = "0-pre-latency"
-		_, d, err := RunIncremental(scs, &stale, testOpts())
+		_, d, err := planAndExecute(scs, &stale, testOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +357,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 		}
 		unstamped := *prior
 		unstamped.ModelVersion = ""
-		_, d, err = RunIncremental(scs, &unstamped, testOpts())
+		_, d, err = planAndExecute(scs, &unstamped, testOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +368,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 	t.Run("streak-k", func(t *testing.T) {
 		opts := testOpts()
 		opts.StreakK = 9
-		_, d, err := RunIncremental(scs, prior, opts)
+		_, d, err := planAndExecute(scs, prior, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +380,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 		opts := testOpts()
 		opts.Checker.S = 20 * sim.Millisecond
 		opts.Checker.M = 10 * sim.Millisecond
-		_, d, err := RunIncremental(scs, prior, opts)
+		_, d, err := planAndExecute(scs, prior, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +393,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 		stretched.Horizon = 150 * sim.Second
 		sscs := stretched.Scenarios()
 		opts := testOpts()
-		c, d, err := RunIncremental(sscs, prior, opts)
+		c, d, err := planAndExecute(sscs, prior, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +412,7 @@ func TestIncrementalFingerprint(t *testing.T) {
 		scaled.Scale = 0.2
 		sscs := scaled.Scenarios()
 		opts := testOpts()
-		c, d, err := RunIncremental(sscs, prior, opts)
+		c, d, err := planAndExecute(sscs, prior, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

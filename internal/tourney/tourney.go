@@ -107,19 +107,23 @@ func (o Options) Matrix() campaign.Matrix {
 	}
 }
 
+// RunnerOpts is the campaign runner configuration of the tournament,
+// with the options' defaults applied: Run and cmd/tourney run the
+// lineup under it.
+func (o Options) RunnerOpts() campaign.RunnerOpts {
+	o = o.withDefaults()
+	return campaign.RunnerOpts{Workers: o.Workers, BaseSeed: o.BaseSeed,
+		Checker: o.Checker, StreakK: o.StreakK}
+}
+
 // Run executes the tournament on the campaign worker pool and analyzes
 // it. Like campaign artifacts, the report is byte-identical for any
-// worker count and scenario order (policies with attach hooks cannot
-// share forked worlds, so the sequential runner is used — cells still
-// parallelize across workers at scenario granularity).
+// worker count and scenario order. A cell whose lineup differs only in
+// fix toggles runs on one forked world; policies with modules or attach
+// hooks cannot share one, so such a cell runs one job per policy.
 func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	c, err := campaign.Run(opts.Matrix(), campaign.RunnerOpts{
-		Workers:  opts.Workers,
-		BaseSeed: opts.BaseSeed,
-		Checker:  opts.Checker,
-		StreakK:  opts.StreakK,
-	})
+	c, err := campaign.Run(opts.Matrix(), opts.RunnerOpts())
 	if err != nil {
 		return nil, err
 	}
