@@ -21,7 +21,7 @@ SHELL := /bin/bash
 
 .PHONY: all build vet lint test race bench bench-test bench-out.txt bench-json \
 	bench-baseline-refresh profile campaign bisect tourney shard-usage baseline-verdict \
-	bisect-smoke campaign-smoke tourney-smoke explain-smoke trace-smoke \
+	bisect-smoke campaign-smoke tourney-smoke explain-smoke trace-smoke schedviz-smoke \
 	bisect-default campaign-default baseline-refresh ci
 
 all: ci
@@ -218,6 +218,33 @@ trace-smoke:
 	$(GO) run ./cmd/campaign -matrix smoke -q -out /dev/null \
 		-trace-out trace-smoke.json
 
+# The binary trace path, on binaries built once into a temp dir like
+# shard-usage: the groupimbalance example writes groupimbalance.trace,
+# which schedviz must render in every mode and as Perfetto JSON (exit
+# 0); a truncated copy must exit 1 with a trace error and no panic, and
+# an out-of-range -cores or -cols must exit 2.
+schedviz-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/groupimbalance" ./examples/groupimbalance; \
+	$(GO) build -o "$$tmp/schedviz" ./cmd/schedviz; \
+	(cd "$$tmp" && ./groupimbalance >/dev/null); \
+	sv() { rc=0; "$$tmp/schedviz" "$$@" >/dev/null 2>"$$tmp/err.txt" || rc=$$?; }; \
+	for mode in size load considered balance episodes; do \
+		sv -trace "$$tmp/groupimbalance.trace" -cores 64 -mode $$mode; \
+		[ "$$rc" = 0 ] || { echo "schedviz-smoke: -mode $$mode exited $$rc:"; cat "$$tmp/err.txt"; exit 1; }; \
+	done; \
+	sv -trace "$$tmp/groupimbalance.trace" -cores 64 -perfetto "$$tmp/trace.json"; \
+	[ "$$rc" = 0 ] || { echo "schedviz-smoke: -perfetto exited $$rc:"; cat "$$tmp/err.txt"; exit 1; }; \
+	head -c 1000 "$$tmp/groupimbalance.trace" >"$$tmp/truncated.trace"; \
+	sv -trace "$$tmp/truncated.trace" -cores 64; \
+	if [ "$$rc" != 1 ] || ! grep -q '^schedviz: trace: ' "$$tmp/err.txt" || grep -q 'panic:' "$$tmp/err.txt"; then \
+		echo "schedviz-smoke: truncated trace exited $$rc, want 1 with a trace error:"; cat "$$tmp/err.txt"; exit 1; fi; \
+	for bad in "-cores 0" "-cores 129" "-cols -1"; do \
+		sv -trace "$$tmp/groupimbalance.trace" $$bad; \
+		[ "$$rc" = 2 ] || { echo "schedviz-smoke: $$bad exited $$rc, want 2"; exit 1; }; \
+	done; \
+	echo "schedviz-smoke: every mode and -perfetto render the example trace; a truncated trace exits 1, bad -cores/-cols exit 2"
+
 # The default-scale gates: the 128-cell lattice and the 30-scenario
 # campaign, gated like the smoke ones. Each simulates in under a
 # second, so they run on every push.
@@ -245,4 +272,4 @@ baseline-refresh:
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
 ci: lint build race bench-test shard-usage baseline-verdict bisect-smoke campaign-smoke tourney-smoke \
-	explain-smoke bisect-default campaign-default
+	explain-smoke schedviz-smoke bisect-default campaign-default

@@ -166,13 +166,14 @@ func BenchmarkCampaign(b *testing.B) {
 		})
 	}
 
-	// The provenance-off run pins the zero-cost-when-off contract of the
-	// decision-provenance hooks (internal/obs.ProvRing): the dense bisect
-	// checker lens drives every hook site hot — balance verdicts, steal
+	// The provenance=off run pins the zero-cost-when-off contract of the
+	// scheduler's record sites (internal/sched/emit.go): the dense bisect
+	// checker lens drives every site hot — balance verdicts, steal
 	// rejections, wakeup placements, migrations, episode candidates —
-	// with no ring attached, and benchjson's -max-allocs-per-event gate
-	// asserts the run still stays at or under one allocation per event,
-	// so every hook compiles down to a nil-check.
+	// with no recorder attached, and benchjson's -max-allocs-per-event
+	// gate asserts the run still stays at or under one allocation per
+	// event, so every site costs one branch. Its name is the key
+	// baselines/bench-smoke.json pins.
 	b.Run("provenance=off", func(b *testing.B) {
 		var events uint64
 		for i := 0; i < b.N; i++ {

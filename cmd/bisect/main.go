@@ -63,7 +63,7 @@
 //	                 each confirmed episode under every single fix; the
 //	                 report cross-checks per-episode attributions against
 //	                 the lattice's minimal fix sets (explain_check), and
-//	                 -trace-out exports gain provenance/episode tracks
+//	                 -trace-out exports gain decision/episode tracks
 //	-no-fork         simulate every lattice point from scratch instead
 //	                 of forking each cell's shared prefix (the escape
 //	                 hatch for validating the fork runner: both paths

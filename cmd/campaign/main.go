@@ -50,7 +50,7 @@
 //	-explain         record decision provenance and counterfactually replay
 //	                 each confirmed episode under every single fix (stamped
 //	                 into the artifact; also annotates -trace-out exports
-//	                 with provenance and episode tracks)
+//	                 with decision and episode tracks)
 //	-metrics         sample scheduler/machine metrics in virtual time into
 //	                 per-result snapshots (stamped into the artifact)
 //	-metrics-cadence-ms f  metrics sampling interval in virtual ms (default 10)

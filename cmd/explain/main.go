@@ -217,7 +217,7 @@ func render(w *os.File, rep *report) {
 	for _, s := range rep.Scenarios {
 		ex := s.Explain
 		fmt.Fprintf(w, "%s: %d episodes (%d checker, %d streak), %d provenance records\n",
-			s.Key, len(ex.Episodes), ex.CheckerEpisodes, ex.StreakEpisodes, ex.ProvRecords)
+			s.Key, len(ex.Episodes), ex.CheckerEpisodes, ex.StreakEpisodes, ex.Decisions)
 		if ex.SkippedEpisodes > 0 {
 			fmt.Fprintf(w, "  %d episodes past the cap were not replayed\n", ex.SkippedEpisodes)
 		}

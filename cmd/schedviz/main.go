@@ -43,6 +43,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *cores < 1 || *cores > trace.MaskBits || *cols < 1 {
+		fmt.Fprintf(os.Stderr, "schedviz: -cores must be in [1,%d] and -cols at least 1\n", trace.MaskBits)
+		flag.Usage()
+		os.Exit(2)
+	}
 	f, err := os.Open(*traceFile)
 	if err != nil {
 		fatal(err)

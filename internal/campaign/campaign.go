@@ -142,7 +142,7 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 
 	// Explain is the scenario's causal-explanation report: decision
-	// provenance totals plus per-episode counterfactual replays (which
+	// record totals plus per-episode counterfactual replays (which
 	// single fix erases each confirmed episode, and what it saves). Nil
 	// unless RunnerOpts.Explain; deterministic when present.
 	Explain *explain.ScenarioExplain `json:"explain,omitempty"`

@@ -82,10 +82,16 @@ func ExportPerfetto(sc Scenario, opts RunnerOpts, w io.Writer) (TraceExport, err
 
 	// Full-run capture: recorder active from t=0 with a large buffer
 	// (the campaign's checker-windowed recorder only profiles around
-	// violations — an export wants the whole timeline). EmitSnapshot
-	// seeds the initial runqueue state so derived busy slices and
-	// counter tracks start from truth rather than the first transition.
-	rec := trace.NewRecorder(1 << 21)
+	// violations — an export wants the whole timeline). With Explain on
+	// it also keeps the decision kinds, so each balance and migration is
+	// recorded and rendered once. EmitSnapshot seeds the initial
+	// runqueue state so derived busy slices and counter tracks start
+	// from truth rather than the first transition.
+	kinds := trace.SchedKinds
+	if opts.Explain {
+		kinds |= trace.DecisionKinds
+	}
+	rec := trace.NewRecorderOf(1<<21, kinds)
 	m.SetRecorder(rec)
 	rec.Start()
 	m.Sched.EmitSnapshot()
@@ -100,16 +106,12 @@ func ExportPerfetto(sc Scenario, opts RunnerOpts, w io.Writer) (TraceExport, err
 	ck := checker.New(m.Sched, nil, opts.EffectiveChecker())
 	ck.ObserveLatency(col)
 
-	// With Explain on, the side run also records decision provenance and
-	// episode onset/detection marks for the annotation tracks. Marks
-	// only, no counterfactual replays: the attached recorder makes the
-	// machine unforkable, and an export wants the timeline, not the
-	// report (the campaign artifact carries that).
-	var prov *obs.ProvRing
+	// With Explain on, the side run also records episode onset/detection
+	// marks for the annotation tracks. Marks only, no counterfactual
+	// replays: an export wants the timeline, not the report (the
+	// campaign artifact carries that).
 	var marks *episodeMarker
 	if opts.Explain {
-		prov = obs.NewProvRing(obs.DefaultProvCap)
-		m.Sched.SetProvenance(prov)
 		marks = &episodeMarker{}
 		ck.SetEpisodeHook(marks)
 		col.SetStreakHook(marks.onStreak)
@@ -130,8 +132,7 @@ func ExportPerfetto(sc Scenario, opts RunnerOpts, w io.Writer) (TraceExport, err
 		Cores:           topo.NumCores(),
 		MaxSeriesPoints: 4096,
 	}
-	if prov != nil {
-		pfOpts.Prov = prov.Records(nil)
+	if marks != nil {
 		pfOpts.Episodes = marks.marks
 	}
 	err = obs.WritePerfetto(w, rec.Events(), reg.Series(), pfOpts)

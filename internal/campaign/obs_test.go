@@ -3,11 +3,15 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/explain"
+	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestMetricsCampaignDeterministic: with the metrics registry enabled,
@@ -78,6 +82,111 @@ func TestMetricsOffLeavesArtifactUntouched(t *testing.T) {
 		if bytes.Contains(data, []byte(frag)) {
 			t.Fatalf("metrics-off artifact contains %s", frag)
 		}
+	}
+}
+
+// TestExplainUnchangedByTraceAndMetrics: a fork carries none of the
+// main world's observers, so explain forks and replays the same episodes
+// whether or not a trace recorder or a metrics registry is attached too:
+// every scenario's Result.Explain equals the Explain-alone run's, and no
+// episode is lost to fork_unavailable.
+func TestExplainUnchangedByTraceAndMetrics(t *testing.T) {
+	explainOf := func(opts RunnerOpts) map[string]*explain.ScenarioExplain {
+		c, err := Run(SmokeMatrix(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]*explain.ScenarioExplain{}
+		for _, r := range c.Results {
+			out[r.Key] = r.Explain
+		}
+		return out
+	}
+	opts := RunnerOpts{Workers: 1, BaseSeed: 42, Explain: true}
+	want := explainOf(opts)
+	episodes := 0
+	for key, ex := range want {
+		if ex.ForkUnavailable != 0 {
+			t.Fatalf("%s: %d episodes fork_unavailable with Explain alone", key, ex.ForkUnavailable)
+		}
+		episodes += len(ex.Episodes)
+	}
+	if episodes == 0 {
+		t.Fatal("the smoke matrix replayed no episodes; the comparison would be vacuous")
+	}
+	for _, extra := range []struct {
+		name string
+		opts RunnerOpts
+	}{
+		{"trace", RunnerOpts{Workers: 1, BaseSeed: 42, Explain: true, Trace: true}},
+		{"metrics", RunnerOpts{Workers: 1, BaseSeed: 42, Explain: true, Metrics: true}},
+	} {
+		if got := explainOf(extra.opts); !reflect.DeepEqual(got, want) {
+			for key := range want {
+				if !reflect.DeepEqual(got[key], want[key]) {
+					t.Errorf("Explain+%s: %s explain = %+v, want %+v", extra.name, key, got[key], want[key])
+				}
+			}
+		}
+	}
+}
+
+// TestRecorderFanOut: the scheduler offers each record to every
+// attached recorder, and each keeps only its own kinds. A §4.2 recorder
+// and a decision ring attached together to one smoke scenario must each
+// hold exactly their kind set's records, and the ring must hold the
+// records of a run with the ring alone.
+func TestRecorderFanOut(t *testing.T) {
+	sc := SmokeMatrix().Scenarios()[0]
+	run := func(recs ...*trace.Recorder) {
+		seed := DeriveSeed(42, sc.CellKey(), sc.Seed)
+		topo := sc.Topology.Build()
+		m := machine.New(topo, sc.Config.Config, seed)
+		detach, err := sc.Config.Apply(m.Sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer detach()
+		for _, r := range recs {
+			r.Start()
+			m.SetRecorder(r)
+		}
+		sc.Workload.Run(&RunContext{M: m, Topo: topo, Seed: seed, Scale: sc.Scale, Horizon: sc.Horizon})
+	}
+	sched := trace.NewRecorder(1 << 22)
+	ring := trace.NewDecisionRing(1 << 22)
+	run(sched, ring)
+	alone := trace.NewDecisionRing(1 << 22)
+	run(alone)
+
+	for _, c := range []struct {
+		name  string
+		r     *trace.Recorder
+		kinds []trace.Kind
+	}{
+		{"§4.2 recorder", sched, []trace.Kind{trace.KindRQSize, trace.KindRQLoad, trace.KindConsidered,
+			trace.KindMigration, trace.KindFork, trace.KindExit, trace.KindBalance}},
+		{"decision ring", ring, []trace.Kind{trace.KindBalance, trace.KindStealReject, trace.KindWakeup, trace.KindMigration}},
+	} {
+		if c.r.Dropped() != 0 {
+			t.Fatalf("%s dropped %d records", c.name, c.r.Dropped())
+		}
+		counts := map[trace.Kind]int{}
+		for _, ev := range c.r.Events() {
+			counts[ev.Kind]++
+		}
+		for _, k := range c.kinds {
+			if counts[k] == 0 {
+				t.Errorf("%s holds no %s records", c.name, k)
+			}
+			delete(counts, k)
+		}
+		if len(counts) != 0 {
+			t.Errorf("%s holds records of other kinds: %v", c.name, counts)
+		}
+	}
+	if got, want := ring.Events(), alone.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decision ring beside a §4.2 recorder holds %d records, %d alone, or they differ", len(got), len(want))
 	}
 }
 

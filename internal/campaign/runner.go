@@ -56,7 +56,7 @@ type RunnerOpts struct {
 	// obs.DefaultCadence). Ignored unless Metrics.
 	MetricsCadence sim.Time
 	// Explain attaches the causal-observability layer to every scenario:
-	// decision provenance is recorded into a keep-last-N ring, and each
+	// its scheduler decisions are counted, and each
 	// confirmed checker episode (plus each wakeup streak) is replayed
 	// counterfactually under every single fix from a world forked at the
 	// detection instant. Each Result carries a deterministic Explain

@@ -220,7 +220,12 @@ func TestProfilingCapturesBalanceDecisions(t *testing.T) {
 	if len(c.Violations()) == 0 {
 		t.Fatal("no violation")
 	}
-	decisions := rec.ByKind(trace.KindBalance)
+	var decisions []trace.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindBalance {
+			decisions = append(decisions, ev)
+		}
+	}
 	if len(decisions) == 0 {
 		t.Fatal("profiling captured no balance decisions")
 	}

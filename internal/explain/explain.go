@@ -10,8 +10,8 @@
 // replayed once per single fix of the paper's lattice (gi, gc, oow, md)
 // plus an unmodified control, and the per-episode report records which
 // fixes erase the episode, how much wasted core time and p99 wakeup
-// latency each saves, and — via the decision-provenance rings recorded by
-// internal/sched — the first scheduling decision where the fixed world
+// latency each saves, and — via the decision rings internal/sched
+// records into — the first scheduling decision where the fixed world
 // diverged from the control.
 //
 // Replays are driverless: a Machine.Fork carries every machine-owned
@@ -37,11 +37,11 @@ import (
 	"repro/internal/checker"
 	"repro/internal/latency"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Config tunes an Observer.
@@ -61,7 +61,7 @@ type Config struct {
 // dropped.
 const DefaultMaxEpisodes = 8
 
-// Divergence names the first provenance record where a fix replay's
+// Divergence names the first decision record where a fix replay's
 // decision stream departed from the control replay's — the concrete
 // decision the fix changed.
 type Divergence struct {
@@ -93,9 +93,8 @@ type Replay struct {
 	Streaks int `json:"streaks,omitempty"`
 	// Events is the number of engine events the window processed.
 	Events uint64 `json:"events,omitempty"`
-	// ProvRecords is the number of provenance records the window's
-	// decisions produced.
-	ProvRecords uint64 `json:"prov_records,omitempty"`
+	// Decisions is the number of decision records the window produced.
+	Decisions uint64 `json:"prov_records,omitempty"`
 }
 
 // FixReplay is a Replay under one enabled fix, with deltas against the
@@ -158,10 +157,11 @@ type ScenarioExplain struct {
 	// (workloads with external completion hooks, attached policies).
 	SkippedEpisodes int `json:"skipped_episodes,omitempty"`
 	ForkUnavailable int `json:"fork_unavailable,omitempty"`
-	// ProvRecords / ProvDropped are the main world's decision-provenance
-	// ring totals for the whole scenario.
-	ProvRecords uint64 `json:"prov_records,omitempty"`
-	ProvDropped uint64 `json:"prov_dropped,omitempty"`
+	// Decisions / DecisionsDropped are the main world's decision
+	// counter totals for the whole scenario: the records a
+	// trace.DefaultRingCap ring would have offered and overwritten.
+	Decisions        uint64 `json:"prov_records,omitempty"`
+	DecisionsDropped uint64 `json:"prov_dropped,omitempty"`
 }
 
 // Attributed reports whether any episode's attribution names fix.
@@ -188,51 +188,54 @@ type pending struct {
 	idle, busy int
 }
 
-// Observer wires provenance and counterfactual replay into one
+// Observer wires decision recording and counterfactual replay into one
 // scenario's run. It implements checker.EpisodeHook; attach with
 // Checker.SetEpisodeHook, and attach OnStreak with
 // latency.Collector.SetStreakHook. The observer owns the scenario's
-// provenance ring and installs it on the scheduler.
+// decision counter and attaches it to the scheduler.
 type Observer struct {
-	m    *machine.Machine
-	cfg  Config
-	base sched.Features
-	prov *obs.ProvRing
+	m       *machine.Machine
+	cfg     Config
+	base    sched.Features
+	counter *trace.Recorder
 
 	// Replay scratch, reset before each replay: every replay of the
-	// scenario's episodes shares one ring, one collector and two record
-	// buffers (the control's and a fix's, compared by firstDivergence),
-	// which allocate only to outgrow the largest replay so far.
-	replayProv  *obs.ProvRing
+	// scenario's episodes shares one collector and two decision rings
+	// (the control's and a fix's, compared by firstDivergence), which
+	// allocate only to outgrow the largest replay so far.
 	replayCol   *latency.Collector
-	controlRecs []obs.ProvRecord
-	fixedRecs   []obs.ProvRecord
+	controlRing *trace.Recorder
+	fixedRing   *trace.Recorder
 
 	pend   *pending
 	report ScenarioExplain
 }
 
-// NewObserver creates an observer for m and installs its provenance
-// ring on m's scheduler. The machine must not have started episodes yet
-// (attach during scenario setup, before the workload runs).
+// NewObserver creates an observer for m and attaches its decision
+// counter to m's scheduler. The machine must not have started episodes
+// yet (attach during scenario setup, before the workload runs).
 func NewObserver(m *machine.Machine, cfg Config) *Observer {
 	cfg.Checker = cfg.Checker.WithDefaults()
 	o := &Observer{
-		m:          m,
-		cfg:        cfg,
-		base:       m.Sched.Config().Features,
-		prov:       obs.NewProvCounter(obs.DefaultProvCap),
-		replayProv: obs.NewProvRing(obs.DefaultProvCap),
-		replayCol:  latency.NewCollector(latency.Config{StreakK: cfg.StreakK}),
+		m:           m,
+		cfg:         cfg,
+		base:        m.Sched.Config().Features,
+		counter:     trace.NewDecisionCounter(trace.DefaultRingCap),
+		replayCol:   latency.NewCollector(latency.Config{StreakK: cfg.StreakK}),
+		controlRing: trace.NewDecisionRing(trace.DefaultRingCap),
+		fixedRing:   trace.NewDecisionRing(trace.DefaultRingCap),
 	}
-	m.Sched.SetProvenance(o.prov)
+	for _, r := range []*trace.Recorder{o.counter, o.controlRing, o.fixedRing} {
+		r.Start()
+	}
+	m.Sched.SetRecorder(o.counter)
 	return o
 }
 
 // fork deep-copies the current world, absorbing the panic Machine.Fork
 // raises for worlds it cannot clone (queued Task.OnDone hooks, attached
 // placement policies): those scenarios simply report ForkUnavailable
-// instead of episodes.
+// instead of episodes. The fork carries none of the world's observers.
 func (o *Observer) fork() (m2 *machine.Machine) {
 	defer func() {
 		if recover() != nil {
@@ -333,8 +336,8 @@ func (o *Observer) OnStreak(start, at sim.Time) {
 // the workload has finished.
 func (o *Observer) Report() *ScenarioExplain {
 	o.pend = nil
-	o.report.ProvRecords = o.prov.Total()
-	o.report.ProvDropped = o.prov.Dropped()
+	o.report.Decisions = o.counter.Total()
+	o.report.DecisionsDropped = o.counter.Dropped()
 	r := o.report
 	return &r
 }
@@ -374,12 +377,12 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		WindowNs:    int64(window),
 	}
 
-	control := o.runReplay(spec, o.base, &o.controlRecs)
+	control := o.runReplay(spec, o.base, o.controlRing)
 	ep.Control = control
 
 	for i, name := range policy.LatticeFixNames() {
 		feats := mergeFeatures(o.base, policy.LatticeFeatures(1<<i))
-		rep := o.runReplay(spec, feats, &o.fixedRecs)
+		rep := o.runReplay(spec, feats, o.fixedRing)
 		fr := FixReplay{
 			Fix:            name,
 			Replay:         rep,
@@ -390,7 +393,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		if fr.Erases {
 			ep.Attribution = append(ep.Attribution, name)
 		}
-		fr.FirstDivergence = firstDivergence(o.controlRecs, o.fixedRecs)
+		fr.FirstDivergence = firstDivergence(o.controlRing.Events(), o.fixedRing.Events())
 		ep.Fixes = append(ep.Fixes, fr)
 	}
 	return ep
@@ -398,19 +401,18 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 
 // runReplay forks the episode world, applies feats, and advances it
 // through the window with the checker's own sampling schedule, on the
-// observer's reset replay scratch. The window's provenance records
-// overwrite *recs.
-func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, recs *[]obs.ProvRecord) Replay {
-	*recs = (*recs)[:0]
+// observer's reset replay scratch. ring is reset and then holds the
+// window's decision records.
+func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, ring *trace.Recorder) Replay {
+	ring.Reset()
 	w := forkWorld(spec.world)
 	if w == nil {
 		return Replay{} // second-level fork cannot realistically fail; stay safe
 	}
 	w.Sched.ApplyFeatures(feats)
-	ring, col := o.replayProv, o.replayCol
-	ring.Reset()
+	col := o.replayCol
 	col.Reset()
-	w.Sched.SetProvenance(ring)
+	w.Sched.SetRecorder(ring)
 	w.Sched.SetLatencyProbe(col)
 
 	startWasted := w.Sched.WastedCoreTime()
@@ -433,13 +435,12 @@ func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, recs *[]obs
 		BusyWakeups: int64(counters.WakeupsOnBusy - startCounters.WakeupsOnBusy),
 		Streaks:     col.StreakCount(),
 		Events:      w.Eng.Processed() - startEvents,
-		ProvRecords: ring.Total(),
+		Decisions:   ring.Total(),
 	}
 	if d := col.WakeDigest(); d != nil {
 		rep.P99WakeNs = d.P99Ns
 	}
 	rep.Persisted = spec.persistFn(sampled, col)
-	*recs = ring.Records(*recs)
 	return rep
 }
 
@@ -453,9 +454,9 @@ func forkWorld(m *machine.Machine) (m2 *machine.Machine) {
 	return m.Fork()
 }
 
-// firstDivergence finds the first index where two provenance streams
+// firstDivergence finds the first index where two decision streams
 // differ, nil when identical (including both empty).
-func firstDivergence(control, fixed []obs.ProvRecord) *Divergence {
+func firstDivergence(control, fixed []trace.Event) *Divergence {
 	n := len(control)
 	if len(fixed) < n {
 		n = len(fixed)

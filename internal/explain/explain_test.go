@@ -49,8 +49,8 @@ func TestTPCHStreakAttribution(t *testing.T) {
 	if ex == nil {
 		t.Fatal("explain report missing with Explain on")
 	}
-	if ex.ProvRecords == 0 {
-		t.Error("no provenance records collected")
+	if ex.Decisions == 0 {
+		t.Error("no decision records counted")
 	}
 	if ex.StreakEpisodes == 0 {
 		t.Fatalf("no streak episodes replayed: %+v", ex)

@@ -6,15 +6,15 @@ import (
 
 	"repro/internal/checker"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// TestReplayScratchReuse: an Observer reuses one replay scratch (ring,
-// collector, record buffers) for every replay of a scenario, so nothing
+// TestReplayScratchReuse: an Observer reuses one replay scratch
+// (collector, control and fix rings) for every replay of a scenario, so nothing
 // a replay leaves in it may reach the next. Replaying the same episode
 // again on a scratch dirtied past every replay's high-water mark —
 // stale records, an open busy-while-idle run, stale latency samples —
@@ -50,7 +50,7 @@ func TestReplayScratchReuse(t *testing.T) {
 			persistFn: persistStreak},
 	} {
 		want := o.replayEpisode(spec)
-		if want.Control.ProvRecords == 0 || want.Control.Events == 0 {
+		if want.Control.Decisions == 0 || want.Control.Events == 0 {
 			t.Fatalf("%s: control replay recorded nothing: %+v", spec.kind, want.Control)
 		}
 		diverged := false
@@ -58,11 +58,11 @@ func TestReplayScratchReuse(t *testing.T) {
 			diverged = diverged || f.FirstDivergence != nil
 		}
 		if !diverged {
-			t.Fatalf("%s: no fix diverged from the control; the check would not cover the record buffers", spec.kind)
+			t.Fatalf("%s: no fix diverged from the control; the check would not cover the rings", spec.kind)
 		}
 
 		for round := 0; round < 2; round++ {
-			dirtyScratch(o, 2*int(want.Control.ProvRecords))
+			dirtyScratch(o, 2*int(want.Control.Decisions))
 			if got := o.replayEpisode(spec); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, reuse %d: episode differs from the fresh observer's:\n got  %+v\n want %+v",
 					spec.kind, round+1, got, want)
@@ -74,14 +74,13 @@ func TestReplayScratchReuse(t *testing.T) {
 // dirtyScratch fills every part of o's replay scratch with state that a
 // missing reset would leak into the next replay.
 func dirtyScratch(o *Observer, n int) {
-	junk := obs.ProvRecord{At: 1, Kind: obs.ProvMigration, CPU: 1, Dst: 2, Arg: -1}
+	junk := trace.Event{At: 1, Kind: trace.KindMigration, CPU: 1, Dst: 2, Arg: -1}
 	for i := 0; i < n; i++ {
-		o.replayProv.Record(junk)
+		o.controlRing.Record(junk)
+		o.fixedRing.Record(junk)
 		o.replayCol.WaitEnd(1, nil, 0, sim.Second, true)
 	}
 	for i := 0; i < 3; i++ { // one short of a streak at the default K
 		o.replayCol.WakeupPlaced(1, nil, 0, true, true)
 	}
-	o.controlRecs = append(o.controlRecs[:0], junk, junk)
-	o.fixedRecs = append(o.fixedRecs[:0], junk)
 }

@@ -28,9 +28,10 @@ import (
 // and every piece of scheduler/VM state are preserved exactly.
 //
 // Fork panics when the machine holds state it cannot clone: external
-// hooks (Proc.OnDone, Task.OnDone closures capture the pre-fork world),
-// a trace recorder, or an attached placement policy. Workload drivers
-// that need those run in the sequential, fork-free path.
+// hooks (Proc.OnDone, Task.OnDone closures capture the pre-fork world)
+// or an attached placement policy. Workload drivers that need those run
+// in the sequential, fork-free path. Observers are not carried: the
+// fork starts with no recorders, metrics or probes attached.
 func (m *Machine) Fork() *Machine {
 	eng2 := m.Eng.Fork()
 	sc2 := m.Sched.Clone(eng2)

@@ -75,12 +75,6 @@ type PerfettoOpts struct {
 	// (0 = unlimited). Long runs at fine cadence can carry millions of
 	// samples; the cap keeps export files loadable by thinning evenly.
 	MaxSeriesPoints int
-	// Prov renders decision-provenance records (time-ordered, e.g.
-	// ProvRing.Records) as annotations joined to the per-CPU tracks:
-	// balance verdicts and steal rejections as instants carrying the
-	// group metrics that decided them, wakeup placements and migrations
-	// as flow arrows from the deciding/source core to the chosen core.
-	Prov []ProvRecord
 	// Episodes renders episode onset/detection marks (see EpisodeMark).
 	Episodes []EpisodeMark
 }
@@ -90,7 +84,10 @@ type PerfettoOpts struct {
 //
 //   - one slice track per CPU showing busy spans (derived from runqueue
 //     size transitions) with instant markers for migrations, forks,
-//     exits and balance verdicts;
+//     exits, balance verdicts (carrying the group metrics that decided
+//     them) and steal rejections;
+//   - wakeup placements as instants on the chosen core's track, with a
+//     flow arrow from the previous core when the two differ;
 //   - one counter track per CPU for runqueue depth and one for load;
 //   - one counter track per registry series.
 //
@@ -99,16 +96,9 @@ type PerfettoOpts struct {
 func WritePerfetto(w io.Writer, events []trace.Event, series []*Series, opt PerfettoOpts) error {
 	cores := opt.Cores
 	for _, ev := range events {
-		if int(ev.CPU) >= cores {
-			cores = int(ev.CPU) + 1
-		}
-	}
-	for i := range opt.Prov {
-		if c := int(opt.Prov[i].CPU); c >= cores {
-			cores = c + 1
-		}
-		if c := int(opt.Prov[i].Dst); c >= cores {
-			cores = c + 1
+		cores = max(cores, int(ev.CPU)+1)
+		if ev.Kind == trace.KindWakeup {
+			cores = max(cores, int(ev.Dst)+1)
 		}
 	}
 	var out []pfEvent
@@ -134,6 +124,7 @@ func WritePerfetto(w io.Writer, events []trace.Event, series []*Series, opt Perf
 	busySince := make([]int64, cores)
 	busy := make([]bool, cores)
 	var end int64
+	flowID := 0 // wakeup flow ids, sequential in event order
 	for i := range events {
 		ev := &events[i]
 		at := int64(ev.At)
@@ -160,7 +151,7 @@ func WritePerfetto(w io.Writer, events []trace.Event, series []*Series, opt Perf
 				Ts: usec(at), Pid: pidRunq, Tid: 0,
 				Args: map[string]any{"load": ev.Arg}})
 		case trace.KindMigration:
-			out = append(out, pfEvent{Name: fmt.Sprintf("migrate t%d -> cpu%d", ev.Arg, ev.Aux),
+			out = append(out, pfEvent{Name: fmt.Sprintf("migrate t%d -> cpu%d", ev.Arg, ev.Dst),
 				Ph: "i", S: "t", Cat: "migration", Ts: usec(at), Pid: pidCores, Tid: c + 1})
 		case trace.KindFork:
 			out = append(out, pfEvent{Name: fmt.Sprintf("fork t%d", ev.Arg),
@@ -172,7 +163,27 @@ func WritePerfetto(w io.Writer, events []trace.Event, series []*Series, opt Perf
 			out = append(out, pfEvent{
 				Name: "balance " + trace.Verdict(ev.Code).String(),
 				Ph:   "i", S: "t", Cat: "balance", Ts: usec(at), Pid: pidCores, Tid: c + 1,
-				Args: map[string]any{"op": ev.Op.String(), "local": ev.Arg, "busiest": ev.Aux}})
+				Args: map[string]any{"op": ev.Op.String(), "local": ev.Arg, "busiest": ev.Aux,
+					"moved": ev.Dst, "busiest_mask": maskHex(ev.Mask)}})
+		case trace.KindStealReject:
+			out = append(out, pfEvent{
+				Name: "steal-reject " + trace.Verdict(ev.Code).String(),
+				Ph:   "i", S: "t", Cat: "balance", Ts: usec(at), Pid: pidCores, Tid: c + 1,
+				Args: map[string]any{"op": ev.Op.String(), "from_cpu": ev.Dst,
+					"busiest": ev.Arg, "busiest_mask": maskHex(ev.Mask)}})
+		case trace.KindWakeup:
+			path := trace.WakePath(ev.Code).String()
+			out = append(out, pfEvent{
+				Name: fmt.Sprintf("wakeup t%d (%s)", ev.Arg, path),
+				Ph:   "i", S: "t", Cat: "wakeup", Ts: usec(at), Pid: pidCores, Tid: int(ev.Dst) + 1,
+				Args: map[string]any{"prev_cpu": ev.CPU, "chosen_cpu": ev.Dst, "path": path,
+					"considered_mask": maskHex(ev.Mask), "busy_while_idle": ev.Aux != 0}})
+			if ev.CPU != ev.Dst {
+				flowID++
+				fl := flow(flowID, fmt.Sprintf("wakeup t%d", ev.Arg), "wakeup-flow",
+					usec(at), usec(at), c, int(ev.Dst))
+				out = append(out, fl[0], fl[1])
+			}
 		}
 	}
 	// Close still-open busy slices at the last event time so the UI
@@ -185,7 +196,6 @@ func WritePerfetto(w io.Writer, events []trace.Event, series []*Series, opt Perf
 		}
 	}
 
-	out = append(out, provEvents(opt.Prov)...)
 	out = append(out, episodeEvents(opt.Episodes)...)
 
 	// Registry series become counter tracks under the metrics process.
@@ -247,64 +257,6 @@ func flow(id int, name, cat string, fromTs, toTs float64, fromCPU, toCPU int) [2
 }
 
 func maskHex(m trace.Mask) string { return fmt.Sprintf("%#x:%#x", m[1], m[0]) }
-
-// provEvents renders decision-provenance records onto the per-CPU
-// tracks. Flow ids are allocated sequentially from 1 in record order —
-// provenance records are time-ordered, so ids are deterministic.
-func provEvents(prov []ProvRecord) []pfEvent {
-	var out []pfEvent
-	flowID := 0
-	for i := range prov {
-		pr := &prov[i]
-		ts := usec(int64(pr.At))
-		switch pr.Kind {
-		case ProvBalance:
-			out = append(out, pfEvent{
-				Name: "prov balance " + trace.Verdict(pr.Code).String(),
-				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.CPU) + 1,
-				Args: map[string]any{"op": pr.Op.String(), "moved": pr.Dst,
-					"local_metric": pr.Arg, "busiest_metric": pr.Aux, "busiest_mask": maskHex(pr.Mask)}})
-		case ProvStealReject:
-			out = append(out, pfEvent{
-				Name: "prov steal-reject " + trace.Verdict(pr.Code).String(),
-				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.CPU) + 1,
-				Args: map[string]any{"op": pr.Op.String(), "from_cpu": pr.Dst,
-					"busiest_metric": pr.Arg, "busiest_mask": maskHex(pr.Mask)}})
-		case ProvWakeup:
-			path := "original"
-			switch pr.Code {
-			case ProvWakeFixed:
-				path = "fixed"
-			case ProvWakePolicy:
-				path = "policy"
-			}
-			out = append(out, pfEvent{
-				Name: fmt.Sprintf("prov wakeup t%d (%s)", pr.Arg, path),
-				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.Dst) + 1,
-				Args: map[string]any{"prev_cpu": pr.CPU, "chosen_cpu": pr.Dst, "path": path,
-					"considered_mask": maskHex(pr.Mask), "busy_while_idle": pr.Aux != 0}})
-			if pr.CPU != pr.Dst {
-				flowID++
-				fl := flow(flowID, fmt.Sprintf("wakeup t%d", pr.Arg), "wakeup-flow",
-					ts, ts, int(pr.CPU), int(pr.Dst))
-				out = append(out, fl[0], fl[1])
-			}
-		case ProvMigration:
-			out = append(out, pfEvent{
-				Name: fmt.Sprintf("prov migrate t%d (%s)", pr.Arg, trace.Op(pr.Code).String()),
-				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.CPU) + 1,
-				Args: map[string]any{"from_cpu": pr.CPU, "to_cpu": pr.Dst,
-					"cause": trace.Op(pr.Code).String()}})
-			if pr.CPU != pr.Dst {
-				flowID++
-				fl := flow(flowID, fmt.Sprintf("migrate t%d", pr.Arg), "migration-flow",
-					ts, ts, int(pr.CPU), int(pr.Dst))
-				out = append(out, fl[0], fl[1])
-			}
-		}
-	}
-	return out
-}
 
 // episodeEvents renders episode marks: onset and detection instants plus
 // a flow arrow spanning the detection lag. Checker episodes anchor on

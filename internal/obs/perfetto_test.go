@@ -31,7 +31,7 @@ func syntheticEvents() []trace.Event {
 		{At: ms(1), Kind: trace.KindRQSize, CPU: 0, Arg: 1},
 		{At: ms(1), Kind: trace.KindRQLoad, CPU: 0, Arg: 1024},
 		{At: ms(2), Kind: trace.KindRQSize, CPU: 1, Arg: 2},
-		{At: ms(3), Kind: trace.KindMigration, CPU: 0, Arg: 7, Aux: 1},
+		{At: ms(3), Kind: trace.KindMigration, CPU: 0, Dst: 1, Arg: 7},
 		{At: ms(4), Kind: trace.KindBalance, Op: trace.OpPeriodicBalance,
 			Code: uint8(trace.VerdictBalanced), CPU: 1, Arg: 100, Aux: 200},
 		{At: ms(5), Kind: trace.KindRQSize, CPU: 0, Arg: 0},
@@ -107,26 +107,26 @@ func TestPerfettoSchema(t *testing.T) {
 	}
 }
 
-// TestPerfettoProvenanceSchema validates the decision-provenance and
-// episode annotation tracks: the export stays valid JSON, instants land
-// on the right per-CPU tracks with monotonic timestamps, and every
-// flow-start arrow resolves to exactly one flow-end with the same
-// (cat, id) binding.
+// TestPerfettoProvenanceSchema validates the decision and episode
+// annotation tracks: the export stays valid JSON, each decision renders
+// as one instant on the right per-CPU track with monotonic timestamps,
+// balance instants carry the metrics, moved count and mask that decided
+// them, and every flow-start arrow resolves to exactly one flow-end with
+// the same (cat, id) binding.
 func TestPerfettoProvenanceSchema(t *testing.T) {
 	ms := func(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
 	var considered trace.Mask
 	considered.Set(0)
 	considered.Set(3)
-	prov := []ProvRecord{
-		{At: ms(1), Kind: ProvBalance, Op: trace.OpPeriodicBalance,
-			Code: uint8(trace.VerdictBalanced), CPU: 1, Dst: 2, Arg: 100, Aux: 300, Mask: considered},
-		{At: ms(2), Kind: ProvStealReject, Op: trace.OpNewIdleBalance,
+	decisions := []trace.Event{
+		{At: ms(1), Kind: trace.KindBalance, Op: trace.OpPeriodicBalance,
+			Code: uint8(trace.VerdictMoved), CPU: 1, Dst: 2, Arg: 100, Aux: 300, Mask: considered},
+		{At: ms(2), Kind: trace.KindStealReject, Op: trace.OpNewIdleBalance,
 			Code: uint8(trace.VerdictPinned), CPU: 0, Dst: 3, Arg: 250, Mask: considered},
-		{At: ms(3), Kind: ProvWakeup, Code: ProvWakeOriginal,
+		{At: ms(3), Kind: trace.KindWakeup, Op: trace.OpWakeup, Code: uint8(trace.WakeOriginal),
 			CPU: 0, Dst: 3, Arg: 7, Aux: 1, Mask: considered},
-		{At: ms(4), Kind: ProvWakeup, Code: ProvWakeFixed, CPU: 2, Dst: 2, Arg: 8},
-		{At: ms(5), Kind: ProvMigration, Op: trace.OpPeriodicBalance,
-			Code: uint8(trace.OpPeriodicBalance), CPU: 3, Dst: 1, Arg: 7},
+		{At: ms(4), Kind: trace.KindWakeup, Op: trace.OpWakeup, Code: uint8(trace.WakeFixed), CPU: 2, Dst: 2, Arg: 8},
+		{At: ms(5), Kind: trace.KindMigration, Op: trace.OpPeriodicBalance, CPU: 3, Dst: 1, Arg: 7},
 	}
 	episodes := []EpisodeMark{
 		{OnsetNs: int64(ms(1)), DetectedNs: int64(ms(4)), Kind: "checker", IdleCPU: 2, BusyCPU: 0},
@@ -134,7 +134,7 @@ func TestPerfettoProvenanceSchema(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	err := WritePerfetto(&buf, syntheticEvents(), nil, PerfettoOpts{Prov: prov, Episodes: episodes})
+	err := WritePerfetto(&buf, decisions, nil, PerfettoOpts{Episodes: episodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPerfettoProvenanceSchema(t *testing.T) {
 
 	type flowKey struct{ cat, id string }
 	starts, ends := map[flowKey]int{}, map[flowKey]int{}
-	var sawProv, sawEpisode int
+	var sawDecision, sawEpisode int
 	lastTs := map[[2]int]float64{}
 	for i, ev := range f.TraceEvents {
 		switch ev.Ph {
@@ -155,12 +155,22 @@ func TestPerfettoProvenanceSchema(t *testing.T) {
 			ends[flowKey{ev.Cat, ev.ID}]++
 		case "M":
 			continue
+		case "i":
+			switch ev.Cat {
+			case "balance", "wakeup", "migration":
+				sawDecision++
+			case "episode":
+				sawEpisode++
+			}
 		}
-		switch ev.Cat {
-		case "provenance":
-			sawProv++
-		case "episode":
-			sawEpisode++
+		if ev.Name == "balance moved" {
+			want := map[string]any{"op": "periodic", "local": 100.0, "busiest": 300.0,
+				"moved": 2.0, "busiest_mask": "0x0:0x9"}
+			for k, v := range want {
+				if ev.Args[k] != v {
+					t.Errorf("balance instant arg %s = %v, want %v", k, ev.Args[k], v)
+				}
+			}
 		}
 		key := [2]int{ev.Pid, ev.Tid}
 		if ev.Ts < lastTs[key] {
@@ -169,17 +179,17 @@ func TestPerfettoProvenanceSchema(t *testing.T) {
 		}
 		lastTs[key] = ev.Ts
 	}
-	if sawProv != len(prov) {
-		t.Errorf("provenance instants = %d, want %d", sawProv, len(prov))
+	if sawDecision != len(decisions) {
+		t.Errorf("decision instants = %d, want %d", sawDecision, len(decisions))
 	}
 	// Episode marks: 2 instants each; the streak episode draws no flow.
 	if sawEpisode != 2*len(episodes) {
 		t.Errorf("episode instants = %d, want %d", sawEpisode, 2*len(episodes))
 	}
-	// One wakeup flow (cpu0->cpu3; the cpu2->cpu2 wakeup draws none),
-	// one migration flow, one checker-episode flow.
-	if len(starts) != 3 {
-		t.Errorf("distinct flow starts = %d, want 3: %v", len(starts), starts)
+	// One wakeup flow (cpu0->cpu3; the cpu2->cpu2 wakeup draws none)
+	// and one checker-episode flow.
+	if len(starts) != 2 {
+		t.Errorf("distinct flow starts = %d, want 2: %v", len(starts), starts)
 	}
 	for k, n := range starts {
 		if ends[k] != n {

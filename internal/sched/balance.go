@@ -3,7 +3,6 @@ package sched
 import (
 	"math/bits"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -372,76 +371,17 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 			// Line 20–21: "load cannot be balanced due to tasksets":
 			// exclude busiest cpu and retry; flag the group so parent
 			// levels see it as imbalanced.
-			s.provStealReject(c, bcpu, op, trace.VerdictPinned, busiest)
+			s.traceStealReject(c, bcpu, op, trace.VerdictPinned, busiest)
 			s.cpus[bcpu].pinnedFailure = true
 			sawPinned = true
 			excluded.Set(bcpu)
 			continue
 		}
-		s.provStealReject(c, bcpu, op, trace.VerdictHot, busiest)
+		s.traceStealReject(c, bcpu, op, trace.VerdictHot, busiest)
 		c.balanceFailed[level]++
 		s.traceBalance(c, op, trace.VerdictHot, local, busiest, 0)
 		return 0
 	}
-}
-
-// traceBalance records one balancing decision with the group metrics it
-// compared — the §4.1 profiling data ("the values of the variables they
-// use") that explains why a balance call moved nothing.
-func (s *Scheduler) traceBalance(c *CPU, op trace.Op, v trace.Verdict, local, busiest *groupStats, moved int) {
-	if s.mx != nil {
-		s.mx.observeBalance(s, v, local, busiest)
-	}
-	if s.prov != nil {
-		// Recorded independently of the trace recorder: provenance is the
-		// explain layer's view, active even when no full trace is running.
-		r := obs.ProvRecord{
-			At: s.eng.Now(), Kind: obs.ProvBalance, Op: op, Code: uint8(v),
-			CPU: int32(c.id), Dst: int32(moved),
-			Arg: int64(s.metric(local)), Aux: -1,
-		}
-		if busiest != nil {
-			r.Aux = int64(s.metric(busiest))
-			r.Mask = busiest.set.TraceMask()
-		}
-		s.prov.Record(r)
-	}
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	ev := trace.Event{
-		At:   s.eng.Now(),
-		Kind: trace.KindBalance,
-		Op:   op,
-		Code: uint8(v),
-		CPU:  int32(c.id),
-		Arg:  int64(s.metric(local)),
-		Aux:  -1,
-	}
-	if busiest != nil {
-		ev.Aux = int64(s.metric(busiest))
-		ev.Mask = busiest.set.TraceMask()
-	}
-	if v == trace.VerdictMoved {
-		ev.Aux = int64(moved) // reuse: metric is uninteresting once moved
-	}
-	s.rec.Record(ev)
-}
-
-// provStealReject records a steal attempt that moved nothing: the
-// balancing core c nominated bcpu from the busiest group, but every
-// candidate thread was pinned away (VerdictPinned) or cache-hot
-// (VerdictHot). This is the §3.1 evidence at its finest grain — the
-// exact core whose threads the balancer looked at and declined.
-func (s *Scheduler) provStealReject(c *CPU, bcpu topology.CoreID, op trace.Op, v trace.Verdict, busiest *groupStats) {
-	if s.prov == nil {
-		return
-	}
-	s.prov.Record(obs.ProvRecord{
-		At: s.eng.Now(), Kind: obs.ProvStealReject, Op: op, Code: uint8(v),
-		CPU: int32(c.id), Dst: int32(bcpu),
-		Arg: int64(s.metric(busiest)), Mask: busiest.set.TraceMask(),
-	})
 }
 
 // pickBusiestGroup implements line 13 of Algorithm 1 under the given

@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // CPU is the scheduler's per-core state: the running thread, the local
@@ -424,75 +422,4 @@ func (s *Scheduler) checkPreemptWakeup(c *CPU, wakee *Thread) {
 		s.counters.WakeupPreemptions++
 		s.resched(c)
 	}
-}
-
-// traceNr records an rq-size change (add_nr_running/sub_nr_running
-// instrumentation, §4.2).
-func (s *Scheduler) traceNr(c *CPU) {
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	s.rec.Record(trace.Event{
-		At: s.eng.Now(), Kind: trace.KindRQSize, CPU: int32(c.id),
-		Arg: int64(c.nrRunning()),
-	})
-}
-
-// traceLoad records an rq-load change (account_entity_enqueue/dequeue
-// instrumentation, §4.2).
-func (s *Scheduler) traceLoad(c *CPU) {
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	s.rec.Record(trace.Event{
-		At: s.eng.Now(), Kind: trace.KindRQLoad, CPU: int32(c.id),
-		Arg: int64(s.CPULoad(c.id)),
-	})
-}
-
-// EmitSnapshot records the current runqueue size and load of every online
-// core. Call it right after activating a recorder: trace events only
-// capture changes, so consumers need the initial state to reconstruct
-// occupancy (cores busy since before the recording window would otherwise
-// read as idle).
-func (s *Scheduler) EmitSnapshot() {
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	for _, c := range s.cpus {
-		if !c.online {
-			continue
-		}
-		s.traceNr(c)
-		s.traceLoad(c)
-	}
-}
-
-// traceConsidered records the set of cores examined by a balancing or
-// wakeup decision (§4.2, used for Figure 5).
-func (s *Scheduler) traceConsidered(cpu topology.CoreID, op trace.Op, mask CPUSet) {
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	s.rec.Record(trace.Event{
-		At: s.eng.Now(), Kind: trace.KindConsidered, Op: op,
-		CPU: int32(cpu), Mask: mask.TraceMask(),
-	})
-}
-
-// traceMigration records a thread migration.
-func (s *Scheduler) traceMigration(t *Thread, from, to topology.CoreID, op trace.Op) {
-	if s.prov != nil {
-		s.prov.Record(obs.ProvRecord{
-			At: s.eng.Now(), Kind: obs.ProvMigration, Op: op, Code: uint8(op),
-			CPU: int32(from), Dst: int32(to), Arg: int64(t.id),
-		})
-	}
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	s.rec.Record(trace.Event{
-		At: s.eng.Now(), Kind: trace.KindMigration, Op: op,
-		CPU: int32(from), Arg: int64(t.id), Aux: int64(to),
-	})
 }

@@ -24,22 +24,16 @@ func (s *Scheduler) GroupByID(id int) *TaskGroup { return s.groups[id] }
 // their original (time, sequence) positions, so the clone's event queue
 // pops in source order. Domain hierarchies are shared (immutable after
 // construction). Hooks are reset to no-ops — the caller wires the cloned
-// machine in — and the latency probe, divergence probe and provenance
-// ring start unset (a counterfactual replay attaches fresh ones, so the
-// two worlds' evidence streams stay independent).
+// machine in — and the clone starts with no recorders, metrics, latency
+// probe or divergence probe attached: observers watch one world, and a
+// counterfactual replay attaches fresh ones, so the two worlds' evidence
+// streams stay independent.
 //
-// Attached observers that record into external sinks (trace recorder,
-// metrics, placement policy) cannot be cloned meaningfully; Clone panics
-// if any is installed.
+// A placement policy makes decisions rather than observing them and
+// cannot be cloned meaningfully; Clone panics if one is attached.
 func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
-	if s.rec != nil {
-		panic("sched: Clone with a trace recorder attached")
-	}
 	if s.policy != nil {
 		panic("sched: Clone with a placement policy attached")
-	}
-	if s.mx != nil {
-		panic("sched: Clone with metrics attached")
 	}
 	ns := &Scheduler{
 		eng:            eng,

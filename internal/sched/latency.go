@@ -39,9 +39,6 @@ type LatencyProbe interface {
 // SetLatencyProbe installs (or clears, with nil) the latency probe.
 func (s *Scheduler) SetLatencyProbe(p LatencyProbe) { s.latProbe = p }
 
-// LatencyProbeAttached reports whether a probe is installed.
-func (s *Scheduler) LatencyProbeAttached() bool { return s.latProbe != nil }
-
 // markWaiting stamps the start of a runqueue-wait span on t. Called on
 // every transition to Runnable that begins a wait (enqueueThread for
 // forks and wakeups, schedule for preemptions, DisableCPU for hotplug

@@ -73,7 +73,3 @@ func (s *Scheduler) AttachObs(reg *obs.Registry) *Metrics {
 	s.mx = mx
 	return mx
 }
-
-// DetachObs removes the hook-driven metrics (sampled series keep
-// whatever the registry retained).
-func (s *Scheduler) DetachObs() { s.mx = nil }

@@ -25,7 +25,6 @@ package sched
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -67,12 +66,11 @@ type Scheduler struct {
 	cfg      Config
 	cpus     []*CPU
 	hooks    Hooks
-	rec      *trace.Recorder
+	recs     []*trace.Recorder // attached recorders (see emit.go)
 	policy   PlacementPolicy
 	latProbe LatencyProbe
 	mx       *Metrics         // observability hooks (nil = disabled, see AttachObs)
 	probe    *DivergenceProbe // fix-divergence watcher (nil = disabled, see fork.go)
-	prov     *obs.ProvRing    // decision provenance (nil = disabled, see SetProvenance)
 
 	// Idle cores form an intrusive doubly-linked list through the CPU
 	// structs, ordered by idleSince ascending (head = longest idle, the
@@ -186,21 +184,6 @@ func (s *Scheduler) SetHooks(h Hooks) {
 	}
 	s.hooks = h
 }
-
-// SetRecorder attaches a trace recorder (may be nil).
-func (s *Scheduler) SetRecorder(r *trace.Recorder) { s.rec = r }
-
-// Recorder returns the attached trace recorder, or nil.
-func (s *Scheduler) Recorder() *trace.Recorder { return s.rec }
-
-// SetProvenance attaches a decision-provenance ring (may be nil). While
-// attached, every balance pass, steal rejection, wakeup placement and
-// migration records its cause; detached (the default), each hook site
-// is one nil check.
-func (s *Scheduler) SetProvenance(p *obs.ProvRing) { s.prov = p }
-
-// Provenance returns the attached provenance ring, or nil.
-func (s *Scheduler) Provenance() *obs.ProvRing { return s.prov }
 
 // IdleSince returns the virtual instant cpu last went idle. Only
 // meaningful while the core is idle (IsIdle); the checker uses it to
@@ -318,9 +301,7 @@ func (s *Scheduler) StartThreadOn(t *Thread, cpu topology.CoreID) {
 	c := s.cpus[cpu]
 	s.counters.Forks++
 	s.enqueueThread(c, t, enqFork)
-	if s.rec != nil && s.rec.Active() {
-		s.rec.Record(trace.Event{At: s.eng.Now(), Kind: trace.KindFork, CPU: int32(cpu), Arg: int64(t.id)})
-	}
+	s.traceLifecycle(trace.KindFork, cpu, t)
 	s.traceConsidered(cpu, trace.OpFork, NewCPUSet(cpu))
 	if c.idle() || c.curr == nil {
 		s.resched(c)
@@ -371,9 +352,7 @@ func (s *Scheduler) ExitCurrent(t *Thread) {
 	s.adjustOccupancy()
 	s.traceNr(c)
 	s.traceLoad(c)
-	if s.rec != nil && s.rec.Active() {
-		s.rec.Record(trace.Event{At: now, Kind: trace.KindExit, CPU: int32(c.id), Arg: int64(t.id)})
-	}
+	s.traceLifecycle(trace.KindExit, c.id, t)
 	s.hooks.ThreadStopped(c.id, t, StopExited)
 	s.schedule(c)
 }

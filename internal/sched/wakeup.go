@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -59,7 +58,7 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 	if s.policy != nil {
 		if cpu, ok := s.policy.PlaceWakeup(t, waker, prev, allowed); ok && allowed.Has(cpu) {
 			s.traceConsidered(cpu, trace.OpWakeup, allowed)
-			s.provWakeup(t, prev, cpu, allowed, obs.ProvWakePolicy)
+			s.traceWakeup(t, prev, cpu, allowed, trace.WakePolicy)
 			return cpu
 		}
 	}
@@ -81,7 +80,7 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 	if s.cfg.Features.FixOverloadWakeup && s.cfg.Power == PowerPerformance {
 		if cpu, ok := s.fixedWakeupTarget(prev, allowed); ok {
 			s.traceConsidered(cpu, trace.OpWakeup, s.onlineSet().And(allowed))
-			s.provWakeup(t, prev, cpu, s.onlineSet().And(allowed), obs.ProvWakeFixed)
+			s.traceWakeup(t, prev, cpu, s.onlineSet().And(allowed), trace.WakeFixed)
 			return cpu
 		}
 		// No idle core anywhere: fall back to the original algorithm.
@@ -93,30 +92,8 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 			p.Fired.FixOverloadWakeup = true
 		}
 	}
-	s.provWakeup(t, prev, cpu, considered, obs.ProvWakeOriginal)
+	s.traceWakeup(t, prev, cpu, considered, trace.WakeOriginal)
 	return cpu
-}
-
-// provWakeup records one wakeup placement decision: the previous core
-// the decision ran against, the chosen core, the set of cores actually
-// considered (the §3.3 evidence — a node-scoped mask is the bug's
-// signature), and whether the choice put the thread on a busy core
-// while an allowed core sat idle.
-func (s *Scheduler) provWakeup(t *Thread, prev, chosen topology.CoreID, considered CPUSet, path uint8) {
-	if s.prov == nil {
-		return
-	}
-	var aux int64
-	if !s.cpus[chosen].idle() {
-		if _, ok := s.LongestIdle(t.affinity.And(s.onlineSet())); ok {
-			aux = 1
-		}
-	}
-	s.prov.Record(obs.ProvRecord{
-		At: s.eng.Now(), Kind: obs.ProvWakeup, Op: trace.OpWakeup, Code: path,
-		CPU: int32(prev), Dst: int32(chosen), Arg: int64(t.id), Aux: aux,
-		Mask: considered.TraceMask(),
-	})
 }
 
 // fixedWakeupTarget implements the paper's fix: previous core if idle,

@@ -45,7 +45,7 @@ func SummarizeBalance(events []trace.Event, observer int) *BalanceSummary {
 				s.BalancedSamples = append(s.BalancedSamples, [2]int64{ev.Arg, ev.Aux})
 			}
 		case trace.VerdictMoved:
-			s.Moved += ev.Aux
+			s.Moved += int64(ev.Dst)
 		}
 	}
 	return s

@@ -18,7 +18,7 @@ func TestSummarizeBalance(t *testing.T) {
 	events := []trace.Event{
 		balanceEvent(0, trace.VerdictBalanced, 500, 400),
 		balanceEvent(0, trace.VerdictBalanced, 500, 450),
-		balanceEvent(0, trace.VerdictMoved, 0, 3),
+		{Kind: trace.KindBalance, Code: uint8(trace.VerdictMoved), Arg: 0, Aux: 700, Dst: 3},
 		balanceEvent(1, trace.VerdictNoBusiest, 0, -1),
 		{Kind: trace.KindRQSize}, // unrelated
 	}
