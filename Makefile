@@ -59,24 +59,28 @@ bench-test:
 	cd bench && $(GO) test .
 
 # The pinned perf-trajectory suite: the campaign throughput benchmark
-# (events/s + scenarios/s) plus the engine microbenchmarks, parsed into
-# a machine-readable report and gated against the committed allocation
-# baseline (allocs/op and B/op — wall clock is not comparable across
-# machines). Every benchmark runs a fixed iteration count, so the gated
-# figures repeat from run to run: B/op averages over b.N, and a
-# time-based -benchtime would let b.N, and with it a benchmark's
-# amortized heap growth (BenchmarkEventCancel's zombie queue), follow
-# host speed. Exit 3 from benchjson = an allocation regression. The
-# -max-allocs-per-event bound additionally asserts that obs-disabled
-# campaign runs stay at or under one allocation per simulation event,
-# so the observability hooks keep compiling down to a nil-check.
-BENCH_PKG_ARGS  = -run '^$$' -bench 'BenchmarkCampaign|BenchmarkSimulatorThroughput' -benchmem -benchtime 5x .
-BENCH_SIM_ARGS  = -run '^$$' -bench 'BenchmarkEngine|BenchmarkEvent' -benchmem -benchtime 200000x ./internal/sim
+# (events/s + scenarios/s) plus the engine microbenchmarks and one
+# balance pass per domain level (the NoBusiest fast path and the full
+# path), parsed into a machine-readable report and gated against the
+# committed allocation baseline (allocs/op and B/op — wall clock is not
+# comparable across machines). Every benchmark runs a fixed iteration
+# count, so the gated figures repeat from run to run: B/op averages over
+# b.N, and a time-based -benchtime would let b.N, and with it a
+# benchmark's amortized heap growth (BenchmarkEventCancel's zombie
+# queue), follow host speed. Exit 3 from benchjson = an allocation
+# regression. The -max-allocs-per-event bound additionally asserts that
+# obs-disabled campaign runs stay at or under one allocation per
+# simulation event, so the observability hooks keep compiling down to a
+# nil-check.
+BENCH_PKG_ARGS   = -run '^$$' -bench 'BenchmarkCampaign|BenchmarkSimulatorThroughput' -benchmem -benchtime 5x .
+BENCH_SIM_ARGS   = -run '^$$' -bench 'BenchmarkEngine|BenchmarkEvent' -benchmem -benchtime 200000x ./internal/sim
+BENCH_SCHED_ARGS = -run '^$$' -bench 'BenchmarkLoadBalance' -benchmem -benchtime 100000x ./internal/sched
 
 bench-out.txt:
 	@rm -f $@
 	$(GO) test $(BENCH_PKG_ARGS) | tee -a $@
 	$(GO) test $(BENCH_SIM_ARGS) | tee -a $@
+	$(GO) test $(BENCH_SCHED_ARGS) | tee -a $@
 
 bench-json: bench-out.txt
 	$(GO) run ./cmd/benchjson -in bench-out.txt -out BENCH_campaign.json \

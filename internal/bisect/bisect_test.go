@@ -3,6 +3,7 @@ package bisect
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -358,4 +359,46 @@ func TestOptionsByName(t *testing.T) {
 	if _, ok := OptionsByName("bogus"); ok {
 		t.Error("bogus preset resolved")
 	}
+}
+
+// FuzzDecode feeds Decode, the reader of bisect's -baseline, -merge and
+// -incremental inputs and of explain's -in, arbitrary bytes, seeded
+// with the committed bisect baselines. It must not panic, and an
+// accepted artifact must re-encode to bytes that decode and re-encode
+// identically.
+func FuzzDecode(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "baselines", "bisect-*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed bisect baselines (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":1,"campaign":{"version":1}}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := r.EncodeJSON()
+		if err != nil {
+			t.Fatalf("accepted artifact does not encode: %v", err)
+		}
+		r2, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded artifact does not decode: %v", err)
+		}
+		enc2, err := r2.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not stable:\n%s\n---\n%s", enc, enc2)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -92,4 +93,52 @@ func TestOverrides(t *testing.T) {
 			t.Errorf("%+v configs=%q: got %v, want an error containing %q", tc.f, tc.configs, err, tc.want)
 		}
 	}
+}
+
+// FuzzOverrides drives the dimension-override parser with arbitrary
+// -topos, -loads, -seeds and config lists. It must not panic, and an
+// accepted input must leave no dimension holding one name twice: a
+// repeated entry would repeat every scenario key it spans.
+func FuzzOverrides(f *testing.F) {
+	for _, in := range [][4]string{
+		{"bulldozer8", "nas:cg, serve:50", "3,4", "bugs,fx-gi+oow"},
+		{"", "", "", ""},
+		{"nope", "make2r,make2r", "1,01", "bugs,bugs"},
+		{"smp8,smp8", "serve:50,serve:050", "1,x", "fx-gc+gi"},
+		{" ,machine32,, ", "nas-hotplug-storm:lu:4,nas-hotplug-storm:lu:04", "-1,+1", "fx-none,fx-gi"},
+	} {
+		f.Add(in[0], in[1], in[2], in[3])
+	}
+	f.Fuzz(func(t *testing.T, topos, loads, seeds, configs string) {
+		m := campaign.SmokeMatrix()
+		if err := (&Flags{topos: topos, loads: loads, seeds: seeds}).overrides(&m, "config", configs); err != nil {
+			return
+		}
+		unique := func(dim string, names []string) {
+			seen := map[string]bool{}
+			for _, n := range names {
+				if seen[n] {
+					t.Fatalf("accepted %q %q %q %q: %s %s appears twice", topos, loads, seeds, configs, dim, n)
+				}
+				seen[n] = true
+			}
+		}
+		var ts, ws, cs, ss []string
+		for _, v := range m.Topologies {
+			ts = append(ts, v.Name)
+		}
+		for _, v := range m.Workloads {
+			ws = append(ws, v.Name)
+		}
+		for _, v := range m.Configs {
+			cs = append(cs, v.Name)
+		}
+		for _, v := range m.Seeds {
+			ss = append(ss, strconv.FormatInt(v, 10))
+		}
+		unique("topology", ts)
+		unique("workload", ws)
+		unique("config", cs)
+		unique("seed", ss)
+	})
 }

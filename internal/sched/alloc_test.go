@@ -142,39 +142,67 @@ func checkApplyFeaturesMatchesFresh(t *testing.T, stage string, base *testEnv, f
 }
 
 // TestOccupancyIncrementalMatchesRescan: the incrementally maintained
-// idle/queued sums must always equal a from-scratch rescan.
+// idle/queued sums and occupancy masks must always equal a from-scratch
+// rescan — checked after every event of the run and after each hotplug
+// step.
 func TestOccupancyIncrementalMatchesRescan(t *testing.T) {
 	e := newEnv(topology.TwoNode(4), DefaultConfig())
 	for i := 0; i < 12; i++ {
 		e.hog("h", topology.CoreID(i%4), ThreadOpts{})
 	}
+	events := 0
 	check := func(when string) {
 		idle, queued := 0, 0
+		var queuedMask, busyMask CPUSet
 		for _, c := range e.s.cpus {
 			if !c.online {
 				continue
 			}
 			if c.idle() {
 				idle++
+			} else {
+				busyMask.Set(c.id)
 			}
-			queued += c.rq.queued()
+			if q := c.rq.queued(); q > 0 {
+				queued += q
+				queuedMask.Set(c.id)
+			}
 		}
 		if idle != e.s.curIdle || queued != e.s.curQueued {
-			t.Fatalf("%s: incremental (idle=%d queued=%d) != rescan (idle=%d queued=%d)",
-				when, e.s.curIdle, e.s.curQueued, idle, queued)
+			t.Fatalf("%s (event %d): incremental (idle=%d queued=%d) != rescan (idle=%d queued=%d)",
+				when, events, e.s.curIdle, e.s.curQueued, idle, queued)
+		}
+		if !queuedMask.Equal(e.s.queuedMask) || !busyMask.Equal(e.s.busyMask) {
+			t.Fatalf("%s (event %d): masks queued=%s busy=%s, rescan queued=%s busy=%s",
+				when, events, e.s.queuedMask, e.s.busyMask, queuedMask, busyMask)
 		}
 	}
+	// run steps the engine one event at a time up to d from now,
+	// checking after each event.
+	run := func(d sim.Time) {
+		end := e.eng.Now() + d
+		for at, ok := e.eng.NextEventAt(); ok && at <= end; at, ok = e.eng.NextEventAt() {
+			e.eng.Step()
+			events++
+			check("during run")
+		}
+		e.eng.RunUntil(end)
+	}
 	check("after start")
-	e.run(50 * sim.Millisecond)
+	run(50 * sim.Millisecond)
 	check("after balancing")
 	if err := e.s.DisableCPU(2); err != nil {
 		t.Fatal(err)
 	}
 	check("after disable")
-	e.run(20 * sim.Millisecond)
+	run(20 * sim.Millisecond)
 	if err := e.s.EnableCPU(2); err != nil {
 		t.Fatal(err)
 	}
-	e.run(20 * sim.Millisecond)
 	check("after enable")
+	run(20 * sim.Millisecond)
+	check("after enable and run")
+	if events == 0 {
+		t.Fatal("no event checked")
+	}
 }

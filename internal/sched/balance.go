@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -51,7 +52,10 @@ func metricWith(g *groupStats, giFixed bool) float64 {
 // caller-provided struct (hot path: the balance pass reuses scratch
 // storage, iterates the set's bits without a per-core closure call,
 // reads each core's runqueue once, and takes the memoized load directly
-// when the cache is current).
+// when the cache is current). Its one effect on the model is the
+// CPULoad read of a core whose cache is stale, which folds the load
+// averages of that core's threads up to now; a pass that skips the
+// statistics (noBusiest) must make the same folds.
 func (s *Scheduler) computeGroupStats(g *groupStats, set CPUSet) {
 	*g = groupStats{set: set, minLoad: -1}
 	now := s.eng.Now()
@@ -275,34 +279,18 @@ func (s *Scheduler) nohzBalanceAll(self *CPU) {
 // level: compute group statistics, pick the busiest group, compare with
 // the local group, and steal from the busiest core of that group —
 // retrying with exclusion when tasksets prevent migration (lines 20–22).
-// It returns the number of threads pulled to c.
+// It returns the number of threads pulled to c. A pass that cannot
+// steal, because no group but the local one has a queued thread, ends
+// early in noBusiest with the same effects and records.
 func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 	s.counters.BalanceCalls++
 	s.traceConsidered(c.id, op, d.Span)
+	if s.noneStealable(d) {
+		s.noBusiest(c, d, op)
+		return 0
+	}
 
-	// Fill the reused scratch buffers. Capacity is ensured up front so
-	// the value buffer never reallocates underneath the pointers taken
-	// into it.
-	if cap(s.gsScratch) < len(d.Groups) {
-		s.gsScratch = make([]groupStats, 0, len(d.Groups)*2)
-		s.gsGroups = make([]*groupStats, 0, len(d.Groups)*2)
-	}
-	buf := s.gsScratch[:0]
-	groups := s.gsGroups[:0]
-	var local *groupStats
-	for _, gset := range d.Groups {
-		buf = append(buf, groupStats{})
-		g := &buf[len(buf)-1]
-		s.computeGroupStats(g, gset)
-		if g.weight == 0 {
-			buf = buf[:len(buf)-1]
-			continue
-		}
-		groups = append(groups, g)
-		if gset.Has(c.id) && local == nil {
-			local = g
-		}
-	}
+	groups, local, _ := s.collectGroupStats(c, d)
 	if local == nil {
 		return 0
 	}
@@ -381,6 +369,115 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 		c.balanceFailed[level]++
 		s.traceBalance(c, op, trace.VerdictHot, local, busiest, 0)
 		return 0
+	}
+}
+
+// collectGroupStats computes the statistics of every group of d that
+// has an online core into the reused scratch buffers, and returns them
+// with c's local group, the first of them that contains c, and that
+// group's index in d.Groups (nil and -1 when none contains c).
+func (s *Scheduler) collectGroupStats(c *CPU, d *Domain) (groups []*groupStats, local *groupStats, localIdx int) {
+	// Capacity is ensured up front so the value buffer never
+	// reallocates underneath the pointers taken into it.
+	if cap(s.gsScratch) < len(d.Groups) {
+		s.gsScratch = make([]groupStats, 0, len(d.Groups)*2)
+		s.gsGroups = make([]*groupStats, 0, len(d.Groups)*2)
+	}
+	buf, groups := s.gsScratch[:0], s.gsGroups[:0]
+	localIdx = -1
+	for i, gset := range d.Groups {
+		buf = append(buf, groupStats{})
+		g := &buf[len(buf)-1]
+		s.computeGroupStats(g, gset)
+		if g.weight == 0 {
+			buf = buf[:len(buf)-1]
+			continue
+		}
+		groups = append(groups, g)
+		if gset.Has(c.id) && local == nil {
+			local, localIdx = g, i
+		}
+	}
+	return groups, local, localIdx
+}
+
+// noneStealable reports whether no group of d other than the local one
+// has a queued thread. Only such a group can yield a steal (Algorithm 1,
+// lines 13–16), so pickBusiestGroup would return nil under either
+// group-imbalance flag: the pass ends VerdictNoBusiest and the
+// divergence probe cannot fire. Groups overlap at NUMA levels, where a
+// non-local group may contain the balancing core, so the local group is
+// excluded by its index. The balancing core is online at every call
+// site, so d.local is the group the full pass picks as local
+// (verifyNoBusiest asserts it).
+func (s *Scheduler) noneStealable(d *Domain) bool {
+	if d.local < 0 {
+		return false
+	}
+	for i, g := range d.Groups {
+		if i != d.local && !g.And(s.queuedMask).Empty() {
+			return false
+		}
+	}
+	return true
+}
+
+// noBusiest ends a pass that noneStealable showed cannot steal, with the
+// full pass's effects and records. The full pass has one effect on the
+// model: computeGroupStats reads every online core of d's groups through
+// CPULoad, which folds the decay of each summed thread's load average up
+// to now. That fold depends on the path in floating point (folding at t1
+// and then at t2 is not bitwise folding once at t2), so a skipped fold
+// would change later loads. The fast path therefore reads every busy
+// core of d.Span (the union of d.Groups) whose load is not cached at
+// this instant; an idle core holds no thread, so its read would fold
+// nothing. Observers get the full pass's NoBusiest record, whose local
+// statistics then fold nothing more.
+func (s *Scheduler) noBusiest(c *CPU, d *Domain, op trace.Op) {
+	now, gen := s.eng.Now(), s.loadGen
+	busy := d.Span.And(s.busyMask)
+	for w := 0; w < 2; w++ {
+		for b := busy.bits[w]; b != 0; b &= b - 1 {
+			id := topology.CoreID(w*64 + bits.TrailingZeros64(b))
+			if cc := s.cpus[id]; cc.loadAt != now || cc.loadGenAt != gen {
+				s.CPULoad(id)
+			}
+		}
+	}
+	if s.mx != nil || s.wants(trace.KindBalance) {
+		var local groupStats
+		s.computeGroupStats(&local, d.Groups[d.local])
+		s.traceBalance(c, op, trace.VerdictNoBusiest, &local, nil, 0)
+	}
+	if checkNoBusiest {
+		s.verifyNoBusiest(c, d)
+	}
+}
+
+// checkNoBusiest makes every noBusiest exit check itself against the
+// full pass. Tests set it; nothing else does.
+var checkNoBusiest bool
+
+// verifyNoBusiest panics unless the noBusiest exit just taken equals the
+// full pass: every busy online core of d.Span, found by rescan, has its
+// load cached at this instant, so each fold happened; a full statistics
+// pass over d.Groups finds no busiest group under either group-imbalance
+// flag; and that pass picks d.local as the local group.
+func (s *Scheduler) verifyNoBusiest(c *CPU, d *Domain) {
+	now := s.eng.Now()
+	d.Span.ForEach(func(id topology.CoreID) {
+		if cc := s.cpus[id]; cc.online && !cc.idle() && (cc.loadAt != now || cc.loadGenAt != s.loadGen) {
+			panic(fmt.Sprintf("sched: NoBusiest fast path at %v on cpu %d (%s) left cpu %d's load unfolded", now, c.id, d.Name, id))
+		}
+	})
+	groups, local, localIdx := s.collectGroupStats(c, d)
+	if localIdx != d.local {
+		panic(fmt.Sprintf("sched: NoBusiest fast path at %v on cpu %d (%s) took local group %d, the full pass %d", now, c.id, d.Name, d.local, localIdx))
+	}
+	for _, gi := range []bool{false, true} {
+		if b := s.pickBusiestGroup(groups, local, gi); b != nil {
+			panic(fmt.Sprintf("sched: NoBusiest fast path at %v on cpu %d (%s), but the full pass (FixGroupImbalance=%v) picks busiest group %s", now, c.id, d.Name, gi, b.set))
+		}
 	}
 }
 

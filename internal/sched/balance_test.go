@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // groupImbalanceScenario builds the §3.1 situation on a two-node machine:
@@ -245,4 +246,68 @@ func TestBalanceIntervalBusyVsIdle(t *testing.T) {
 	if got := e.s.balanceInterval(idleCPU, d); got != e.s.cfg.TickPeriod {
 		t.Fatalf("idle interval = %v", got)
 	}
+}
+
+// BenchmarkLoadBalance times one balance pass of core 0 of bulldozer8 at
+// each of its domain levels. In "idle" one core, in every span, runs a
+// thread and nothing is queued, so the pass takes the NoBusiest fast
+// path. In "overloaded" three threads pinned to one core of a group
+// other than core 0's local one queue there, so the pass computes every
+// group's statistics, picks that group and moves nothing. Every
+// iteration does the same work at one instant: the first call warms the
+// load caches and scratch buffers, and no state changes after it.
+func BenchmarkLoadBalance(b *testing.B) {
+	for _, level := range []string{"SMT", "NODE", "NUMA-1", "NUMA-2"} {
+		for _, state := range []string{"idle", "overloaded"} {
+			b.Run(level+"/"+state, func(b *testing.B) {
+				e := newEnv(topology.Bulldozer8(), DefaultConfig())
+				c := e.s.cpus[0]
+				li := -1
+				for i, d := range c.domains {
+					if d.Name == level {
+						li = i
+					}
+				}
+				if li < 0 {
+					b.Fatalf("core 0 has no %s domain", level)
+				}
+				d := c.domains[li]
+				if state == "idle" {
+					e.hog("busy", 1, ThreadOpts{Affinity: NewCPUSet(1)})
+				} else {
+					away := awayCore(d)
+					for i := 0; i < 3; i++ {
+						e.hog("pinned", away, ThreadOpts{Affinity: NewCPUSet(away)})
+					}
+				}
+				e.run(sim.Millisecond)
+				if fast := e.s.noneStealable(d); fast != (state == "idle") {
+					b.Fatalf("noneStealable = %v in the %s state", fast, state)
+				}
+				e.s.loadBalance(c, d, li, trace.OpPeriodicBalance)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if e.s.loadBalance(c, d, li, trace.OpPeriodicBalance) != 0 {
+						b.Fatal("the pass moved a thread")
+					}
+				}
+			})
+		}
+	}
+}
+
+// awayCore returns the first core of a group of d other than the local
+// one that the local group does not contain.
+func awayCore(d *Domain) topology.CoreID {
+	for i, g := range d.Groups {
+		if i == d.local {
+			continue
+		}
+		for _, id := range g.Cores() {
+			if !d.Groups[d.local].Has(id) {
+				return id
+			}
+		}
+	}
+	panic("no core outside the local group")
 }

@@ -55,6 +55,8 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		queuedTotal:    s.queuedTotal,
 		curIdle:        s.curIdle,
 		curQueued:      s.curQueued,
+		queuedMask:     s.queuedMask,
+		busyMask:       s.busyMask,
 		loadGen:        s.loadGen,
 	}
 

@@ -12,7 +12,15 @@ import (
 // This file holds property-based tests over randomized workloads: the
 // global invariants that must hold for ANY thread mix, on both the buggy
 // and the fixed scheduler (the bugs waste cores; they never corrupt
-// accounting).
+// accounting). The randomized runs also check every NoBusiest fast-path
+// exit of the balancer against the full pass (checkFastPath).
+
+// checkFastPath makes every NoBusiest fast-path exit for the rest of the
+// test assert that it equals the full balance pass (verifyNoBusiest).
+func checkFastPath(t *testing.T) {
+	checkNoBusiest = true
+	t.Cleanup(func() { checkNoBusiest = false })
+}
 
 // randomWorkload spawns hogs and sleepers from a seeded generator and
 // runs for the given horizon, returning the env.
@@ -98,6 +106,7 @@ func checkAccounting(t *testing.T, e *testEnv, horizon sim.Time) {
 }
 
 func TestPropertyAccountingBuggy(t *testing.T) {
+	checkFastPath(t)
 	f := func(seed int64) bool {
 		e := randomWorkload(t, topology.TwoNode(4), DefaultConfig(), seed, 100*sim.Millisecond)
 		checkAccounting(t, e, 100*sim.Millisecond)
@@ -109,9 +118,27 @@ func TestPropertyAccountingBuggy(t *testing.T) {
 }
 
 func TestPropertyAccountingFixed(t *testing.T) {
+	checkFastPath(t)
 	f := func(seed int64) bool {
 		cfg := DefaultConfig().WithFixes(AllFixes())
 		e := randomWorkload(t, topology.Bulldozer8(), cfg, seed, 100*sim.Millisecond)
+		checkAccounting(t, e, 100*sim.Millisecond)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyAccountingBuggyBulldozer: the studied kernel on bulldozer8,
+// whose NUMA-2 groups are built from Core 0's perspective and overlap,
+// so a group other than the balancing core's local one can contain that
+// core: the case where the fast path must exclude the local group by
+// index, not by membership.
+func TestPropertyAccountingBuggyBulldozer(t *testing.T) {
+	checkFastPath(t)
+	f := func(seed int64) bool {
+		e := randomWorkload(t, topology.Bulldozer8(), DefaultConfig(), seed, 100*sim.Millisecond)
 		checkAccounting(t, e, 100*sim.Millisecond)
 		return true
 	}
@@ -171,6 +198,7 @@ func TestPropertyWeightedFairness(t *testing.T) {
 // a warmup, no configuration of unpinned hogs leaves steady-state waste
 // above a few percent.
 func TestPropertyWorkConservationFixed(t *testing.T) {
+	checkFastPath(t)
 	f := func(seed int64) bool {
 		cfg := DefaultConfig().WithFixes(AllFixes())
 		e := newEnv(topology.TwoNode(4), cfg)
@@ -247,6 +275,7 @@ func TestPropertyExitDrainsCleanly(t *testing.T) {
 // TestPropertyHotplugConservesThreads: random disable/enable cycles never
 // lose or duplicate threads.
 func TestPropertyHotplugConservesThreads(t *testing.T) {
+	checkFastPath(t)
 	f := func(seed int64) bool {
 		e := randomWorkload(t, topology.TwoNode(2), DefaultConfig().WithFixes(AllFixes()), seed, 30*sim.Millisecond)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))

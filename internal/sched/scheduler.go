@@ -119,6 +119,14 @@ type Scheduler struct {
 	curIdle        int
 	curQueued      int
 
+	// Occupancy masks, kept exact by occSync beside curIdle/curQueued:
+	// queuedMask holds the online cores with queued threads, busyMask
+	// the online cores with a current or a queued thread. loadBalance
+	// reads them to end a pass that cannot steal (noneStealable) without
+	// computing any group's statistics.
+	queuedMask CPUSet
+	busyMask   CPUSet
+
 	// loadGen is the cross-CPU invalidation generation for the per-CPU
 	// load caches. It covers ONLY the autogroup divisor (NewThread /
 	// ExitCurrent change every group member's load at once); all other
@@ -128,7 +136,11 @@ type Scheduler struct {
 	// input that can change many cores' loads in one step must bump
 	// loadGen too. A CPULoad cache hit requires the same virtual time
 	// AND generation, so a hit returns exactly what a recompute would
-	// (the per-thread load decay is idempotent within an instant).
+	// (the per-thread load decay is idempotent within an instant). A
+	// cache at (now, loadGen) also records that this instant's decay is
+	// folded into every thread of the core: the NoBusiest fast path
+	// (noBusiest) relies on it to make exactly the folds a full balance
+	// pass would.
 	loadGen uint64
 }
 
@@ -518,11 +530,12 @@ func (s *Scheduler) CanSteal(dst, src topology.CoreID) bool {
 }
 
 // occSync folds cpu c's current idle/queued contribution into the
-// running sums after a state transition, and invalidates c's load
-// cache (a transition on c never changes another core's load sum, so
-// invalidation is per-CPU; the global loadGen covers the autogroup
-// divisor, the only cross-CPU load input). O(1); called wherever c's
-// runqueue, current thread, or online flag changed.
+// running sums and the occupancy masks after a state transition, and
+// invalidates c's load cache (a transition on c never changes another
+// core's load sum, so invalidation is per-CPU; the global loadGen
+// covers the autogroup divisor, the only cross-CPU load input). O(1);
+// called wherever c's runqueue, current thread, or online flag changed,
+// which is the one place that keeps the sums and masks exact.
 func (s *Scheduler) occSync(c *CPU) {
 	c.loadAt = -1
 	idle := c.idle()
@@ -540,6 +553,16 @@ func (s *Scheduler) occSync(c *CPU) {
 	}
 	s.curQueued += q - c.occQueued
 	c.occQueued = q
+	if q > 0 {
+		s.queuedMask.Set(c.id)
+	} else {
+		s.queuedMask.Clear(c.id)
+	}
+	if c.online && !idle {
+		s.busyMask.Set(c.id)
+	} else {
+		s.busyMask.Clear(c.id)
+	}
 }
 
 // adjustOccupancy integrates wasted core time — min(#idle cores, #queued

@@ -3,6 +3,7 @@ package tourney
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -297,4 +298,45 @@ func TestOptionsByName(t *testing.T) {
 	if _, ok := OptionsByName("nope"); ok {
 		t.Error("unknown preset resolved")
 	}
+}
+
+// FuzzDecode feeds Decode, the reader of tourney's -baseline input,
+// arbitrary bytes, seeded with the committed tourney baseline. It must
+// not panic, and an accepted artifact must re-encode to bytes that
+// decode and re-encode identically.
+func FuzzDecode(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "baselines", "tourney-*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed tourney baselines (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":1,"campaign":{"version":1}}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := r.EncodeJSON()
+		if err != nil {
+			t.Fatalf("accepted artifact does not encode: %v", err)
+		}
+		r2, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded artifact does not decode: %v", err)
+		}
+		enc2, err := r2.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not stable:\n%s\n---\n%s", enc, enc2)
+		}
+	})
 }
