@@ -179,8 +179,8 @@ baseline-verdict:
 # the committed rolling baseline ("exit status 3" in the output = the
 # artifact differs from it; bisect-smoke-diff.txt says where). The second
 # run repeats the sweep with -no-fork, one job per scenario, and cmp
-# asserts the forked path's artifact is byte-identical to it — the
-# checkpoint/fork equivalence contract, enforced on every push. The
+# asserts the collapsed path's artifact is byte-identical to it — the
+# divergence probe's equivalence contract, enforced on every push. The
 # last cmp is the exact gate: the artifact must equal the baseline.
 bisect-smoke:
 	$(GO) run -race ./cmd/bisect -preset smoke -q -out bisect-smoke.json \
@@ -249,12 +249,17 @@ schedviz-smoke:
 	done; \
 	echo "schedviz-smoke: every mode and -perfetto render the example trace; a truncated trace exits 1, bad -cores/-cols exit 2"
 
-# The default-scale gates: the 128-cell lattice and the 30-scenario
+# The default-scale gates: the 128-point lattice and the 30-scenario
 # campaign, gated like the smoke ones. Each simulates in under a
-# second, so they run on every push.
+# second, so they run on every push. The lattice also repeats with
+# -no-fork and cmps the two, like bisect-smoke: its 8 cells bring
+# machine32 and the hotplug workload nas-hotplug:lu, which the smoke
+# lattice lacks, under the collapse's equivalence check.
 bisect-default:
 	$(GO) run ./cmd/bisect -preset default -q -out bisect-default.json \
 		-baseline baselines/bisect-default.json -diff-out bisect-default-diff.txt
+	$(GO) run ./cmd/bisect -preset default -q -no-fork -out bisect-default-nofork.json
+	cmp bisect-default.json bisect-default-nofork.json
 	cmp bisect-default.json baselines/bisect-default.json
 
 campaign-default:

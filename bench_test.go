@@ -133,9 +133,9 @@ func BenchmarkFig5(b *testing.B) {
 // internal/campaign's tests); this benchmark tracks the wall-clock win,
 // reporting scenarios/sec and simulation events/sec so BENCH_*.json
 // records both parallel and raw-engine throughput. Every run sets
-// NoFork: forked cells copy results whose events were never simulated,
-// so the allocation-per-event gate would stop measuring the sequential
-// hot path it exists to check.
+// NoFork: collapsed cells copy results whose events were never
+// simulated, so the allocation-per-event gate would stop measuring the
+// sequential hot path it exists to check.
 func BenchmarkCampaign(b *testing.B) {
 	m := schedsim.DefaultCampaignMatrix()
 	m.Scale = 0.1
@@ -196,16 +196,18 @@ func BenchmarkCampaign(b *testing.B) {
 	})
 }
 
-// BenchmarkCampaignBisectFork measures the checkpoint/fork win on the
-// bisect lattice: the smoke sweep run on the forked path (shared
-// per-cell prefix simulated once, one fork per lattice point, prove
-// collapse for equivalent configs) versus RunnerOpts.NoFork, which
-// simulates every scenario from t=0. Both paths produce byte-identical
-// artifacts (asserted in internal/bisect's tests and by `make
-// bisect-smoke`); this benchmark records the wall-clock ratio. It
-// deliberately reports no events/op — the fork path trades allocations
-// for wall time, so the allocation-free gate applies only to the
-// sequential engine benchmarks.
+// BenchmarkCampaignBisectFork measures the collapse win on the bisect
+// lattice: the smoke sweep run on the collapsed path (each cell's
+// points simulated from a fresh build only when the divergence probe
+// cannot prove them equal to a point already run, the rest copied)
+// versus RunnerOpts.NoFork, which simulates every scenario. Both paths
+// produce byte-identical artifacts (asserted in internal/bisect's tests
+// and by `make bisect-smoke` and `make bisect-default`); this benchmark
+// records the wall-clock ratio as fork_speedup_x. Its name and metric
+// predate the collapse; baselines/bench-smoke.json keys on the name. It
+// deliberately reports no events/op — copied points simulate no events,
+// so the allocation-free gate applies only to the sequential engine
+// benchmarks.
 func BenchmarkCampaignBisectFork(b *testing.B) {
 	var forkSec, seqSec float64
 	var scenarios int

@@ -14,8 +14,9 @@
 // completeness, into the byte-identical report a single process would
 // have produced. -incremental re-runs only scenarios whose identity
 // changed since a prior bisect (or campaign) artifact, splicing its
-// campaign for the rest. Every path forks each cell's t=0 world across
-// its lattice points, unless -no-fork or -explain.
+// campaign for the rest. Every path simulates only the lattice points of
+// a cell whose extra fixes could change the run and copies the rest,
+// unless -no-fork or -explain.
 //
 // Usage:
 //
@@ -64,10 +65,10 @@
 //	                 report cross-checks per-episode attributions against
 //	                 the lattice's minimal fix sets (explain_check), and
 //	                 -trace-out exports gain decision/episode tracks
-//	-no-fork         simulate every lattice point from scratch instead
-//	                 of forking each cell's shared prefix (the escape
-//	                 hatch for validating the fork runner: both paths
-//	                 must produce byte-identical artifacts)
+//	-no-fork         simulate every lattice point as its own job instead
+//	                 of copying the points whose extra fixes never fired
+//	                 (the reference for checking that collapse: both
+//	                 paths must produce byte-identical artifacts)
 //	-q               suppress the verdict summary and the end-of-run line
 //
 // A negative or non-finite number, or a dimension entry given twice, is
@@ -93,7 +94,7 @@ func main() {
 	var (
 		perfTol = cli.Float("perftol", "perf-verdict makespan tolerance `percent` (0 = default 10)")
 		latTol  = cli.Float("lattol", "latency-verdict p99 tolerance `percent` (0 = default 10)")
-		noFork  = flag.Bool("no-fork", false, "simulate every lattice point from scratch (bypass the checkpoint/fork runner)")
+		noFork  = flag.Bool("no-fork", false, "simulate every lattice point as its own job (no collapse of provably equal points)")
 	)
 	f.Parse("")
 	o, ok := bisect.OptionsByName(f.Preset)

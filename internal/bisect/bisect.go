@@ -91,8 +91,8 @@ type Options struct {
 	// provenance plus per-episode counterfactual replays. Analyze then
 	// cross-checks each cell's per-episode single-fix attributions
 	// against the lattice's minimal fix sets (Cell.ExplainCheck). The
-	// explain hooks cannot ride the checkpoint/fork path, so every
-	// lattice point then runs from scratch as its own job.
+	// divergence probe proves decisions equal, not the replays explain
+	// runs, so every lattice point then runs as its own job.
 	Explain bool
 }
 
@@ -149,9 +149,9 @@ func (o Options) RunnerOpts() campaign.RunnerOpts {
 
 // Run executes the sweep on the campaign worker pool and analyzes it.
 // Like campaign artifacts, the report is byte-identical for any worker
-// count and scenario order. Each cell's 16 lattice points run on the
-// checkpoint/fork path, which shares one t=0 world per cell and copies
-// the results of lattice points whose extra fixes provably never fired
+// count and scenario order. Each cell's 16 lattice points run as one
+// job that simulates a point only when it can differ, copying the
+// results of lattice points whose extra fixes provably never fired
 // (campaign.RunnerOpts.NoFork simulates every point instead; both
 // produce identical bytes).
 func Run(opts Options) (*Report, error) {

@@ -7,13 +7,13 @@ import (
 	"repro/internal/campaign"
 )
 
-// TestForkedMatchesSequential is the tentpole's correctness gate: the
-// checkpoint/fork path must produce byte-for-byte the artifact of the
-// sequential one (campaign.RunnerOpts.NoFork) on the smoke sweep — every
-// lattice point, whether it was simulated on a fork or collapsed from a
-// never-fired-probe run, carries exactly the bytes a from-scratch
-// simulation produces.
-func TestForkedMatchesSequential(t *testing.T) {
+// TestCollapsedMatchesSequential: the collapsed lattice runner must
+// produce byte-for-byte the artifact of one job per scenario
+// (campaign.RunnerOpts.NoFork) on the smoke sweep — every lattice point,
+// whether it was simulated or copied from a run whose probe proved the
+// extra fixes never fired, carries exactly the bytes its own simulation
+// produces.
+func TestCollapsedMatchesSequential(t *testing.T) {
 	o := smokeWithSeed()
 	var reports [2]*Report
 	var artifacts [2][]byte
@@ -38,12 +38,12 @@ func TestForkedMatchesSequential(t *testing.T) {
 			if sr.Key != fr.Key || sr.MakespanNs != fr.MakespanNs ||
 				sr.Events != fr.Events || sr.Counters != fr.Counters ||
 				sr.Violations != fr.Violations {
-				t.Errorf("first diverging result %q:\n seq: events=%d makespan=%d violations=%d\nfork: events=%d makespan=%d violations=%d",
+				t.Errorf("first diverging result %q:\n      seq: events=%d makespan=%d violations=%d\ncollapsed: events=%d makespan=%d violations=%d",
 					sr.Key, sr.Events, sr.MakespanNs, sr.Violations,
 					fr.Events, fr.MakespanNs, fr.Violations)
 				break
 			}
 		}
-		t.Fatal("forked sweep bytes differ from sequential sweep")
+		t.Fatal("collapsed sweep bytes differ from sequential sweep")
 	}
 }

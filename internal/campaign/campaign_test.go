@@ -48,8 +48,8 @@ func TestDefaultMatrixMeetsFloor(t *testing.T) {
 }
 
 // TestDeterminismAcrossWorkers is the core guarantee: the artifact is
-// byte-identical for any worker count, on the forked path (every smoke
-// cell can fork) and with NoFork, one job per scenario.
+// byte-identical for any worker count, on the collapsed path (every
+// smoke cell collapses) and with NoFork, one job per scenario.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	m := testMatrix()
 	for _, noFork := range []bool{false, true} {

@@ -25,7 +25,8 @@ func TestRunScenariosCtxCancelled(t *testing.T) {
 }
 
 // TestRunScenariosCtxMidRunCancel cancels on the first result, both on
-// the forked path (every cell of the matrix can fork) and with NoFork.
+// the collapsed path (every cell of the matrix collapses) and with
+// NoFork.
 func TestRunScenariosCtxMidRunCancel(t *testing.T) {
 	scenarios := testMatrix().Scenarios()
 	for _, noFork := range []bool{false, true} {

@@ -1,4 +1,4 @@
 package campaign
 
-// CellForkable exposes cellForkable to the external tests.
-var CellForkable = cellForkable
+// CellCollapsible exposes cellCollapsible to the external tests.
+var CellCollapsible = cellCollapsible

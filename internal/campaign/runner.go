@@ -14,6 +14,7 @@ import (
 	"repro/internal/latency"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -24,10 +25,11 @@ import (
 type RunnerOpts struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
 	Workers int
-	// NoFork runs every scenario from t=0 as its own job, instead of
-	// running each forkable cell on one forked world (see runCell). Both
-	// paths write the same bytes, so, like Workers, it is not stamped;
-	// it is the escape hatch for checking that they do.
+	// NoFork runs every scenario as its own job, instead of running
+	// each collapsible cell as one job that copies the results of
+	// provably equal lattice points (see runCell). Both paths write the
+	// same bytes, so, like Workers, it is not stamped; it is the
+	// reference path for checking that they do.
 	NoFork bool
 	// BaseSeed perturbs every scenario's derived engine seed; campaigns
 	// with equal BaseSeed and scenarios are byte-identical.
@@ -150,9 +152,10 @@ func RunScenarios(scenarios []Scenario, opts RunnerOpts) (*Campaign, error) {
 }
 
 // RunScenariosCtx is the campaign executor. It groups the scenarios by
-// cell (CellKey): a cell that cellForkable accepts runs as one job on a
-// forked t=0 world (runCell), unless opts.NoFork; every other scenario
-// is its own job, in input order. Both paths write the same bytes.
+// cell (CellKey): a cell that cellCollapsible accepts runs as one job
+// that simulates only the lattice points the divergence probe cannot
+// prove equal (runCell), unless opts.NoFork; every other scenario is
+// its own job, in input order. Both paths write the same bytes.
 // Repeated scenario keys are an error before anything runs.
 //
 // When ctx is cancelled the pool stops starting jobs, in-flight ones
@@ -174,31 +177,31 @@ func RunScenariosCtx(ctx context.Context, scenarios []Scenario, opts RunnerOpts)
 		cells[cellOf[i]] = append(cells[cellOf[i]], i)
 	}
 	type job struct {
-		idxs []int // a forked cell's scenarios, or one scenario
-		fork bool
+		idxs     []int // a collapsible cell's scenarios, or one scenario
+		collapse bool
 	}
 	var jobs []job
-	forkable := map[string]bool{}
+	collapsible := map[string]bool{}
 	for i := range scenarios {
 		cell := cells[cellOf[i]]
 		if i == cell[0] {
-			forkable[cellOf[i]] = !opts.NoFork && cellForkable(scenarios, cell, opts)
-			if forkable[cellOf[i]] {
-				jobs = append(jobs, job{idxs: cell, fork: true})
+			collapsible[cellOf[i]] = !opts.NoFork && cellCollapsible(scenarios, cell, opts)
+			if collapsible[cellOf[i]] {
+				jobs = append(jobs, job{idxs: cell, collapse: true})
 			}
 		}
-		if !forkable[cellOf[i]] {
+		if !collapsible[cellOf[i]] {
 			jobs = append(jobs, job{idxs: []int{i}})
 		}
 	}
 
 	results := make([]Result, len(scenarios))
 	_, err := ForEachCtx(ctx, len(jobs), opts.Workers, func(j int) struct{} {
-		if jb := jobs[j]; jb.fork {
+		if jb := jobs[j]; jb.collapse {
 			runCell(scenarios, jb.idxs, opts, results)
 		} else {
 			i := jb.idxs[0]
-			results[i] = runScenario(scenarios[i], opts)
+			results[i] = runScenario(scenarios[i], opts, nil)
 			if opts.OnResult != nil {
 				opts.OnResult(results[i])
 			}
@@ -328,17 +331,20 @@ feed:
 	return out, ctx.Err()
 }
 
-// runScenario executes one cell: build the machine, attach the sanity
-// checker (and optional placement modules / trace recorder), run the
-// workload, and collect every deterministic metric.
-func runScenario(sc Scenario, opts RunnerOpts) Result {
+// runScenario executes one scenario: build the machine, attach the
+// sanity checker (and optional placement modules / trace recorder /
+// divergence probe), run the workload, and collect every deterministic
+// metric. It is the one constructor of a scenario's world: the
+// collapsed cell runner builds each point it simulates here too.
+func runScenario(sc Scenario, opts RunnerOpts, probe *sched.DivergenceProbe) Result {
 	// Seeds derive from the cell key (config removed): all configs of a
 	// (topology, workload, seed) cell share one jitter stream, so lattice
-	// points differ only by scheduler behaviour — and the forked lattice
-	// runner can share one t=0 world across the cell.
+	// points differ only by scheduler behaviour — which is what lets the
+	// divergence probe prove two of them equal.
 	engineSeed := DeriveSeed(opts.BaseSeed, sc.CellKey(), sc.Seed)
 	topo := sc.Topology.Build()
 	m := machine.New(topo, sc.Config.Config, engineSeed)
+	m.Sched.SetDivergenceProbe(probe)
 
 	detach, err := sc.Config.Apply(m.Sched)
 	if err != nil {
@@ -382,25 +388,6 @@ func runScenario(sc Scenario, opts RunnerOpts) Result {
 		Horizon: sc.Horizon,
 	})
 
-	r := collectResult(sc, engineSeed, m, ck, col, outcome)
-	if rec != nil {
-		r.TraceEvents = rec.Len()
-		r.TraceDropped = rec.Dropped()
-	}
-	if reg != nil {
-		r.Metrics = reg.Snapshot()
-	}
-	if exo != nil {
-		r.Explain = exo.Report()
-	}
-	return r
-}
-
-// collectResult assembles the deterministic per-scenario metrics into a
-// Result — the tail of runScenario, shared with the forked lattice
-// runner so both paths produce identical bytes from identical state.
-func collectResult(sc Scenario, engineSeed int64, m *machine.Machine,
-	ck *checker.Checker, col *latency.Collector, outcome Outcome) Result {
 	var idleOverloaded sim.Time
 	var classes map[string]int
 	var idleByClass map[string]int64
@@ -415,7 +402,7 @@ func collectResult(sc Scenario, engineSeed int64, m *machine.Machine,
 			idleOverloaded += d
 		}
 	}
-	return Result{
+	r := Result{
 		Key:                   sc.Key(),
 		Topology:              sc.Topology.Name,
 		Workload:              sc.Workload.Name,
@@ -438,4 +425,15 @@ func collectResult(sc Scenario, engineSeed int64, m *machine.Machine,
 		WakeStreaks:           col.StreakStats(),
 		Extra:                 outcome.Extra,
 	}
+	if rec != nil {
+		r.TraceEvents = rec.Len()
+		r.TraceDropped = rec.Dropped()
+	}
+	if reg != nil {
+		r.Metrics = reg.Snapshot()
+	}
+	if exo != nil {
+		r.Explain = exo.Report()
+	}
+	return r
 }

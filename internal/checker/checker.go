@@ -161,39 +161,6 @@ func (c *Checker) Start() {
 	c.tm.ResetAfter(c.cfg.S)
 }
 
-// Clone copies the checker onto a forked world: s must be the cloned
-// scheduler (on the forked engine) and col the cloned latency collector
-// (nil if none was observed). The pending periodic check is re-registered
-// at its original (time, sequence) position. Cloning inside a monitoring
-// window is not supported — the window's sample chain is made of one-shot
-// closures bound to this checker — and neither is cloning with a trace
-// recorder attached; both panic.
-func (c *Checker) Clone(s *sched.Scheduler, col *latency.Collector) *Checker {
-	if c.monitoring {
-		panic("checker: Clone inside a monitoring window")
-	}
-	if c.rec != nil {
-		panic("checker: Clone with a trace recorder attached")
-	}
-	if c.hook != nil {
-		panic("checker: Clone with an episode hook attached")
-	}
-	nc := &Checker{
-		s:          s,
-		eng:        s.Engine(),
-		cfg:        c.cfg,
-		lat:        col,
-		checks:     c.checks,
-		candidates: c.candidates,
-		transients: c.transients,
-		violations: append([]Violation(nil), c.violations...),
-		stopped:    c.stopped,
-	}
-	nc.tm = nc.eng.NewTimer(nc.periodic)
-	nc.tm.RestoreFrom(c.tm)
-	return nc
-}
-
 // Stop halts future checks.
 func (c *Checker) Stop() { c.stopped = true }
 

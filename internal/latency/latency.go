@@ -206,7 +206,6 @@ type Collector struct {
 // busy-while-idle run reaches K. The hook runs inside WakeupPlaced —
 // mid-wakeup — so implementations must not mutate scheduler state
 // synchronously; defer real work to the engine (e.g. After(0, ...)).
-// Clone drops the hook: a forked world's streaks are its own.
 func (c *Collector) SetStreakHook(fn func(start, at sim.Time)) { c.streakHook = fn }
 
 // NewCollector returns a Collector with the given tuning. The sample
@@ -220,24 +219,6 @@ func NewCollector(cfg Config) *Collector {
 		wake: make([]int64, 0, 1024),
 		wait: make([]int64, 0, 4096),
 	}
-}
-
-// Clone returns an independent copy of the collector: same tuning, same
-// samples and streak state, fresh backing arrays. Part of the machine
-// checkpoint/fork path — the clone is attached to the forked scheduler so
-// both worlds accumulate evidence independently from here on.
-func (c *Collector) Clone() *Collector {
-	nc := &Collector{
-		cfg:      c.cfg,
-		run:      c.run,
-		runStart: c.runStart,
-		st:       c.st,
-		wake:     make([]int64, len(c.wake), cap(c.wake)),
-		wait:     make([]int64, len(c.wait), cap(c.wait)),
-	}
-	copy(nc.wake, c.wake)
-	copy(nc.wait, c.wait)
-	return nc
 }
 
 // Reset discards every sample and the streak state, keeping the tuning,

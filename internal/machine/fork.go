@@ -4,11 +4,11 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the machine half of checkpoint/fork. Machine.Fork deep-
+// This file is the machine half of the world fork. Machine.Fork deep-
 // copies the whole simulated system — engine clock, scheduler, processes,
 // VM threads, sync primitives — into an independent world that replays
-// byte-identically from the fork instant. The bisect lattice uses it to
-// run a cell's shared prefix once and fork per fix subset.
+// byte-identically from the fork instant. Explain uses it to replay each
+// episode under every single fix from a world forked mid-run.
 //
 // The engine fork hands back an empty event queue (sim.Engine.Fork), so
 // the cloned owners re-register their live events at the original
@@ -29,9 +29,9 @@ import (
 //
 // Fork panics when the machine holds state it cannot clone: external
 // hooks (Proc.OnDone, Task.OnDone closures capture the pre-fork world)
-// or an attached placement policy. Workload drivers that need those run
-// in the sequential, fork-free path. Observers are not carried: the
-// fork starts with no recorders, metrics or probes attached.
+// or an attached placement policy; explain counts such episodes as
+// fork_unavailable. Observers are not carried: the fork starts with no
+// recorders, metrics or probes attached.
 func (m *Machine) Fork() *Machine {
 	eng2 := m.Eng.Fork()
 	sc2 := m.Sched.Clone(eng2)

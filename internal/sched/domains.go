@@ -87,8 +87,8 @@ type domainKey struct {
 //
 // Hierarchies are cached per (online-set, includeNUMA, gcFixed): hotplug
 // storms revisit the same few online sets over and over, and a fix
-// replay or forked lattice point that leaves construction alone rebuilds
-// its parent's hierarchy; a cache hit swaps pointers instead of
+// replay that leaves construction alone rebuilds its parent's
+// hierarchy; a cache hit swaps pointers instead of
 // reconstructing per-core domain lists. The per-level balance
 // bookkeeping is still reset on every rebuild (reusing the backing
 // arrays), exactly as an uncached rebuild would.

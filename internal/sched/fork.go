@@ -4,9 +4,10 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the scheduler half of checkpoint/fork (see sim/fork.go for
-// the engine half): a deep Clone onto a forked engine, ApplyFeatures for
-// re-configuring a clone in place, and the divergence probe that lets the
+// This file is the scheduler half of the world fork that explain's
+// counterfactual replays use (see sim/fork.go for the engine half): a
+// deep Clone onto a forked engine and ApplyFeatures for re-configuring a
+// clone in place. It also holds the divergence probe, which lets the
 // bisect lattice prove two fix subsets would produce byte-identical runs.
 
 // ThreadByID returns the thread with the given id. Ids are dense (the
@@ -135,8 +136,9 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 // served under the new ones, and a fix that leaves construction alone
 // (group imbalance, overload-on-wakeup) gets its hierarchy as a cache
 // hit. The rebuild counter is restored so the clone's counters match a
-// scheduler constructed with f from the start — the property the bisect
-// fork path's byte-identity rests on.
+// scheduler constructed with f from the start — the property explain's
+// mid-run replays rest on (explain's TestForkAtOnsetReplayMatchesFreshRun
+// compares a forked, re-configured world with a fresh one).
 //
 // Rebuilding resets every core's periodic-balance schedule, which is
 // right when the hierarchy changed (the old levels no longer exist) but
@@ -178,9 +180,9 @@ func (s *Scheduler) ApplyFeatures(f Features) {
 // every detector is evaluated at the decision it guards, on the live
 // scheduler state, by recomputing the decision with the flag flipped —
 // so by induction over the (deterministic) event sequence, a run under
-// the extended fix set is byte-identical to the observed one. The bisect
-// fork runner uses this to skip lattice configs whose outcome is already
-// determined.
+// the extended fix set is byte-identical to the observed one. The
+// campaign's collapsed cell runner uses this to skip lattice configs
+// whose outcome is already determined.
 type DivergenceProbe struct {
 	// Armed selects the flags to watch. Only flags unset in the
 	// scheduler's config are meaningful.

@@ -94,7 +94,7 @@ func (h Handle) Active() bool {
 // Seq returns the pending event's sequence number, or false when the
 // handle is inert, stale or cancelled. Together with When it names the
 // event's exact position in the queue's (time, sequence) total order —
-// what Engine.Fork callers feed back into RestoreAt/RestoreAtCall.
+// what Engine.Fork callers feed back into RestoreAtCall.
 func (h Handle) Seq() (uint64, bool) {
 	if !h.Active() {
 		return 0, false

@@ -2,67 +2,20 @@ package sim
 
 import "fmt"
 
-// This file is the engine half of checkpoint/fork: the mechanism that
-// lets the bisect lattice run each cell's shared prefix once and fork it
-// per fix subset instead of re-simulating the prefix 16 times.
+// This file is the engine half of the world fork that explain's
+// counterfactual replays use: a world is forked mid-run at a detection
+// instant and the fork replays the episode under another fix set.
 //
 // The engine's own state is four scalars plus the RNG word; the event
 // queue is the hard part, because every queued callback closes over (or
-// is bound to) its owner — a thread, a CPU, a checker — and a fork clones
-// those owners. The engine therefore does not try to copy the queue:
-// Fork returns an engine with the same clock, sequence counter and RNG
-// but an empty queue, and each cloned owner re-registers its own live
-// events at their original (time, sequence) positions via RestoreAt,
-// RestoreAtCall and Timer.RestoreFrom. Sequence numbers are preserved
-// exactly, so the restored queue pops in the source engine's order and
-// the fork replays byte-identically.
-
-// Snapshot captures the engine's scalar state: clock, sequence counter,
-// processed-event count, heap high-water mark and RNG position. It does
-// not capture the event queue — see Restore.
-type Snapshot struct {
-	now       Time
-	seq       uint64
-	processed uint64
-	maxHeap   int
-	rng       RNG
-}
-
-// Now returns the snapshot's virtual time.
-func (s Snapshot) Now() Time { return s.now }
-
-// Snapshot captures the engine's scalar state.
-func (e *Engine) Snapshot() Snapshot {
-	return Snapshot{now: e.now, seq: e.seq, processed: e.processed, maxHeap: e.maxHeap, rng: *e.rng}
-}
-
-// Restore rewinds the engine to a snapshot taken earlier on this engine.
-// The event queue is cleared: every queued event — live or cancelled,
-// scheduled before or after the snapshot — is dropped with its
-// generation bumped, so every pre-restore Handle goes stale and every
-// Timer reads as unarmed. Owners whose events were pending at snapshot
-// time must re-register them (RestoreAt, RestoreAtCall,
-// Timer.RestoreFrom against a recorded position) for the replay to match
-// the original run.
-func (e *Engine) Restore(s Snapshot) {
-	for len(e.heap) > 0 {
-		ev := e.heapPop()
-		if ev.pooled {
-			ev.canceled = false
-			e.release(ev)
-			continue
-		}
-		// Timer-owned: detach (heapPop cleared index) and stale-out any
-		// handle taken on it.
-		ev.gen++
-		ev.canceled = false
-	}
-	e.now = s.now
-	e.seq = s.seq
-	e.processed = s.processed
-	e.maxHeap = s.maxHeap
-	*e.rng = s.rng
-}
+// is bound to) its owner — a thread, a CPU — and a fork clones those
+// owners. The engine therefore does not try to copy the queue: Fork
+// returns an engine with the same clock, sequence counter and RNG but an
+// empty queue, and each cloned owner re-registers its own live events at
+// their original (time, sequence) positions via RestoreAtCall and
+// Timer.RestoreFrom. Sequence numbers are preserved exactly, so the
+// restored queue pops in the source engine's order and the fork replays
+// byte-identically.
 
 // Fork returns a new engine with this engine's clock, sequence counter,
 // processed-event count and RNG position — and an empty event queue.
@@ -93,15 +46,6 @@ func (e *Engine) scheduleAt(ev *Event, when Time, seq uint64) Handle {
 	ev.seq = seq
 	e.heapPush(ev)
 	return Handle{ev: ev, gen: ev.gen}
-}
-
-// RestoreAt re-registers a live closure event from a forked engine at
-// its original (time, sequence) position.
-func (e *Engine) RestoreAt(when Time, seq uint64, fn func()) Handle {
-	e.checkRestore(when, seq)
-	ev := e.get()
-	ev.fn = fn
-	return e.scheduleAt(ev, when, seq)
 }
 
 // RestoreAtCall re-registers a live callback event from a forked engine

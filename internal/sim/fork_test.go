@@ -2,62 +2,22 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
-// TestRestoreInvalidatesHandles: Restore drops the whole queue, so every
-// handle taken before it — on events scheduled before or after the
-// snapshot — reads inactive, cancels as a no-op, and every timer reads
-// unarmed.
-func TestRestoreInvalidatesHandles(t *testing.T) {
-	eng := New(1)
-	fired := 0
-	hPre := eng.After(10, func() { fired++ })
-	tm := eng.NewTimer(func() { fired++ })
-	tm.Reset(20)
-
-	s := eng.Snapshot()
-	hPost := eng.After(30, func() { fired++ })
-
-	eng.Restore(s)
-	if hPre.Active() || hPost.Active() {
-		t.Error("pre-restore handles still active")
-	}
-	if tm.Pending() {
-		t.Error("timer still armed after Restore")
-	}
-	if _, ok := hPre.Seq(); ok {
-		t.Error("stale handle still reports a sequence number")
-	}
-	eng.Cancel(hPre) // must be a no-op, not a panic
-	eng.Cancel(hPost)
-	eng.Run()
-	if fired != 0 {
-		t.Errorf("%d dropped events fired", fired)
-	}
-	if eng.Pending() != 0 {
-		t.Errorf("queue not empty: %d", eng.Pending())
-	}
-
-	// The engine is fully usable afterwards: new events schedule and run.
-	eng.After(5, func() { fired++ })
-	tm.Reset(7)
-	eng.Run()
-	if fired != 2 {
-		t.Errorf("post-restore events fired %d times, want 2", fired)
-	}
-}
-
 // TestRestoreRejectsPastAndUnissued: re-registration validates its
-// position — an event in the restored engine's past, or a sequence
+// position — an event in the forked engine's past, or a sequence
 // number the source never issued, is a caller bug.
 func TestRestoreRejectsPastAndUnissued(t *testing.T) {
 	eng := New(1)
 	eng.After(10, func() {})
 	eng.RunUntil(50)
 
-	mustPanic(t, "past", func() { eng.RestoreAt(40, 0, func() {}) })
-	mustPanic(t, "unissued seq", func() { eng.RestoreAt(60, 99, func() {}) })
+	mustPanic(t, "past", func() { eng.RestoreAtCall(40, 0, func(uint64) {}, 0) })
+	mustPanic(t, "unissued seq", func() { eng.RestoreAtCall(60, 99, func(uint64) {}, 0) })
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {
@@ -160,62 +120,73 @@ func TestForkReplaysByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreReplay: run past a snapshot, restore, re-register
-// the live events at their recorded positions, and run again — the
-// replay reproduces the original continuation exactly (the property the
-// engine's Restore contract promises).
-func TestSnapshotRestoreReplay(t *testing.T) {
-	const (
-		snapAt  = Time(10_000)
-		horizon = Time(40_000)
-	)
-	w := newReplayWorld(New(3), 3)
-	for i, tm := range w.timers {
-		tm.ResetAfter(Time(1 + i))
-	}
-	w.eng.RunUntil(snapAt)
+// forkRules names every Engine field that Fork does not copy by value,
+// with the rule it follows instead:
+//
+//   - deep: copied, the fork gets its own equal copy of the referent;
+//   - reset: the fork starts without it.
+//
+// Every other field must be a scalar that Fork copies;
+// TestForkCopiesEveryField perturbs each one and checks the fork carries
+// it. A new field fails the test until it is copied or its rule is
+// named here.
+var forkRules = map[string]string{
+	"heap": "reset: each owner re-registers its live events on the fork",
+	"free": "reset: the fork recycles its own events",
+	"rng":  "deep: copied, the fork draws from its own RNG at the same position",
+}
 
-	snap := w.eng.Snapshot()
-	type pos struct {
-		when Time
-		seq  uint64
-	}
-	var positions []pos
-	for _, tm := range w.timers {
-		if !tm.Pending() {
-			t.Fatal("replay timer not pending at snapshot")
+// TestForkCopiesEveryField: every Engine field either has a rule in
+// forkRules or is a scalar Fork copies, checked by perturbing the field
+// in a mid-run source, one field at a time, and reading it back from the
+// fork. "deep: copied" fields must arrive equal but unaliased, and rules
+// must name real fields.
+func TestForkCopiesEveryField(t *testing.T) {
+	world := func() *Engine {
+		e := New(5)
+		for i := 1; i <= 4; i++ {
+			e.After(Time(10*i), func() { e.Rand().Int63() })
 		}
-		positions = append(positions, pos{tm.ev.when, tm.ev.seq})
+		e.RunUntil(25)
+		return e
 	}
-
-	w.hist = nil
-	w.eng.RunUntil(horizon)
-	want := append([]string(nil), w.hist...)
-	wantProcessed := w.eng.Processed()
-
-	w.eng.Restore(snap)
-	if got := w.eng.Now(); got != snapAt {
-		t.Fatalf("restored clock %d, want %d", got, snapAt)
+	field := func(e *Engine, i int) reflect.Value {
+		v := reflect.ValueOf(e).Elem().Field(i)
+		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 	}
-	// Re-register each timer's fire at its recorded position. The
-	// closure re-arms the timer itself, exactly as the timer's own fire
-	// would have.
-	for i, p := range positions {
-		tm := w.timers[i]
-		w.eng.RestoreAt(p.when, p.seq, tm.fn)
-	}
-	w.hist = nil
-	w.eng.RunUntil(horizon)
-
-	if len(w.hist) != len(want) {
-		t.Fatalf("replay event counts differ: %d vs %d", len(w.hist), len(want))
-	}
-	for i := range want {
-		if w.hist[i] != want[i] {
-			t.Fatalf("replay diverges at %d: %q vs %q", i, w.hist[i], want[i])
+	typ := reflect.TypeOf(Engine{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		e := world()
+		src := field(e, i)
+		if rule, ok := forkRules[name]; ok {
+			if strings.HasPrefix(rule, "deep: copied") {
+				got := field(e.Fork(), i)
+				if src.IsZero() || !reflect.DeepEqual(got.Interface(), src.Interface()) || got.Pointer() == src.Pointer() {
+					t.Errorf("%s: fork holds %v at %#x, want a copy of %v at %#x",
+						name, got.Interface(), got.Pointer(), src.Interface(), src.Pointer())
+				}
+			}
+			continue
+		}
+		switch src.Kind() {
+		case reflect.Bool:
+			src.SetBool(!src.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			src.SetInt(src.Int() + 7)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			src.SetUint(src.Uint() + 7)
+		default:
+			t.Errorf("%s (%s) has no fork rule: copy it in Fork, or name its rule in forkRules", name, src.Type())
+			continue
+		}
+		if got := field(e.Fork(), i); !reflect.DeepEqual(got.Interface(), src.Interface()) {
+			t.Errorf("%s: fork holds %v, source %v — Fork does not copy it", name, got.Interface(), src.Interface())
 		}
 	}
-	if w.eng.Processed() != wantProcessed {
-		t.Errorf("processed counts differ: %d vs %d", w.eng.Processed(), wantProcessed)
+	for name := range forkRules {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("forkRules names %s, which is not a field", name)
+		}
 	}
 }
