@@ -20,7 +20,7 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 .PHONY: all build vet lint test race bench bench-test bench-out.txt bench-json \
-	bench-baseline-refresh profile campaign bisect tourney shard-usage baseline-verdict \
+	bench-baseline-refresh profile campaign bisect tourney shard-usage wastedcores-smoke baseline-verdict \
 	bisect-smoke campaign-smoke tourney-smoke explain-smoke trace-smoke schedviz-smoke \
 	bisect-default campaign-default baseline-refresh ci
 
@@ -143,16 +143,27 @@ shard-usage:
 		refuse bisect -preset smoke "$$bad"; \
 		refuse tourney -preset smoke "$$bad"; \
 	done; \
-	refuse campaign -matrix smoke -metrics-cadence-ms=-1; \
-	refuse bisect -preset smoke -perftol=-1; \
-	refuse bisect -preset smoke -lattol=NaN; \
-	refuse tourney -preset smoke -verdict-tol=Inf; \
 	refuse campaign -matrix smoke -loads make2r,make2r; \
 	refuse campaign -matrix smoke -loads serve:50,serve:050 -shard 1/2; \
 	refuse bisect -preset smoke -loads tpch -seeds 1,1; \
 	refuse bisect -preset smoke -seeds 1,1 -shard 1/2; \
 	refuse tourney -preset smoke -policies bugs,bugs; \
 	echo "shard-usage: bad -shard specs, bad numbers and repeated entries exit 2 on campaign, bisect and tourney"
+
+# The paper-tables CLI, built once like shard-usage: every experiment at
+# a small scale must exit 0, and a negative or non-finite -scale or an
+# unknown experiment must exit 2 (usage) without running anything.
+wastedcores-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/wastedcores" ./cmd/wastedcores; \
+	rc=0; "$$tmp/wastedcores" -scale 0.1 all >"$$tmp/out.txt" 2>&1 || rc=$$?; \
+	[ "$$rc" = 0 ] || { echo "wastedcores-smoke: -scale 0.1 all exited $$rc:"; cat "$$tmp/out.txt"; exit 1; }; \
+	for bad in -scale=-1 -scale=NaN tables; do \
+		rc=0; out=$$("$$tmp/wastedcores" $$bad table1 2>&1) || rc=$$?; \
+		if [ "$$rc" != 2 ] || grep -q '^Table 1' <<<"$$out"; then \
+			echo "wastedcores-smoke: $$bad exited $$rc, want 2 before running: $$out"; exit 1; fi; \
+	done; \
+	echo "wastedcores-smoke: every experiment runs at -scale 0.1; a bad -scale or experiment exits 2"
 
 # The -baseline verdict itself, on built CLIs like shard-usage: against
 # a copy of its smoke baseline with one trailing newline appended, each
@@ -280,5 +291,5 @@ baseline-refresh:
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
-ci: lint build race bench-test shard-usage baseline-verdict bisect-smoke campaign-smoke tourney-smoke \
+ci: lint build race bench-test shard-usage wastedcores-smoke baseline-verdict bisect-smoke campaign-smoke tourney-smoke \
 	explain-smoke schedviz-smoke bisect-default campaign-default

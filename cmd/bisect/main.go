@@ -4,7 +4,7 @@
 // set(s) that eliminate each idle-while-overloaded episode class, the
 // non-monotone interactions (fix combinations that re-introduce
 // violations, like the min-load fix under affinity pinning), and the
-// minimal sets recovering best-case makespan.
+// minimal sets recovering best-case makespan (within 10%).
 //
 // The sweep distributes like any campaign: -shard i/n runs a
 // deterministic slice of the lattice matrix and writes a *campaign*
@@ -47,9 +47,6 @@
 //	-scale f         workload scale factor (default per preset)
 //	-horizon s       per-scenario virtual-time bound in seconds (default
 //	                 per preset)
-//	-perftol pct     perf-verdict makespan tolerance percent (default 10)
-//	-lattol pct      latency-verdict p99 wakeup-delay tolerance percent
-//	                 (default 10, plus a 100µs absolute slack)
 //	-streak-k n      wakeup-streak threshold for the episode-level
 //	                 overload-on-wakeup witness (default 4)
 //	-out file        write the JSON artifact here ("-" for stdout)
@@ -91,18 +88,12 @@ import (
 
 func main() {
 	f := cli.Register("bisect", cli.Shards|cli.Preset)
-	var (
-		perfTol = cli.Float("perftol", "perf-verdict makespan tolerance `percent` (0 = default 10)")
-		latTol  = cli.Float("lattol", "latency-verdict p99 tolerance `percent` (0 = default 10)")
-		noFork  = flag.Bool("no-fork", false, "simulate every lattice point as its own job (no collapse of provably equal points)")
-	)
+	noFork := flag.Bool("no-fork", false, "simulate every lattice point as its own job (no collapse of provably equal points)")
 	f.Parse("")
 	o, ok := bisect.OptionsByName(f.Preset)
 	if !ok {
 		f.Usagef("unknown preset %q (want smoke, default or full)", f.Preset)
 	}
-	// Zero tolerances resolve to their defaults in Analyze.
-	o.PerfTolerancePct, o.LatencyTolerancePct = *perfTol, *latTol
 	opts := f.RunnerOpts(o.RunnerOpts())
 	opts.NoFork = *noFork
 	cli.Run(f, cli.Sweep[*bisect.Report]{

@@ -51,9 +51,8 @@
 //	                 each confirmed episode under every single fix (stamped
 //	                 into the artifact; also annotates -trace-out exports
 //	                 with decision and episode tracks)
-//	-metrics         sample scheduler/machine metrics in virtual time into
-//	                 per-result snapshots (stamped into the artifact)
-//	-metrics-cadence-ms f  metrics sampling interval in virtual ms (default 10)
+//	-metrics         sample scheduler/machine metrics every 10 virtual ms
+//	                 into per-result snapshots (stamped into the artifact)
 //	-trace-out file  export one scenario as Chrome trace-event / Perfetto
 //	                 JSON (a deterministic side run — the artifact is
 //	                 unaffected); open the file at ui.perfetto.dev
@@ -81,7 +80,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -91,17 +89,12 @@ func main() {
 		configs    = flag.String("configs", "", "comma-separated config overrides")
 		traceOn    = flag.Bool("trace", false, "capture violation-window traces")
 		metricsOn  = flag.Bool("metrics", false, "sample virtual-time metrics into per-result snapshots")
-		cadenceMs  = cli.Float("metrics-cadence-ms", "metrics sampling interval in virtual `ms` (0 = 10)")
 	)
 	f.Parse("configs")
 	m, ok := campaign.MatrixByName(*matrixName)
 	if !ok {
 		f.Usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
 	}
-	opts := f.RunnerOpts(campaign.RunnerOpts{
-		Trace:          *traceOn,
-		Metrics:        *metricsOn,
-		MetricsCadence: f.VirtualTime("metrics-cadence-ms", *cadenceMs, sim.Millisecond),
-	})
+	opts := f.RunnerOpts(campaign.RunnerOpts{Trace: *traceOn, Metrics: *metricsOn})
 	cli.Run(f, cli.CampaignSweep, f.Matrix(m, "config", *configs).Scenarios(), opts)
 }

@@ -1,7 +1,8 @@
 // Command tourney runs scheduler-policy tournaments: every registered
 // policy in the lineup runs every (topology, workload, seed) cell of
 // the matrix through the campaign worker pool, and the analyzer names
-// the per-cell winner circles on four axes — makespan, p99 wakeup
+// the per-cell winner circles (every policy within 5% of the best, plus
+// 100µs on p99 wakeup latency) on four axes — makespan, p99 wakeup
 // latency, wakeup streaks, migrations — plus the non-monotone policy
 // pairs where neither side dominates across cells.
 //
@@ -36,8 +37,6 @@
 //	-scale f         workload scale factor (default per preset)
 //	-horizon s       per-scenario virtual-time bound in seconds (default
 //	                 per preset)
-//	-verdict-tol pct verdict winner-circle tolerance percent (default 5,
-//	                 plus a 100µs absolute slack on the p99-wake axis)
 //	-streak-k n      wakeup-streak threshold (default 4)
 //	-out file        write the JSON artifact here ("-" for stdout)
 //	-baseline file   compare the artifact's bytes with a previous tourney
@@ -68,10 +67,7 @@ import (
 
 func main() {
 	f := cli.Register("tourney", cli.Preset|cli.List)
-	var (
-		policies   = flag.String("policies", "", "comma-separated policy lineup overrides")
-		verdictTol = cli.Float("verdict-tol", "verdict winner-circle tolerance `percent` (0 = default 5)")
-	)
+	policies := flag.String("policies", "", "comma-separated policy lineup overrides")
 	f.Parse("policies")
 	o, ok := tourney.OptionsByName(f.Preset)
 	if !ok {
@@ -81,8 +77,6 @@ func main() {
 	if o.Policies = m.Configs; len(o.Policies) < 2 {
 		f.Usagef("a tournament needs at least two policies, got %d", len(o.Policies))
 	}
-	// A zero tolerance resolves to its default in Analyze.
-	o.TolerancePct = *verdictTol
 	cli.Run(f, cli.Sweep[*tourney.Report]{
 		Analyze:  func(c *campaign.Campaign) (*tourney.Report, error) { return tourney.Analyze(c, o) },
 		Decode:   tourney.Decode,

@@ -6,14 +6,18 @@
 //
 //	wastedcores [flags] <experiment>...
 //
-// Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4
-// fig5 check all
+// Experiments: table1 table2 table3 table4 table5 attribution fig1 fig2
+// fig3 fig4 fig5 check scaling all
 //
 // Flags:
 //
-//	-scale f   workload scale factor (default 1.0; smaller is faster)
+//	-scale f   workload scale factor (0 = 1, paper scale; smaller is faster)
 //	-seed n    deterministic seed (default 42)
 //	-svg dir   also write heatmaps as SVG files into dir
+//
+// Exit codes: 0 on success, 1 when an experiment fails, 2 on usage
+// errors — a negative or non-finite -scale, or an unknown experiment —
+// before any experiment runs.
 package main
 
 import (
@@ -21,8 +25,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/checker"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/globalq"
 	"repro/internal/machine"
@@ -34,8 +41,13 @@ import (
 	"repro/internal/workload"
 )
 
+// names lists the experiments in the order "all" runs them.
+var names = []string{"table5", "fig4", "fig1", "table1", "table2",
+	"table3", "table4", "attribution", "fig2", "fig3", "fig5", "check", "scaling"}
+
 func main() {
-	scale := flag.Float64("scale", 1.0, "workload scale factor")
+	const cmd = cli.Cmd("wastedcores")
+	scale := cli.Float("scale", "workload scale `factor` (0 = 1, paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	svgDir := flag.String("svg", "", "write heatmaps as SVG files into this directory")
 	flag.Usage = usage
@@ -43,17 +55,21 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
-		os.Exit(2)
+		os.Exit(cli.ExitUsage)
+	}
+	for _, name := range args {
+		if name != "all" && !slices.Contains(names, name) {
+			cmd.Usagef("unknown experiment %q (want %s or all)", name, strings.Join(names, ", "))
+		}
 	}
 	opts := experiments.Options{Seed: *seed, Scale: *scale}
-	for _, cmd := range args {
-		if cmd == "all" {
+	for _, name := range args {
+		if name == "all" {
 			runAll(opts, *svgDir)
 			continue
 		}
-		if err := run(cmd, opts, *svgDir); err != nil {
-			fmt.Fprintf(os.Stderr, "wastedcores: %v\n", err)
-			os.Exit(1)
+		if err := run(name, opts, *svgDir); err != nil {
+			cmd.Fatalf("%v", err)
 		}
 	}
 }
@@ -162,8 +178,7 @@ func run(cmd string, opts experiments.Options, svgDir string) error {
 }
 
 func runAll(opts experiments.Options, svgDir string) {
-	for _, cmd := range []string{"table5", "fig4", "fig1", "table1", "table2",
-		"table3", "table4", "attribution", "fig2", "fig3", "fig5", "check", "scaling"} {
+	for _, cmd := range names {
 		fmt.Printf("==== %s ====\n\n", cmd)
 		if err := run(cmd, opts, svgDir); err != nil {
 			fmt.Fprintf(os.Stderr, "wastedcores: %s: %v\n", cmd, err)

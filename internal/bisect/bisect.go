@@ -35,9 +35,28 @@ import (
 	"repro/internal/sim"
 )
 
+// The verdict tolerances. Every report stamps them, and verdicts are
+// only comparable across equal tolerances.
+const (
+	// PerfTolerancePct is the makespan slack for the performance
+	// verdict: a fix set qualifies when its makespan is within this
+	// percentage of the best lattice point.
+	PerfTolerancePct float64 = 10
+	// LatencyTolerancePct is the relative slack of the latency verdict:
+	// a fix set qualifies when its p99 wakeup-to-run delay is within
+	// this percentage of the best lattice point.
+	LatencyTolerancePct float64 = 10
+	// LatencySlack is the absolute slack added on top — without it a
+	// best p99 of zero (every wakeup ran immediately, the usual result
+	// under the OoW fix) would demand bit-exact zeroes from every
+	// qualifying set. Tails under this floor are treated as equally
+	// good.
+	LatencySlack = 100 * sim.Microsecond
+)
+
 // Options declares a bisection sweep: the non-config dimensions of the
-// matrix (the configs are always the 16 lattice points) plus analysis
-// tuning.
+// matrix (the configs are always the 16 lattice points) plus the
+// runner's tuning.
 type Options struct {
 	Topologies []campaign.TopologySpec
 	Workloads  []campaign.Workload
@@ -70,22 +89,6 @@ type Options struct {
 	// which records what actually ran.
 	Checker checker.Config
 
-	// PerfTolerancePct is the makespan slack for the performance
-	// verdict: a fix set qualifies when its makespan is within this
-	// percentage of the best lattice point (0 = 10%).
-	PerfTolerancePct float64
-
-	// LatencyTolerancePct is the relative slack of the latency verdict:
-	// a fix set qualifies when its p99 wakeup-to-run delay is within
-	// this percentage of the best lattice point (0 = 10%).
-	LatencyTolerancePct float64
-	// LatencySlack is the absolute slack added on top — without it a
-	// best p99 of zero (every wakeup ran immediately, the usual result
-	// under the OoW fix) would demand bit-exact zeroes from every
-	// qualifying set. Tails under this floor are treated as equally
-	// good (0 = 100µs).
-	LatencySlack sim.Time
-
 	// Explain attaches the causal-observability layer (see
 	// campaign.RunnerOpts.Explain) to every lattice point: decision
 	// provenance plus per-episode counterfactual replays. Analyze then
@@ -111,15 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Checker.M == 0 {
 		o.Checker.M = 15 * sim.Millisecond
-	}
-	if o.PerfTolerancePct == 0 {
-		o.PerfTolerancePct = 10
-	}
-	if o.LatencyTolerancePct == 0 {
-		o.LatencyTolerancePct = 10
-	}
-	if o.LatencySlack == 0 {
-		o.LatencySlack = 100 * sim.Microsecond
 	}
 	return o
 }

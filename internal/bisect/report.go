@@ -183,12 +183,11 @@ func (r *Report) Cell(topology, workload string, seed int64) *Cell {
 // must contain, for every (topology, workload, seed) cell, all 16
 // lattice configurations (extra non-lattice configs are ignored). The
 // checker lens is read from the artifact itself — never from the
-// options — so re-analyzing a loaded or shard-merged artifact cannot
-// mislabel the report or apply the wrong interaction threshold.
-// Analysis is a pure function of the artifact plus PerfTolerancePct,
+// options, which Analyze does not read — so re-analyzing a loaded or
+// shard-merged artifact cannot mislabel the report or apply the wrong
+// interaction threshold. Analysis is a pure function of the artifact,
 // and reproduces the report byte for byte.
-func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
+func Analyze(c *campaign.Campaign, _ Options) (*Report, error) {
 	if c.CheckerSNs == 0 || c.CheckerMNs == 0 {
 		return nil, fmt.Errorf("bisect: campaign artifact records no checker lens")
 	}
@@ -237,9 +236,9 @@ func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
 		HorizonNs:           c.HorizonNs,
 		CheckerSNs:          c.CheckerSNs,
 		CheckerMNs:          c.CheckerMNs,
-		PerfTolerancePct:    opts.PerfTolerancePct,
-		LatencyTolerancePct: opts.LatencyTolerancePct,
-		LatencySlackNs:      int64(opts.LatencySlack),
+		PerfTolerancePct:    PerfTolerancePct,
+		LatencyTolerancePct: LatencyTolerancePct,
+		LatencySlackNs:      int64(LatencySlack),
 		StreakK:             c.StreakK,
 		Campaign:            c,
 	}
@@ -251,7 +250,7 @@ func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
 					k.topo, k.load, k.seed, FixSet(f).ConfigName())
 			}
 		}
-		cell := analyzeCell(k.topo, k.load, k.seed, lat, c.CheckerMNs, opts)
+		cell := analyzeCell(k.topo, k.load, k.seed, lat, c.CheckerMNs)
 		r.Cells = append(r.Cells, cell)
 	}
 	return r, nil
@@ -259,7 +258,7 @@ func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
 
 // analyzeCell runs the memoized lattice walks for one cell. windowNs is
 // the artifact's monitoring window, used as the interaction threshold.
-func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, windowNs int64, opts Options) Cell {
+func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, windowNs int64) Cell {
 	base := lat[0]
 	cell := Cell{
 		Topology:           topo,
@@ -360,7 +359,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	if bestNs >= 0 {
 		cell.PerfBestSet = best.String()
 		cell.PerfBestMakespanNs = bestNs
-		limit := float64(bestNs) * (1 + opts.PerfTolerancePct/100)
+		limit := float64(bestNs) * (1 + PerfTolerancePct/100)
 		qualifies := func(f FixSet) bool {
 			return lat[f].Completed && float64(lat[f].MakespanNs) <= limit
 		}
@@ -416,7 +415,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	if anyDigest && bestLatNs >= 0 {
 		cell.LatencyBestSet = bestLat.String()
 		cell.LatencyBestP99Ns = bestLatNs
-		limit := float64(bestLatNs)*(1+opts.LatencyTolerancePct/100) + float64(opts.LatencySlack)
+		limit := float64(bestLatNs)*(1+LatencyTolerancePct/100) + float64(LatencySlack)
 		qualifies := func(f FixSet) bool {
 			return lat[f].Completed && float64(p99Of(f)) <= limit
 		}

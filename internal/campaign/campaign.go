@@ -187,8 +187,8 @@ type Stamp struct {
 	StreakK int `json:"streak_k,omitempty"`
 	// Metrics records whether the obs metrics registry was attached
 	// (it adds per-result Metrics snapshots and its sampling timer
-	// changes Events counts), and MetricsCadenceNs the resolved
-	// sampling interval (zero when metrics are off).
+	// changes Events counts), and MetricsCadenceNs the sampling
+	// interval (zero when metrics are off).
 	Metrics          bool  `json:"metrics,omitempty"`
 	MetricsCadenceNs int64 `json:"metrics_cadence_ns,omitempty"`
 	// Explain records whether the causal-observability layer was attached

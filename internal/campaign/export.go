@@ -96,7 +96,7 @@ func ExportPerfetto(sc Scenario, opts RunnerOpts, w io.Writer) (TraceExport, err
 	rec.Start()
 	m.Sched.EmitSnapshot()
 
-	reg := obs.NewRegistry(m.Eng, obs.Options{Cadence: opts.EffectiveMetricsCadence()})
+	reg := obs.NewRegistry(m.Eng, obs.Options{Cadence: obs.DefaultCadence})
 	m.Sched.AttachObs(reg)
 	m.AttachObs(reg)
 	reg.Start()

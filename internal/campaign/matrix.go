@@ -63,8 +63,9 @@ func (s Scenario) Key() string {
 // the (topology, workload, seed) cell it belongs to. Engine seeds derive
 // from the cell, not the full key, so every config of a cell sees the
 // same jitter stream — the property that makes lattice runs of one cell
-// comparable point-for-point, and that lets the forked bisect runner
-// share one simulation prefix across the cell's 16 configs.
+// comparable point-for-point, and that lets the collapsed cell runner
+// copy a config's result to every config the divergence probe proves
+// equal to it.
 func (s Scenario) CellKey() string {
 	return fmt.Sprintf("%s/%s/s%d", s.Topology.Name, s.Workload.Name, s.Seed)
 }

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/explain"
 	"repro/internal/machine"
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -21,7 +21,7 @@ import (
 // be just as deterministic as metrics-off.
 func TestMetricsCampaignDeterministic(t *testing.T) {
 	m := SmokeMatrix()
-	opts := RunnerOpts{Workers: 1, BaseSeed: 42, Metrics: true, MetricsCadence: 5 * sim.Millisecond}
+	opts := RunnerOpts{Workers: 1, BaseSeed: 42, Metrics: true}
 	var artifacts [][]byte
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		opts.Workers = workers
@@ -34,7 +34,7 @@ func TestMetricsCampaignDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		artifacts = append(artifacts, data)
-		if !c.Metrics || c.MetricsCadenceNs != int64(5*sim.Millisecond) {
+		if !c.Metrics || c.MetricsCadenceNs != int64(obs.DefaultCadence) {
 			t.Fatalf("metrics settings not stamped: metrics=%v cadence=%d", c.Metrics, c.MetricsCadenceNs)
 		}
 		for _, r := range c.Results {

@@ -48,15 +48,12 @@ type RunnerOpts struct {
 	// artifact: streak counts are only comparable at equal K.
 	StreakK int
 	// Metrics attaches an obs metrics registry to every scenario:
-	// scheduler and machine instruments are sampled in virtual time on
-	// MetricsCadence and each Result carries a deterministic Snapshot.
-	// Like Trace, the toggle (and the resolved cadence) is stamped into
+	// scheduler and machine instruments are sampled in virtual time
+	// every obs.DefaultCadence and each Result carries a deterministic
+	// Snapshot. Like Trace, the toggle (and the cadence) is stamped into
 	// the artifact — the sampling timer changes per-result Events
 	// counts, so metrics-on and metrics-off artifacts are distinct.
 	Metrics bool
-	// MetricsCadence is the virtual-time sampling interval (0 =
-	// obs.DefaultCadence). Ignored unless Metrics.
-	MetricsCadence sim.Time
 	// Explain attaches the causal-observability layer to every scenario:
 	// its scheduler decisions are counted, and each
 	// confirmed checker episode (plus each wakeup streak) is replayed
@@ -97,15 +94,6 @@ func (o RunnerOpts) EffectiveStreakK() int {
 	return o.StreakK
 }
 
-// EffectiveMetricsCadence resolves the metrics sampling interval — the
-// single resolution shared by runScenario and Stamp.
-func (o RunnerOpts) EffectiveMetricsCadence() sim.Time {
-	if o.MetricsCadence <= 0 {
-		return obs.DefaultCadence
-	}
-	return o.MetricsCadence
-}
-
 // Stamp is the run identity these options give an artifact, with every
 // default resolved: the model version, base seed, checker lens, streak
 // threshold and observation toggles, plus the metrics cadence when
@@ -117,7 +105,7 @@ func (o RunnerOpts) Stamp() Stamp {
 		CheckerSNs: int64(ck.S), CheckerMNs: int64(ck.M), Trace: o.Trace,
 		StreakK: o.EffectiveStreakK(), Metrics: o.Metrics, Explain: o.Explain}
 	if o.Metrics {
-		s.MetricsCadenceNs = int64(o.EffectiveMetricsCadence())
+		s.MetricsCadenceNs = int64(obs.DefaultCadence)
 	}
 	return s
 }
@@ -359,7 +347,7 @@ func runScenario(sc Scenario, opts RunnerOpts, probe *sched.DivergenceProbe) Res
 	}
 	var reg *obs.Registry
 	if opts.Metrics {
-		reg = obs.NewRegistry(m.Eng, obs.Options{Cadence: opts.EffectiveMetricsCadence()})
+		reg = obs.NewRegistry(m.Eng, obs.Options{Cadence: obs.DefaultCadence})
 		m.Sched.AttachObs(reg)
 		m.AttachObs(reg)
 		reg.Start()

@@ -325,13 +325,18 @@ func brokenNodePair(t *topology.Topology) (a, b topology.NodeID, ok bool) {
 	return fallbackA, fallbackB, bestHops > 0
 }
 
+// HotplugSettle is how long nas-hotplug runs the machine between its
+// hotplug cycle and the program's launch. Its makespan includes it;
+// Table 3 subtracts it to time the program from launch.
+const HotplugSettle = 10 * sim.Millisecond
+
 // nasHotplugWorkload is the Table 3 configuration (§3.4): disable and
-// re-enable the machine's last core, then launch the NPB program with as
-// many threads as cores, all forked from core 0. With the Missing
-// Scheduling Domains bug the regeneration after hotplug drops every
-// node-spanning level, so the threads never leave the spawn node; the
-// fix restores them. On single-node machines the hotplug cycle is
-// harmless and the run degrades to a plain NAS run.
+// re-enable the machine's last core, let it settle for HotplugSettle,
+// then launch the NPB program with as many threads as cores, all forked
+// from core 0. With the Missing Scheduling Domains bug the regeneration
+// after hotplug drops every node-spanning level, so the threads never
+// leave the spawn node; the fix restores them. On single-node machines
+// the hotplug cycle is harmless and the run degrades to a plain NAS run.
 func nasHotplugWorkload(name string) Workload {
 	return Workload{Name: "nas-hotplug:" + name, Run: func(rc *RunContext) Outcome {
 		app, ok := workload.NASAppByName(name)
@@ -345,7 +350,7 @@ func nasHotplugWorkload(name string) Workload {
 		if err := rc.M.EnableCore(last); err != nil {
 			panic(err)
 		}
-		rc.M.Run(10 * sim.Millisecond)
+		rc.M.Run(HotplugSettle)
 		p := app.Launch(rc.M, workload.NASLaunchOpts{
 			Threads:   rc.Topo.NumCores(),
 			SpawnCore: 0,
@@ -422,12 +427,9 @@ func serveWorkload(qps int) Workload {
 		if requests < 50 {
 			requests = 50
 		}
-		noise := workload.StartNoise(rc.M, workload.NoiseOpts{
-			MeanInterval: 3 * sim.Millisecond,
-			MinDur:       200 * sim.Microsecond,
-			MaxDur:       900 * sim.Microsecond,
-			Seed:         rc.Seed + 1,
-		})
+		nopts := workload.DefaultNoiseOpts()
+		nopts.Seed = rc.Seed + 1
+		noise := workload.StartNoise(rc.M, nopts)
 		defer noise.Stop()
 		srv := workload.StartServe(rc.M, workload.ServeOpts{
 			QPS:      float64(qps),
@@ -473,12 +475,9 @@ func tpchWorkload() Workload {
 			Scale:      rc.Scale,
 			Seed:       rc.Seed,
 		})
-		noise := workload.StartNoise(rc.M, workload.NoiseOpts{
-			MeanInterval: 3 * sim.Millisecond,
-			MinDur:       200 * sim.Microsecond,
-			MaxDur:       900 * sim.Microsecond,
-			Seed:         rc.Seed + 1,
-		})
+		nopts := workload.DefaultNoiseOpts()
+		nopts.Seed = rc.Seed + 1
+		noise := workload.StartNoise(rc.M, nopts)
 		defer noise.Stop()
 		rc.M.Run(50 * sim.Millisecond) // let the pool spread and park
 		lats, done := db.RunAll(rc.Horizon)

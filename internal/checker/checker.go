@@ -195,14 +195,17 @@ func (c *Checker) periodic() {
 // with nr_running >= 2 from which CPU1 could steal. It is the
 // confirmation rule itself, exported so counterfactual replays
 // (internal/explain) judge persistence exactly as the checker does.
+//
+// It runs at every check and every monitoring sample, so it walks the
+// online set in ascending core order without allocating.
 func FindViolation(s *sched.Scheduler) (idle, busy topology.CoreID, found bool) {
-	online := s.OnlineCPUs()
-	for _, cpu1 := range online {
-		if s.NrRunning(cpu1) >= 1 {
-			continue // CPU1 is not idle
+	online, n := s.OnlineSet(), topology.CoreID(s.Topology().NumCores())
+	for cpu1 := range n {
+		if !online.Has(cpu1) || s.NrRunning(cpu1) >= 1 {
+			continue // CPU1 is offline or not idle
 		}
-		for _, cpu2 := range online {
-			if cpu2 == cpu1 {
+		for cpu2 := range n {
+			if cpu2 == cpu1 || !online.Has(cpu2) {
 				continue
 			}
 			if s.NrRunning(cpu2) >= 2 && s.CanSteal(cpu1, cpu2) {
@@ -297,9 +300,11 @@ func (c *Checker) flag(detectedAt, onsetAt sim.Time, idle, busy topology.CoreID,
 		WakeStreaksDuring:   c.streakCount() - startStreaks,
 		Class:               Classify(c.s, idle, busy, wakeupsOnBusy),
 	}
-	for _, cpu := range c.s.OnlineCPUs() {
+	online := c.s.OnlineSet()
+	v.NrRunning = make([]int, 0, online.Count())
+	online.ForEach(func(cpu topology.CoreID) {
 		v.NrRunning = append(v.NrRunning, c.s.NrRunning(cpu))
-	}
+	})
 	c.violations = append(c.violations, v)
 	if c.hook != nil {
 		c.hook.OnConfirmed(v)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // busyMachine keeps n hog threads running for the duration of the test.
@@ -256,5 +257,34 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFindViolationAllocFree pins the periodic check at zero allocations:
+// FindViolation runs at every check and every monitoring sample of every
+// scenario. The world is the Table 1 pinning mid-run on bulldozer8, so
+// the walk passes idle cores that cannot steal from the busy ones before
+// it finds a violation.
+func TestFindViolationAllocFree(t *testing.T) {
+	topo := topology.Bulldozer8()
+	m := machine.New(topo, sched.DefaultConfig(), 1)
+	app, ok := workload.NASAppByName("lu")
+	if !ok {
+		t.Fatal("lu missing")
+	}
+	app.Launch(m, workload.NASLaunchOpts{
+		Threads:   16,
+		Affinity:  workload.NodeSet(topo, 1, 2),
+		SpawnCore: topo.CoresOfNode(1)[0],
+		Seed:      1,
+		Scale:     0.25,
+	})
+	m.Run(200 * sim.Millisecond)
+	idle, busy, found := FindViolation(m.Sched)
+	if !found || idle < topo.CoresOfNode(1)[0] {
+		t.Fatalf("FindViolation = (%d, %d, %v), want a violation past node 0", idle, busy, found)
+	}
+	if n := testing.AllocsPerRun(100, func() { FindViolation(m.Sched) }); n != 0 {
+		t.Fatalf("FindViolation allocates %v times per call, want 0", n)
 	}
 }

@@ -61,8 +61,6 @@ func Attribution(opts Options) ([]AttributionRow, *bisect.Report, error) {
 		Workloads:  campaign.MustWorkloads(loads...),
 		Seeds:      []int64{1},
 		Scale:      opts.Scale,
-		Horizon:    opts.Horizon,
-		Workers:    opts.Workers,
 		BaseSeed:   opts.Seed,
 	}
 	r, err := bisect.Run(b)

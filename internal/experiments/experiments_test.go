@@ -221,7 +221,7 @@ func TestFig5(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Seed == 0 || o.Scale != 1 || o.Horizon == 0 {
+	if o.Seed == 0 || o.Scale != 1 {
 		t.Fatalf("defaults: %+v", o)
 	}
 }

@@ -93,7 +93,7 @@ func Fig2(opts Options) *Fig2Result {
 		t1 := t0 + 150*sim.Millisecond
 		m.RunUntil(t1)
 		rec.Stop()
-		end, _ := m.RunUntilDone(opts.Horizon, mkProc)
+		end, _ := m.RunUntilDone(horizon, mkProc)
 		if end < t1 {
 			t1 = end
 		}
@@ -164,7 +164,7 @@ func Fig3(opts Options) *Fig3Result {
 	rec.Start()
 	m.Sched.EmitSnapshot()
 	start := m.Eng.Now()
-	db.RunAll(opts.Horizon)
+	db.RunAll(horizon)
 	rec.Stop()
 	end := m.Eng.Now()
 

@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-// Table1Row is one application's result for the Scheduling Group
-// Construction experiment (paper Table 1): execution time with the bug,
-// without it, and the speedup factor.
-type Table1Row struct {
+// NASRow is one NAS application's result in Table 1 or Table 3:
+// execution time with the bug, without it, and the speedup factor.
+type NASRow struct {
 	App     string
 	WithBug sim.Time
 	Fixed   sim.Time
@@ -26,62 +22,51 @@ type Table1Row struct {
 
 // Table1 reproduces the paper's Table 1: every NAS application launched
 // with "numactl --cpunodebind=1,2" and as many threads as cores on those
-// two nodes (16). Nodes 1 and 2 are two hops apart on the Bulldozer
-// machine, so with the Scheduling Group Construction bug all threads stay
-// on node 1; with the fix they spread over both nodes.
-func Table1(opts Options) []Table1Row {
-	opts = opts.withDefaults()
+// two nodes (16), as the campaign workload nas-pin:<app>. Nodes 1 and 2
+// are two hops apart on the Bulldozer machine, so with the Scheduling
+// Group Construction bug all threads stay on node 1, where they are
+// created ("threads are created on the same node as their parent
+// thread", §3.2); with the fix they spread over both nodes.
+func Table1(opts Options) []NASRow {
+	return nasTable(opts, "nas-pin:", "fx-gc", 0)
+}
+
+// nasTable runs the campaign workload family+<app> for every NAS
+// application under the studied kernel (fx-none) and under fix, and
+// times each run from launch, the virtual time at which the workload
+// starts the application.
+func nasTable(opts Options, family, fix string, launch sim.Time) []NASRow {
 	apps := workload.NASSuite()
-	// Two independent runs per app (with and without the fix), fanned
-	// out on the campaign worker pool: job 2i is app i with the bug,
-	// job 2i+1 with the fix.
-	type run struct {
-		t  sim.Time
-		ok bool
-	}
-	runs := forEach(opts, 2*len(apps), func(i int) run {
-		t, ok := runTable1App(apps[i/2], opts, i%2 == 1)
-		return run{t, ok}
-	})
-	var rows []Table1Row
+	names := make([]string, len(apps))
 	for i, app := range apps {
-		buggy, fixed := runs[2*i], runs[2*i+1]
-		rows = append(rows, Table1Row{
+		names[i] = family + app.Name
+	}
+	grid := runGrid(opts, launch, names, []string{"fx-none", fix})
+	rows := make([]NASRow, len(apps))
+	for i, app := range apps {
+		buggy, fixed := grid[i][0], grid[i][1]
+		bug, fx := buggy.Makespan-launch, fixed.Makespan-launch
+		rows[i] = NASRow{
 			App:      app.Name,
-			WithBug:  buggy.t,
-			Fixed:    fixed.t,
-			Speedup:  stats.Speedup(buggy.t.Seconds(), fixed.t.Seconds()),
-			Complete: buggy.ok && fixed.ok,
-		})
+			WithBug:  bug,
+			Fixed:    fx,
+			Speedup:  stats.Speedup(bug.Seconds(), fx.Seconds()),
+			Complete: buggy.Completed && fixed.Completed,
+		}
 	}
 	return rows
 }
 
-// runTable1App runs one NAS app pinned to nodes 1 and 2 under the vanilla
-// kernel (all bugs) or with the Scheduling Group Construction fix.
-func runTable1App(app workload.NASApp, opts Options, fix bool) (sim.Time, bool) {
-	topo := topology.Bulldozer8()
-	cfg := sched.DefaultConfig() // all bugs present: the studied kernel
-	cfg.Features.FixGroupConstruction = fix
-	m := machine.New(topo, cfg, opts.Seed)
-	aff := workload.NodeSet(topo, 1, 2)
-	// Threads are created on node 1 ("threads are created on the same
-	// node as their parent thread", §3.2).
-	p := app.Launch(m, workload.NASLaunchOpts{
-		Threads:   16,
-		Affinity:  aff,
-		SpawnCore: topo.CoresOfNode(1)[0],
-		Seed:      opts.Seed,
-		Scale:     opts.Scale,
-	})
-	return m.RunUntilDone(opts.Horizon, p)
+// FormatTable1 renders rows in the paper's Table 1 layout.
+func FormatTable1(rows []NASRow) string {
+	return formatNAS(rows, "Table 1: NAS execution time with/without the Scheduling Group Construction bug\n"+
+		"(16 threads, numactl --cpunodebind=1,2)\n")
 }
 
-// FormatTable1 renders rows in the paper's Table 1 layout.
-func FormatTable1(rows []Table1Row) string {
+// formatNAS renders the layout Tables 1 and 3 share under title.
+func formatNAS(rows []NASRow, title string) string {
 	var b strings.Builder
-	b.WriteString("Table 1: NAS execution time with/without the Scheduling Group Construction bug\n")
-	b.WriteString("(16 threads, numactl --cpunodebind=1,2)\n\n")
+	b.WriteString(title + "\n")
 	fmt.Fprintf(&b, "%-12s %14s %14s %10s\n", "Application", "Time w/ bug", "Time w/o bug", "Speedup")
 	for _, r := range rows {
 		note := ""

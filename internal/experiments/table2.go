@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Table2Row is one fix-configuration's result for the commercial-database
@@ -25,70 +22,39 @@ type Table2Row struct {
 	Complete bool
 }
 
-// table2Configs are the paper's four rows.
-func table2Configs() []struct {
-	Name string
-	F    sched.Features
-} {
-	return []struct {
-		Name string
-		F    sched.Features
-	}{
-		{"None", sched.Features{}},
-		{"Group Imbalance", sched.Features{FixGroupImbalance: true}},
-		{"Overload-on-Wakeup", sched.Features{FixOverloadWakeup: true}},
-		{"Both", sched.Features{FixGroupImbalance: true, FixOverloadWakeup: true}},
-	}
+// table2Configs are the paper's four rows and the fix-lattice configs
+// they run under.
+var table2Configs = []struct{ Name, Config string }{
+	{"None", "fx-none"},
+	{"Group Imbalance", "fx-gi"},
+	{"Overload-on-Wakeup", "fx-oow"},
+	{"Both", "fx-gi+oow"},
 }
 
-// Table2 reproduces the paper's Table 2: a 64-worker database (containers
-// of unequal size in distinct autogroups) running TPC-H alongside
-// transient kernel noise, under each combination of the Group Imbalance
-// and Overload-on-Wakeup fixes.
+// Table2 reproduces the paper's Table 2 with the campaign workload tpch:
+// a 64-worker database (containers of unequal size in distinct
+// autogroups) running TPC-H alongside transient kernel noise, under
+// each combination of the Group Imbalance and Overload-on-Wakeup fixes.
 func Table2(opts Options) []Table2Row {
-	opts = opts.withDefaults()
-	configs := table2Configs()
-	// The four fix combinations are independent runs; the percentage
-	// columns against the no-fixes baseline are computed afterwards.
-	rows := forEach(opts, len(configs), func(i int) Table2Row {
-		q18, full, ok := runTPCH(opts, configs[i].F)
-		return Table2Row{Config: configs[i].Name, Q18: q18, Full: full, Complete: ok}
-	})
+	configs := make([]string, len(table2Configs))
+	for i, c := range table2Configs {
+		configs[i] = c.Config
+	}
+	rows := make([]Table2Row, len(configs))
+	for i, o := range runGrid(opts, 0, []string{"tpch"}, configs)[0] {
+		rows[i] = Table2Row{
+			Config:   table2Configs[i].Name,
+			Q18:      sim.Time(math.Round(o.Extra["q18_s"] * float64(sim.Second))),
+			Full:     o.Makespan,
+			Complete: o.Completed,
+		}
+	}
 	base := rows[0]
 	for i := 1; i < len(rows); i++ {
 		rows[i].Q18Pct = stats.PercentChange(base.Q18.Seconds(), rows[i].Q18.Seconds())
 		rows[i].FullPct = stats.PercentChange(base.Full.Seconds(), rows[i].Full.Seconds())
 	}
 	return rows
-}
-
-// runTPCH runs the full 22-query benchmark once and returns Q18's latency
-// and the total.
-func runTPCH(opts Options, f sched.Features) (q18, full sim.Time, ok bool) {
-	topo := topology.Bulldozer8()
-	cfg := sched.DefaultConfig()
-	cfg.Features = f
-	m := machine.New(topo, cfg, opts.Seed)
-	db := workload.NewTPCH(m, workload.TPCHOpts{
-		Containers: []int{32, 16, 16},
-		Autogroups: true,
-		Scale:      opts.Scale,
-		Seed:       opts.Seed,
-	})
-	noise := workload.StartNoise(m, workload.DefaultNoiseOpts())
-	defer noise.Stop()
-	m.Run(50 * sim.Millisecond) // let the pool spread and park
-	lats, done := db.RunAll(opts.Horizon)
-	if !done {
-		return 0, 0, false
-	}
-	for q, l := range lats {
-		full += l
-		if q == workload.Q18Index {
-			q18 = l
-		}
-	}
-	return q18, full, true
 }
 
 // FormatTable2 renders rows in the paper's Table 2 layout.

@@ -1,97 +1,21 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/machine"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/topology"
-	"repro/internal/workload"
-)
-
-// Table3Row is one application's result for the Missing Scheduling
-// Domains experiment (paper Table 3).
-type Table3Row struct {
-	App      string
-	WithBug  sim.Time
-	Fixed    sim.Time
-	Speedup  float64
-	Complete bool
-}
+import "repro/internal/campaign"
 
 // Table3 reproduces the paper's Table 3: disable and re-enable one core,
 // then launch each NAS application with 64 threads (the machine's default
-// configuration). With the bug, domain regeneration drops the NUMA levels
-// and all threads stay on the node where they were forked — one node
-// instead of eight. Super-linear slowdowns (up to 138x for lu) come from
-// spinning on locks and barriers while holders sit in runqueues.
-func Table3(opts Options) []Table3Row {
-	opts = opts.withDefaults()
-	apps := workload.NASSuite()
-	type run struct {
-		t  sim.Time
-		ok bool
-	}
-	runs := forEach(opts, 2*len(apps), func(i int) run {
-		t, ok := runTable3App(apps[i/2], opts, i%2 == 1)
-		return run{t, ok}
-	})
-	var rows []Table3Row
-	for i, app := range apps {
-		buggy, fixed := runs[2*i], runs[2*i+1]
-		rows = append(rows, Table3Row{
-			App:      app.Name,
-			WithBug:  buggy.t,
-			Fixed:    fixed.t,
-			Speedup:  stats.Speedup(buggy.t.Seconds(), fixed.t.Seconds()),
-			Complete: buggy.ok && fixed.ok,
-		})
-	}
-	return rows
-}
-
-func runTable3App(app workload.NASApp, opts Options, fix bool) (sim.Time, bool) {
-	topo := topology.Bulldozer8()
-	cfg := sched.DefaultConfig()
-	cfg.Features.FixMissingDomains = fix
-	m := machine.New(topo, cfg, opts.Seed)
-	// The hotplug cycle that triggers the bug (§3.4): disable then
-	// re-enable a core through the /proc interface.
-	if err := m.DisableCore(63); err != nil {
-		panic(err)
-	}
-	if err := m.EnableCore(63); err != nil {
-		panic(err)
-	}
-	m.Run(10 * sim.Millisecond)
-	// 64 threads, all forked from the same parent on node 0 ("all newly
-	// created threads execut[e] on only one node of the machine").
-	p := app.Launch(m, workload.NASLaunchOpts{
-		Threads:   64,
-		SpawnCore: 0,
-		Seed:      opts.Seed,
-		Scale:     opts.Scale,
-	})
-	end, ok := m.RunUntilDone(m.Eng.Now()+opts.Horizon, p)
-	return end - 10*sim.Millisecond, ok
+// configuration), as the campaign workload nas-hotplug:<app>. With the
+// bug, domain regeneration drops the NUMA levels and all threads stay on
+// the node where they were forked — one node instead of eight.
+// Super-linear slowdowns (up to 138x for lu) come from spinning on locks
+// and barriers while holders sit in runqueues. Each run is timed from
+// the application's launch, HotplugSettle after the hotplug cycle.
+func Table3(opts Options) []NASRow {
+	return nasTable(opts, "nas-hotplug:", "fx-md", campaign.HotplugSettle)
 }
 
 // FormatTable3 renders rows in the paper's Table 3 layout.
-func FormatTable3(rows []Table3Row) string {
-	var b strings.Builder
-	b.WriteString("Table 3: NAS execution time with/without the Missing Scheduling Domains bug\n")
-	b.WriteString("(64 threads, after disabling and re-enabling one core)\n\n")
-	fmt.Fprintf(&b, "%-12s %14s %14s %10s\n", "Application", "Time w/ bug", "Time w/o bug", "Speedup")
-	for _, r := range rows {
-		note := ""
-		if !r.Complete {
-			note = " (timeout)"
-		}
-		fmt.Fprintf(&b, "%-12s %14s %14s %9.2fx%s\n",
-			r.App, fmtTime(r.WithBug), fmtTime(r.Fixed), r.Speedup, note)
-	}
-	return b.String()
+func FormatTable3(rows []NASRow) string {
+	return formatNAS(rows, "Table 3: NAS execution time with/without the Missing Scheduling Domains bug\n"+
+		"(64 threads, after disabling and re-enabling one core)\n")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -47,14 +48,14 @@ func GroupImbalanceLU(opts Options) LuRResult {
 			Scale:     opts.Scale,
 		})
 		start := m.Eng.Now()
-		end, done := m.RunUntilDone(start+opts.Horizon, p)
+		end, done := m.RunUntilDone(start+horizon, p)
 		return end - start, done
 	}
 	type res struct {
 		t  sim.Time
 		ok bool
 	}
-	runs := forEach(opts, 2, func(i int) res {
+	runs := campaign.ForEach(2, 0, func(i int) res {
 		t, ok := run(i == 1)
 		return res{t, ok}
 	})
@@ -78,7 +79,7 @@ type Table4Row struct {
 
 // Table4 reproduces the paper's Table 4 by taking the maximum measured
 // impact of each bug from this reproduction's own experiments.
-func Table4(t1 []Table1Row, t2 []Table2Row, t3 []Table3Row, lur LuRResult) []Table4Row {
+func Table4(t1 []NASRow, t2 []Table2Row, t3 []NASRow, lur LuRResult) []Table4Row {
 	maxSpeedup1 := 0.0
 	for _, r := range t1 {
 		if r.Speedup > maxSpeedup1 {

@@ -4,9 +4,10 @@
 // a core sat idle while another queued threads, and the §4.2 visualizer
 // shows the decisions around it — but neither says which decision caused
 // the episode or which fix would have removed it. This package closes the
-// loop with counterfactual replay on top of the checkpoint/fork engine
-// (PR 7): when the checker opens a monitoring window, the whole world is
-// forked at the detection instant; if the window confirms, the window is
+// loop with counterfactual replay on mid-run forks (Machine.Fork, which
+// copies the scheduler and the engine with it): when the checker opens a
+// monitoring window, the whole world is forked at the detection instant;
+// if the window confirms, the window is
 // replayed once per single fix of the paper's lattice (gi, gc, oow, md)
 // plus an unmodified control, and the per-episode report records which
 // fixes erase the episode, how much wasted core time and p99 wakeup

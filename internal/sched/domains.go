@@ -156,7 +156,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 	level := 0
 	interval := s.cfg.BalanceInterval
 
-	online := s.onlineSet()
+	online := s.OnlineSet()
 
 	// SMT level: the pair of hardware siblings, groups = single cores.
 	if sib, ok := topo.SMTSibling(cpu); ok {

@@ -163,7 +163,7 @@ func (s *Scheduler) traceWakeup(t *Thread, prev, chosen topology.CoreID, conside
 	}
 	var aux int64
 	if !s.cpus[chosen].idle() {
-		if _, ok := s.LongestIdle(t.affinity.And(s.onlineSet())); ok {
+		if _, ok := s.LongestIdle(t.affinity.And(s.OnlineSet())); ok {
 			aux = 1
 		}
 	}

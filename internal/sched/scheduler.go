@@ -291,7 +291,7 @@ func (s *Scheduler) Threads() []*Thread { return s.threads }
 // pinned application's threads all begin on one node. A nil parent places
 // the thread on its first allowed core.
 func (s *Scheduler) StartThread(t *Thread, parent *Thread) {
-	target := t.affinity.And(s.onlineSet()).First()
+	target := t.affinity.And(s.OnlineSet()).First()
 	if parent != nil && t.affinity.Has(parent.cpu) && s.cpus[parent.cpu].online {
 		target = parent.cpu
 	}
@@ -305,7 +305,7 @@ func (s *Scheduler) StartThreadOn(t *Thread, cpu topology.CoreID) {
 		panic(fmt.Sprintf("sched: StartThread on %s thread %d", t.state, t.id))
 	}
 	if cpu < 0 || !t.affinity.Has(cpu) || !s.cpus[cpu].online {
-		cpu = t.affinity.And(s.onlineSet()).First()
+		cpu = t.affinity.And(s.OnlineSet()).First()
 		if cpu < 0 {
 			panic("sched: thread has no allowed online cpu")
 		}
@@ -401,13 +401,13 @@ func (s *Scheduler) Wake(t *Thread, waker *Thread) {
 // is currently on a disallowed core it is migrated at its next scheduling
 // boundary (queued threads are moved immediately).
 func (s *Scheduler) SetAffinity(t *Thread, set CPUSet) {
-	if set.And(s.onlineSet()).Empty() {
+	if set.And(s.OnlineSet()).Empty() {
 		panic("sched: affinity excludes every online cpu")
 	}
 	t.affinity = set
 	if t.queued && !set.Has(t.cpu) {
 		src := s.cpus[t.cpu]
-		dst := s.cpus[set.And(s.onlineSet()).First()]
+		dst := s.cpus[set.And(s.OnlineSet()).First()]
 		s.migrateThread(t, src, dst, trace.OpAffinity)
 	} else if t.state == StateRunning && !set.Has(t.cpu) {
 		s.resched(s.cpus[t.cpu]) // will be pushed by the next balance
@@ -441,12 +441,13 @@ func (s *Scheduler) migrateThread(t *Thread, src, dst *CPU, op trace.Op) {
 	}
 }
 
-// onlineSet returns the set of online cores (maintained incrementally by
+// OnlineSet returns the set of online cores (maintained incrementally by
 // the hotplug paths, so reading it is free).
-func (s *Scheduler) onlineSet() CPUSet { return s.online }
+func (s *Scheduler) OnlineSet() CPUSet { return s.online }
 
-// OnlineCPUs returns the ids of online cores.
-func (s *Scheduler) OnlineCPUs() []topology.CoreID { return s.onlineSet().Cores() }
+// OnlineCPUs returns the ids of online cores in a new slice; OnlineSet
+// reads them without allocating.
+func (s *Scheduler) OnlineCPUs() []topology.CoreID { return s.OnlineSet().Cores() }
 
 // NrRunning returns rq->nr_running for a core (queued + current).
 func (s *Scheduler) NrRunning(cpu topology.CoreID) int { return s.cpus[cpu].nrRunning() }
@@ -621,9 +622,9 @@ func (s *Scheduler) DisableCPU(cpu topology.CoreID) error {
 	}
 	// Drain the runqueue onto allowed online cores.
 	for _, t := range c.rq.threads() {
-		dst := t.affinity.And(s.onlineSet()).First()
+		dst := t.affinity.And(s.OnlineSet()).First()
 		if dst < 0 {
-			dst = s.onlineSet().First() // affinity broken by hotplug
+			dst = s.OnlineSet().First() // affinity broken by hotplug
 		}
 		s.migrateThread(t, c, s.cpus[dst], trace.OpHotplug)
 		s.counters.HotplugMigrations++

@@ -42,12 +42,12 @@ func (s *Scheduler) SetPlacementPolicy(p PlacementPolicy) { s.policy = p }
 
 // selectTaskRQ picks the core on which to enqueue a waking thread.
 func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
-	allowed := t.affinity.And(s.onlineSet())
+	allowed := t.affinity.And(s.OnlineSet())
 	if allowed.Empty() {
 		// Hotplug took every allowed core offline while the thread
 		// slept: break affinity, as the kernel's select_fallback_rq
 		// does.
-		allowed = s.onlineSet()
+		allowed = s.OnlineSet()
 		s.counters.AffinityBreaks++
 	}
 	prev := t.cpu
@@ -79,8 +79,8 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 
 	if s.cfg.Features.FixOverloadWakeup && s.cfg.Power == PowerPerformance {
 		if cpu, ok := s.fixedWakeupTarget(prev, allowed); ok {
-			s.traceConsidered(cpu, trace.OpWakeup, s.onlineSet().And(allowed))
-			s.traceWakeup(t, prev, cpu, s.onlineSet().And(allowed), trace.WakeFixed)
+			s.traceConsidered(cpu, trace.OpWakeup, s.OnlineSet().And(allowed))
+			s.traceWakeup(t, prev, cpu, s.OnlineSet().And(allowed), trace.WakeFixed)
 			return cpu
 		}
 		// No idle core anywhere: fall back to the original algorithm.

@@ -170,14 +170,12 @@ func (r *Report) Cell(topology, workload string, seed int64) *Cell {
 }
 
 // Analyze reduces a campaign artifact to a tournament report. It is a
-// pure function of the artifact plus the verdict lens (TolerancePct,
-// LatencySlack): re-analyzing a loaded or merged artifact reproduces
-// the report byte for byte. Every cell must contain a result for every
-// policy in the lineup — opts.Policies when set, else every policy
-// appearing anywhere in the artifact — so a partial artifact (one
-// shard of a tournament) cannot be scored.
+// pure function of the artifact and the lineup: re-analyzing a loaded
+// or merged artifact reproduces the report byte for byte. Every cell
+// must contain a result for every policy in the lineup — opts.Policies
+// when set, else every policy appearing anywhere in the artifact — so
+// a partial artifact (one shard of a tournament) cannot be scored.
 func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	if c == nil || len(c.Results) == 0 {
 		return nil, fmt.Errorf("tourney: empty campaign artifact")
 	}
@@ -243,8 +241,8 @@ func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
 		CheckerSNs:     c.CheckerSNs,
 		CheckerMNs:     c.CheckerMNs,
 		StreakK:        c.StreakK,
-		TolerancePct:   opts.TolerancePct,
-		LatencySlackNs: int64(opts.LatencySlack),
+		TolerancePct:   TolerancePct,
+		LatencySlackNs: int64(LatencySlack),
 		Policies:       policies,
 		Campaign:       c,
 	}
@@ -272,11 +270,11 @@ func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
 			cell.Scores = append(cell.Scores, s)
 		}
 		for _, axis := range Axes() {
-			cell.Verdicts = append(cell.Verdicts, verdict(&cell, axis, opts))
+			cell.Verdicts = append(cell.Verdicts, verdict(&cell, axis))
 		}
 		rep.Cells = append(rep.Cells, cell)
 	}
-	rep.Flips = flips(rep, opts)
+	rep.Flips = flips(rep)
 	return rep, nil
 }
 
@@ -284,27 +282,27 @@ func Analyze(c *campaign.Campaign, opts Options) (*Report, error) {
 // the relative TolerancePct everywhere, plus the absolute LatencySlack
 // on the p99-wake axis (integer-count axes get no absolute slack — a
 // best of zero demands zero).
-func within(axis string, value, best int64, opts Options) bool {
+func within(axis string, value, best int64) bool {
 	slack := 0.0
 	if axis == AxisP99Wake {
-		slack = float64(opts.LatencySlack)
+		slack = float64(LatencySlack)
 	}
-	return float64(value) <= float64(best)*(1+opts.TolerancePct/100)+slack
+	return float64(value) <= float64(best)*(1+TolerancePct/100)+slack
 }
 
 // beats reports whether a beats b on axis beyond tolerance — the flip
 // predicate. Asymmetric: a must be better by more than the slack that
 // would make b a co-winner.
-func beats(axis string, a, b *Score, opts Options) bool {
+func beats(axis string, a, b *Score) bool {
 	at, bt := a.axisTier(axis), b.axisTier(axis)
 	if at != bt {
 		return at < bt
 	}
-	return !within(axis, b.axisValue(axis), a.axisValue(axis), opts)
+	return !within(axis, b.axisValue(axis), a.axisValue(axis))
 }
 
 // verdict computes one axis's verdict for a cell.
-func verdict(c *Cell, axis string, opts Options) Verdict {
+func verdict(c *Cell, axis string) Verdict {
 	best := &c.Scores[0]
 	for i := range c.Scores[1:] {
 		s := &c.Scores[i+1]
@@ -316,7 +314,7 @@ func verdict(c *Cell, axis string, opts Options) Verdict {
 	v := Verdict{Axis: axis, Best: best.Policy, BestValue: best.axisValue(axis)}
 	for i := range c.Scores {
 		s := &c.Scores[i]
-		if s.axisTier(axis) == best.axisTier(axis) && within(axis, s.axisValue(axis), v.BestValue, opts) {
+		if s.axisTier(axis) == best.axisTier(axis) && within(axis, s.axisValue(axis), v.BestValue) {
 			v.Winners = append(v.Winners, s.Policy)
 		}
 	}
@@ -326,7 +324,7 @@ func verdict(c *Cell, axis string, opts Options) Verdict {
 // flips finds the non-monotone pairs: for every axis and policy pair,
 // the cells each side wins beyond tolerance; a pair with wins on both
 // sides is a flip.
-func flips(r *Report, opts Options) []Flip {
+func flips(r *Report) []Flip {
 	var out []Flip
 	for _, axis := range Axes() {
 		for i, a := range r.Policies {
@@ -336,9 +334,9 @@ func flips(r *Report, opts Options) []Flip {
 					c := &r.Cells[ci]
 					sa, sb := c.score(a), c.score(b)
 					switch {
-					case beats(axis, sa, sb, opts):
+					case beats(axis, sa, sb):
 						aCells = append(aCells, c.Key())
-					case beats(axis, sb, sa, opts):
+					case beats(axis, sb, sa):
 						bCells = append(bCells, c.Key())
 					}
 				}

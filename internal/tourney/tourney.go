@@ -29,8 +29,20 @@ import (
 	"repro/internal/sim"
 )
 
+// The verdict lens. Every report stamps it, and verdicts are only
+// comparable across equal lenses.
+const (
+	// TolerancePct is the verdict slack on every axis: a policy is a
+	// winner when its value is within this percentage of the best.
+	TolerancePct float64 = 5
+	// LatencySlack is the absolute slack added on the p99-wake axis —
+	// without it a best p99 of zero would demand bit-exact zeroes from
+	// every co-winner.
+	LatencySlack = 100 * sim.Microsecond
+)
+
 // Options declares a tournament: the cell dimensions, the policy
-// lineup, and analysis tuning.
+// lineup, and the runner's tuning.
 type Options struct {
 	Topologies []campaign.TopologySpec
 	Workloads  []campaign.Workload
@@ -57,15 +69,6 @@ type Options struct {
 	// tournament idle-while-overloaded numbers are comparable with
 	// bisect cells; see bisect.Options.Checker for the calibration.
 	Checker checker.Config
-
-	// TolerancePct is the verdict slack on every axis: a policy is a
-	// winner when its value is within this percentage of the best
-	// (0 = 5%).
-	TolerancePct float64
-	// LatencySlack is the absolute slack added on the p99-wake axis —
-	// without it a best p99 of zero would demand bit-exact zeroes from
-	// every co-winner (0 = 100µs).
-	LatencySlack sim.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -83,12 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Checker.M == 0 {
 		o.Checker.M = 15 * sim.Millisecond
-	}
-	if o.TolerancePct == 0 {
-		o.TolerancePct = 5
-	}
-	if o.LatencySlack == 0 {
-		o.LatencySlack = 100 * sim.Microsecond
 	}
 	return o
 }
@@ -119,8 +116,10 @@ func (o Options) RunnerOpts() campaign.RunnerOpts {
 // Run executes the tournament on the campaign worker pool and analyzes
 // it. Like campaign artifacts, the report is byte-identical for any
 // worker count and scenario order. A cell whose lineup differs only in
-// fix toggles runs on one forked world; policies with modules or attach
-// hooks cannot share one, so such a cell runs one job per policy.
+// fix toggles runs as one job that simulates only the policies the
+// divergence probe cannot prove equal to one already run, each on a
+// fresh world; modules and attach hooks make decisions the probe does
+// not watch, so a cell whose lineup has them runs one job per policy.
 func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	c, err := campaign.Run(opts.Matrix(), opts.RunnerOpts())

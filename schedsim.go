@@ -13,12 +13,13 @@
 //     (NewChecker, §4.1),
 //   - record and visualize scheduling activity (NewRecorder,
 //     RQSizeHeatmap, §4.2),
-//   - regenerate every table and figure of the paper's evaluation
-//     (Table1..Table5, Fig1..Fig5 in the experiments aliases),
 //   - and sweep whole scenario campaigns — topology x workload x config
 //     x seed cross-products — on a parallel worker pool with
 //     byte-reproducible JSON artifacts and baseline regression
 //     comparison (RunCampaign, DefaultCampaignMatrix).
+//
+// The tables and figures of the paper's evaluation are not part of this
+// API: the wastedcores command (cmd/wastedcores) regenerates them.
 //
 // A minimal session:
 //
