@@ -17,6 +17,7 @@ import (
 
 	schedsim "repro"
 	"repro/internal/bisect"
+	"repro/internal/campaign"
 	"repro/internal/checker"
 	"repro/internal/experiments"
 	"repro/internal/machine"
@@ -193,6 +194,29 @@ func BenchmarkCampaign(b *testing.B) {
 		}
 		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		b.ReportMetric(float64(events), "events/op")
+	})
+
+	// The explain run measures counterfactual replay: the smoke bisect
+	// preset's tpch cell (bulldozer8, all 16 lattice configs) with
+	// Explain on, whose wakeup streaks become episodes replayed under
+	// each single fix. It reports no events/op: replays fork worlds and
+	// fill decision rings, so explain allocates more than once per
+	// simulated event, and only the allocs/op and B/op pins apply.
+	b.Run("explain=tpch", func(b *testing.B) {
+		o := bisect.SmokeOptions()
+		o.Workloads = campaign.MustWorkloads("tpch")
+		o.Workers = 1
+		o.BaseSeed = 42
+		o.Explain = true
+		var scenarios int
+		for i := 0; i < b.N; i++ {
+			c, err := schedsim.RunCampaign(o.Matrix(), o.RunnerOpts())
+			if err != nil {
+				b.Fatal(err)
+			}
+			scenarios = len(c.Results)
+		}
+		b.ReportMetric(float64(scenarios*b.N)/b.Elapsed().Seconds(), "scenarios/s")
 	})
 }
 

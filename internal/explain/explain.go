@@ -7,17 +7,18 @@
 // loop with counterfactual replay on mid-run forks (Machine.Fork, which
 // copies the scheduler and the engine with it): when the checker opens a
 // monitoring window, the whole world is forked at the detection instant;
-// if the window confirms, the window is
-// replayed once per single fix of the paper's lattice (gi, gc, oow, md)
-// plus an unmodified control, and the per-episode report records which
-// fixes erase the episode, how much wasted core time and p99 wakeup
-// latency each saves, and — via the decision rings internal/sched
-// records into — the first scheduling decision where the fixed world
-// diverged from the control.
+// if the window confirms, the window is replayed in an unmodified
+// control world and under each single fix of the paper's lattice (gi,
+// gc, oow, md), and the per-episode report records which fixes erase
+// the episode, how much wasted core time and p99 wakeup latency each
+// saves, and — via the decision rings internal/sched records into — the
+// first scheduling decision where the fixed world diverged from the
+// control. A fix that provably cannot change the control's replay is
+// not simulated; its replay is a copy of the control's (see FixReplay).
 //
 // Replays are driverless: a Machine.Fork carries every machine-owned
 // event (compute timers, ticks, sleeps) but none of the workload driver's
-// future arrivals, so all five replays of an episode face *identical*
+// future arrivals, so every replay of an episode faces *identical*
 // conditions — the comparison isolates the scheduler change. Everything
 // runs in virtual time on forked engines, so reports are deterministic:
 // byte-identical across worker counts and scenario order.
@@ -57,8 +58,9 @@ type Config struct {
 }
 
 // DefaultMaxEpisodes caps replayed episodes per scenario, bounding its
-// replay cost: each episode is 5 forks plus 5 window replays. Episodes
-// beyond the cap are counted in SkippedEpisodes, never silently
+// replay cost: each episode is at most 5 forks plus 5 window replays
+// (the control and one per fix whose replay is not a copy of it).
+// Episodes beyond the cap are counted in SkippedEpisodes, never silently
 // dropped.
 const DefaultMaxEpisodes = 8
 
@@ -99,7 +101,12 @@ type Replay struct {
 }
 
 // FixReplay is a Replay under one enabled fix, with deltas against the
-// control.
+// control. A fix that cannot change a byte of the control's replay is
+// not simulated: a fix already in the scenario's features, and a
+// construction fix (gc, md) for which the divergence probe attached to
+// the control replay never fired. Its Replay is a copy of the control's,
+// with Erases false, zero deltas and a nil FirstDivergence — the values
+// simulating it would give.
 type FixReplay struct {
 	// Fix is the lattice fix name ("gi", "gc", "oow", "md").
 	Fix string `json:"fix"`
@@ -233,17 +240,17 @@ func NewObserver(m *machine.Machine, cfg Config) *Observer {
 	return o
 }
 
-// fork deep-copies the current world, absorbing the panic Machine.Fork
-// raises for worlds it cannot clone (queued Task.OnDone hooks, attached
-// placement policies): those scenarios simply report ForkUnavailable
-// instead of episodes. The fork carries none of the world's observers.
-func (o *Observer) fork() (m2 *machine.Machine) {
+// fork deep-copies m, absorbing the panic Machine.Fork raises for worlds
+// it cannot clone (queued Task.OnDone hooks, attached placement
+// policies): those scenarios simply report ForkUnavailable instead of
+// episodes. The fork carries none of m's observers.
+func fork(m *machine.Machine) (m2 *machine.Machine) {
 	defer func() {
 		if recover() != nil {
 			m2 = nil
 		}
 	}()
-	return o.m.Fork()
+	return m.Fork()
 }
 
 func (o *Observer) capped() bool {
@@ -259,7 +266,7 @@ func (o *Observer) OnCandidate(detectedAt, onsetAt sim.Time, idle, busy topology
 	if o.capped() {
 		return // counted at confirmation, if it confirms
 	}
-	w := o.fork()
+	w := fork(o.m)
 	if w == nil {
 		return // counted at confirmation
 	}
@@ -313,7 +320,7 @@ func (o *Observer) OnStreak(start, at sim.Time) {
 			o.report.SkippedEpisodes++
 			return
 		}
-		w := o.fork()
+		w := fork(o.m)
 		if w == nil {
 			o.report.ForkUnavailable++
 			return
@@ -362,9 +369,32 @@ func persistChecker(sampled bool, _ *latency.Collector) bool { return sampled }
 // window (the replay collector starts fresh, so any streak is new).
 func persistStreak(_ bool, col *latency.Collector) bool { return col.StreakCount() > 0 }
 
-// replayEpisode runs the window once per world: control (the scenario's
-// own features) first, then each single fix merged onto them, in
-// canonical lattice order.
+// Test switches. replayEveryFix makes replayEpisode simulate every fix
+// replay, the reference path its copies must equal; fixReplayed, when
+// set, is told how each fix replay was produced. Tests set them; nothing
+// else does.
+var (
+	replayEveryFix bool
+	fixReplayed    func(fix, how string)
+)
+
+// replayEpisode runs the window in the control world (the scenario's own
+// features) first, then once per single fix merged onto them, in
+// canonical lattice order — except where the fix cannot change a byte
+// of the control's replay, which it then copies (see FixReplay):
+//
+//   - a fix already in the scenario's features, whose world is the
+//     control's;
+//   - a construction fix (gc, md) whose divergence probe, attached to
+//     the control, never fired. Both flags are read only in domain
+//     construction, and the probe compares the whole hierarchy at attach
+//     and after every rebuild, so a flag it never fires leaves every
+//     hierarchy, decision and record of the control unchanged.
+//
+// The probe does not watch gi or oow: it would prove their decisions
+// equal, but their records still differ (a balance record's metric
+// follows gi, a wakeup record's path follows oow), and a FixReplay's
+// FirstDivergence compares whole records.
 func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 	window := o.cfg.Checker.M
 	ep := Episode{
@@ -378,12 +408,35 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		WindowNs:    int64(window),
 	}
 
-	control := o.runReplay(spec, o.base, o.controlRing)
+	probe := &sched.DivergenceProbe{Armed: sched.Features{
+		FixGroupConstruction: !o.base.FixGroupConstruction,
+		FixMissingDomains:    !o.base.FixMissingDomains,
+	}}
+	control := o.runReplay(spec, o.base, o.controlRing, probe)
 	ep.Control = control
+	// copied holds the fixes whose replay is the control's.
+	copied := mergeFeatures(o.base, sched.Features{
+		FixGroupConstruction: !probe.Fired.FixGroupConstruction,
+		FixMissingDomains:    !probe.Fired.FixMissingDomains,
+	})
 
 	for i, name := range policy.LatticeFixNames() {
-		feats := mergeFeatures(o.base, policy.LatticeFeatures(1<<i))
-		rep := o.runReplay(spec, feats, o.fixedRing)
+		fix := policy.LatticeFeatures(1 << i)
+		if !replayEveryFix && mergeFeatures(copied, fix) == copied {
+			if fixReplayed != nil {
+				how := "cleared"
+				if mergeFeatures(o.base, fix) == o.base {
+					how = "in-base"
+				}
+				fixReplayed(name, how)
+			}
+			ep.Fixes = append(ep.Fixes, FixReplay{Fix: name, Replay: control})
+			continue
+		}
+		if fixReplayed != nil {
+			fixReplayed(name, "simulated")
+		}
+		rep := o.runReplay(spec, mergeFeatures(o.base, fix), o.fixedRing, nil)
 		fr := FixReplay{
 			Fix:            name,
 			Replay:         rep,
@@ -400,17 +453,18 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 	return ep
 }
 
-// runReplay forks the episode world, applies feats, and advances it
-// through the window with the checker's own sampling schedule, on the
-// observer's reset replay scratch. ring is reset and then holds the
-// window's decision records.
-func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, ring *trace.Recorder) Replay {
+// runReplay forks the episode world, applies feats, attaches probe (nil
+// attaches none), and advances the world through the window with the
+// checker's own sampling schedule, on the observer's reset replay
+// scratch. ring is reset and then holds the window's decision records.
+func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, ring *trace.Recorder, probe *sched.DivergenceProbe) Replay {
 	ring.Reset()
-	w := forkWorld(spec.world)
+	w := fork(spec.world)
 	if w == nil {
 		return Replay{} // second-level fork cannot realistically fail; stay safe
 	}
 	w.Sched.ApplyFeatures(feats)
+	w.Sched.SetDivergenceProbe(probe)
 	col := o.replayCol
 	col.Reset()
 	w.Sched.SetRecorder(ring)
@@ -443,16 +497,6 @@ func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, ring *trace
 	}
 	rep.Persisted = spec.persistFn(sampled, col)
 	return rep
-}
-
-// forkWorld is Observer.fork for an already-forked episode world.
-func forkWorld(m *machine.Machine) (m2 *machine.Machine) {
-	defer func() {
-		if recover() != nil {
-			m2 = nil
-		}
-	}()
-	return m.Fork()
 }
 
 // firstDivergence finds the first index where two decision streams

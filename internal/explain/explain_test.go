@@ -2,10 +2,13 @@ package explain_test
 
 import (
 	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/checker"
+	"repro/internal/explain"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -192,5 +195,99 @@ func TestForkAtOnsetReplayMatchesFreshRun(t *testing.T) {
 	}
 	if ca, cb := f.Sched.Counters(), fresh.Sched.Counters(); ca != cb {
 		t.Errorf("scheduler counters differ:\n fork  %+v\n fresh %+v", ca, cb)
+	}
+}
+
+// TestCopiedReplaysMatchSimulated: a fix replay that explain copies
+// from the control equals the replay it would simulate. Explain runs
+// every lattice config of bulldozer8 over tpch, nas-hotplug:lu and
+// make2r, once as usual and once with every fix simulated; the two
+// artifacts must be byte-identical. So that the comparison cannot pass
+// vacuously, the usual run must copy a fix already in the scenario's
+// features and a construction fix the probe cleared, and on
+// nas-hotplug, where hotplug can make the probe fire, simulate an md
+// replay. A last world, where no balance pass can steal, holds a streak
+// episode whose gi replay the probe would clear although its records
+// differ from the control's, so the copies must stay limited to the
+// construction fixes.
+func TestCopiedReplaysMatchSimulated(t *testing.T) {
+	var mu sync.Mutex
+	var counts map[string]int
+	*explain.FixReplayed = func(fix, how string) {
+		mu.Lock()
+		counts[how]++
+		counts[how+" "+fix]++
+		mu.Unlock()
+	}
+	t.Cleanup(func() { *explain.FixReplayed = nil; *explain.ReplayEveryFix = false })
+
+	run := func(wl string, every bool) []byte {
+		*explain.ReplayEveryFix = every
+		m := campaign.Matrix{
+			Topologies: campaign.MustTopologies("bulldozer8"),
+			Workloads:  campaign.MustWorkloads(wl),
+			Configs:    campaign.LatticeConfigs(),
+			Seeds:      []int64{1},
+			Scale:      0.1,
+			Horizon:    100 * sim.Second,
+		}
+		c, err := campaign.RunScenarios(m.Scenarios(), campaign.RunnerOpts{
+			Workers: 2, BaseSeed: 42, Checker: bisectLens(), Explain: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := c.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	var inBase, cleared int
+	for _, wl := range []string{"tpch", "nas-hotplug:lu", "make2r"} {
+		counts = map[string]int{}
+		copied := run(wl, false)
+		used := counts
+		counts = map[string]int{}
+		simulated := run(wl, true)
+		if !bytes.Equal(copied, simulated) {
+			t.Errorf("%s: artifact with copied fix replays differs from the one simulating every fix", wl)
+		}
+		t.Logf("%s: %v", wl, used)
+		inBase += used["in-base"]
+		cleared += used["cleared"]
+		if wl == "nas-hotplug:lu" && used["simulated md"] == 0 {
+			t.Errorf("%s: no md replay simulated; the fired-probe path went unchecked", wl)
+		}
+	}
+	if inBase == 0 || cleared == 0 {
+		t.Errorf("copied %d in-base and %d probe-cleared fix replays, want both > 0", inBase, cleared)
+	}
+
+	// Three hogs on bulldozer8 never queue, so every balance pass ends
+	// with no busiest group under either gi setting, but a pass's record
+	// carries its local group's metric: the minimum load under gi, the
+	// average without.
+	idleWorld := func(every bool) *explain.ScenarioExplain {
+		*explain.ReplayEveryFix = every
+		m := machine.New(topology.Bulldozer8(), sched.DefaultConfig(), 7)
+		o := explain.NewObserver(m, explain.Config{Checker: bisectLens()})
+		p := m.NewProc("hogs", machine.ProcOpts{})
+		prog := machine.NewProgram().Compute(sim.Second).Build()
+		for i := 0; i < 3; i++ {
+			p.Spawn(prog, machine.SpawnOpts{})
+		}
+		m.Run(30 * sim.Millisecond)
+		o.OnStreak(m.Eng.Now(), m.Eng.Now())
+		m.Run(sim.Millisecond)
+		return o.Report()
+	}
+	copied, simulated := idleWorld(false), idleWorld(true)
+	if len(simulated.Episodes) != 1 || simulated.Episodes[0].Fixes[0].FirstDivergence == nil {
+		t.Fatalf("idle world: want one episode whose gi replay diverges, got %+v", simulated)
+	}
+	if !reflect.DeepEqual(copied, simulated) {
+		t.Errorf("idle world: report with copied fix replays differs from the one simulating every fix")
 	}
 }

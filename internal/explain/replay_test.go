@@ -39,7 +39,7 @@ func TestReplayScratchReuse(t *testing.T) {
 	m.Run(30 * sim.Millisecond)
 
 	now := m.Eng.Now()
-	world := o.fork()
+	world := fork(m)
 	if world == nil {
 		t.Fatal("world not forkable")
 	}

@@ -432,7 +432,8 @@ func (s *Scheduler) noneStealable(d *Domain) bool {
 // core of d.Span (the union of d.Groups) whose load is not cached at
 // this instant; an idle core holds no thread, so its read would fold
 // nothing. Observers get the full pass's NoBusiest record, whose local
-// statistics then fold nothing more.
+// statistics then fold nothing more; a record that only count-only
+// recorders keep is counted without them.
 func (s *Scheduler) noBusiest(c *CPU, d *Domain, op trace.Op) {
 	now, gen := s.eng.Now(), s.loadGen
 	busy := d.Span.And(s.busyMask)
@@ -448,6 +449,8 @@ func (s *Scheduler) noBusiest(c *CPU, d *Domain, op trace.Op) {
 		var local groupStats
 		s.computeGroupStats(&local, d.Groups[d.local])
 		s.traceBalance(c, op, trace.VerdictNoBusiest, &local, nil, 0)
+	} else {
+		s.count(trace.KindBalance)
 	}
 	if checkNoBusiest {
 		s.verifyNoBusiest(c, d)

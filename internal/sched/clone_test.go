@@ -30,6 +30,7 @@ var cloneRules = map[string]string{
 	"Scheduler.cpus":         "deep: each CPU cloned",
 	"Scheduler.hooks":        "reset: the caller wires the cloned machine in",
 	"Scheduler.recs":         "reset: observers watch one world",
+	"Scheduler.counts":       "reset: observers watch one world",
 	"Scheduler.policy":       "reset: Clone panics, a policy makes decisions",
 	"Scheduler.latProbe":     "reset: observers watch one world",
 	"Scheduler.mx":           "reset: observers watch one world",
@@ -37,7 +38,7 @@ var cloneRules = map[string]string{
 	"Scheduler.threads":      "deep: each Thread cloned",
 	"Scheduler.groups":       "deep: each TaskGroup copied",
 	"Scheduler.rootGroup":    "remapped: the clone's root group",
-	"Scheduler.domainCache":  "deep: the map copied, its hierarchies shared",
+	"Scheduler.domainCache":  "shared: a pure function of its key",
 	"Scheduler.gsScratch":    "reset: balance-pass scratch",
 	"Scheduler.gsGroups":     "reset: balance-pass scratch",
 	"Scheduler.stealScratch": "reset: balance-pass scratch",
@@ -172,12 +173,14 @@ func TestCloneCopiesEveryField(t *testing.T) {
 func TestCloneStartsWithoutObservers(t *testing.T) {
 	e := cloneWorld()
 	e.s.SetRecorder(trace.NewRecorder(1))
+	e.s.SetRecorder(trace.NewDecisionCounter(1))
 	e.s.mx = &Metrics{}
 	e.s.latProbe = nopProbe{}
 	e.s.probe = &DivergenceProbe{}
 	c := e.s.Clone(e.eng.Fork())
-	if c.recs != nil || c.mx != nil || c.latProbe != nil || c.probe != nil {
-		t.Fatalf("clone carries observers: recs=%v mx=%v latProbe=%v probe=%v", c.recs, c.mx, c.latProbe, c.probe)
+	if c.recs != nil || c.counts != nil || c.mx != nil || c.latProbe != nil || c.probe != nil {
+		t.Fatalf("clone carries observers: recs=%v counts=%v mx=%v latProbe=%v probe=%v",
+			c.recs, c.counts, c.mx, c.latProbe, c.probe)
 	}
 	e.s.policy = nopPolicy{}
 	defer func() {

@@ -86,12 +86,13 @@ type domainKey struct {
 // dropped by Linux developers during code refactoring".
 //
 // Hierarchies are cached per (online-set, includeNUMA, gcFixed): hotplug
-// storms revisit the same few online sets over and over, and a fix
-// replay that leaves construction alone rebuilds its parent's
-// hierarchy; a cache hit swaps pointers instead of
-// reconstructing per-core domain lists. The per-level balance
-// bookkeeping is still reset on every rebuild (reusing the backing
-// arrays), exactly as an uncached rebuild would.
+// storms revisit the same few online sets over and over, a fix replay
+// that leaves construction alone rebuilds its parent's hierarchy, and
+// clones share the cache, so only a world's first replay of a
+// construction fix builds that fix's hierarchy; a cache hit swaps
+// pointers instead of reconstructing per-core domain lists. The
+// per-level balance bookkeeping is still reset on every rebuild (reusing
+// the backing arrays), exactly as an uncached rebuild would.
 func (s *Scheduler) rebuildDomains() {
 	includeNUMA := !s.domainsBroken || s.cfg.Features.FixMissingDomains
 	gcFixed := s.cfg.Features.FixGroupConstruction
@@ -137,9 +138,6 @@ func (s *Scheduler) rebuildDomains() {
 					d.localMask = s.groupBalanceMask(d.Groups[d.local], d.Name)
 				}
 			}
-		}
-		if s.domainCache == nil {
-			s.domainCache = map[domainKey][][]*Domain{}
 		}
 		s.domainCache[key] = hier
 	}

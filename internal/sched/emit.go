@@ -11,17 +11,26 @@ import (
 // compares — leaves through emit, which offers it to each attached
 // recorder. A recorder keeps the kinds of its set while it is started.
 // Each site computes its record only when some started recorder keeps
-// that kind, so with nothing attached a site costs one branch.
+// that kind's fields (wants); otherwise it only counts the record on the
+// count-only recorders (count). Either way every recorder is offered
+// each record once, and with nothing attached a site costs two branches.
 
 // SetRecorder attaches r alongside any recorder already attached. A nil
-// r attaches nothing.
+// r attaches nothing. Count-only recorders are held apart, so that a
+// kind only they keep costs its sites no fields.
 func (s *Scheduler) SetRecorder(r *trace.Recorder) {
-	if r != nil {
+	switch {
+	case r == nil:
+	case r.CountOnly():
+		s.counts = append(s.counts, r)
+	default:
 		s.recs = append(s.recs, r)
 	}
 }
 
-// wants reports whether some started recorder keeps kind k.
+// wants reports whether some started recorder keeps kind k's fields.
+// Each record leaves its site exactly once: built and emitted when
+// wants is true, passed to count when it is false.
 func (s *Scheduler) wants(k trace.Kind) bool { return len(s.recs) != 0 && s.anyWants(k) }
 
 func (s *Scheduler) anyWants(k trace.Kind) bool {
@@ -33,10 +42,21 @@ func (s *Scheduler) anyWants(k trace.Kind) bool {
 	return false
 }
 
-// emit offers ev to every attached recorder.
+// emit offers ev to every attached recorder, count-only ones included.
 func (s *Scheduler) emit(ev trace.Event) {
 	for _, r := range s.recs {
 		r.Record(ev)
+	}
+	for _, r := range s.counts {
+		r.Record(ev)
+	}
+}
+
+// count offers a record of kind k that no recorder keeps the fields of:
+// the count-only recorders, which read nothing but its kind, count it.
+func (s *Scheduler) count(k trace.Kind) {
+	for _, r := range s.counts {
+		r.Record(trace.Event{Kind: k})
 	}
 }
 
@@ -44,6 +64,7 @@ func (s *Scheduler) emit(ev trace.Event) {
 // instrumentation, §4.2).
 func (s *Scheduler) traceNr(c *CPU) {
 	if !s.wants(trace.KindRQSize) {
+		s.count(trace.KindRQSize)
 		return
 	}
 	s.emit(trace.Event{
@@ -57,6 +78,7 @@ func (s *Scheduler) traceNr(c *CPU) {
 // it must stay behind the check.
 func (s *Scheduler) traceLoad(c *CPU) {
 	if !s.wants(trace.KindRQLoad) {
+		s.count(trace.KindRQLoad)
 		return
 	}
 	s.emit(trace.Event{
@@ -71,9 +93,6 @@ func (s *Scheduler) traceLoad(c *CPU) {
 // occupancy (cores busy since before the recording window would otherwise
 // read as idle).
 func (s *Scheduler) EmitSnapshot() {
-	if !s.wants(trace.KindRQSize) && !s.wants(trace.KindRQLoad) {
-		return
-	}
 	for _, c := range s.cpus {
 		if !c.online {
 			continue
@@ -87,6 +106,7 @@ func (s *Scheduler) EmitSnapshot() {
 // wakeup decision (§4.2, used for Figure 5).
 func (s *Scheduler) traceConsidered(cpu topology.CoreID, op trace.Op, mask CPUSet) {
 	if !s.wants(trace.KindConsidered) {
+		s.count(trace.KindConsidered)
 		return
 	}
 	s.emit(trace.Event{
@@ -99,6 +119,7 @@ func (s *Scheduler) traceConsidered(cpu topology.CoreID, op trace.Op, mask CPUSe
 // (KindExit) on cpu.
 func (s *Scheduler) traceLifecycle(k trace.Kind, cpu topology.CoreID, t *Thread) {
 	if !s.wants(k) {
+		s.count(k)
 		return
 	}
 	s.emit(trace.Event{At: s.eng.Now(), Kind: k, CPU: int32(cpu), Arg: int64(t.id)})
@@ -107,6 +128,7 @@ func (s *Scheduler) traceLifecycle(k trace.Kind, cpu topology.CoreID, t *Thread)
 // traceMigration records a thread migration and its cause.
 func (s *Scheduler) traceMigration(t *Thread, from, to topology.CoreID, op trace.Op) {
 	if !s.wants(trace.KindMigration) {
+		s.count(trace.KindMigration)
 		return
 	}
 	s.emit(trace.Event{
@@ -123,6 +145,7 @@ func (s *Scheduler) traceBalance(c *CPU, op trace.Op, v trace.Verdict, local, bu
 		s.mx.observeBalance(s, v, local, busiest)
 	}
 	if !s.wants(trace.KindBalance) {
+		s.count(trace.KindBalance)
 		return
 	}
 	ev := trace.Event{
@@ -143,6 +166,7 @@ func (s *Scheduler) traceBalance(c *CPU, op trace.Op, v trace.Verdict, local, bu
 // exact core whose threads the balancer looked at and declined.
 func (s *Scheduler) traceStealReject(c *CPU, bcpu topology.CoreID, op trace.Op, v trace.Verdict, busiest *groupStats) {
 	if !s.wants(trace.KindStealReject) {
+		s.count(trace.KindStealReject)
 		return
 	}
 	s.emit(trace.Event{
@@ -159,6 +183,7 @@ func (s *Scheduler) traceStealReject(c *CPU, bcpu topology.CoreID, op trace.Op, 
 // while an allowed core sat idle.
 func (s *Scheduler) traceWakeup(t *Thread, prev, chosen topology.CoreID, considered CPUSet, path trace.WakePath) {
 	if !s.wants(trace.KindWakeup) {
+		s.count(trace.KindWakeup)
 		return
 	}
 	var aux int64

@@ -24,11 +24,14 @@ func (s *Scheduler) GroupByID(id int) *TaskGroup { return s.groups[id] }
 // all copied; pending tick and resched events are re-registered on eng at
 // their original (time, sequence) positions, so the clone's event queue
 // pops in source order. Domain hierarchies are shared (immutable after
-// construction). Hooks are reset to no-ops — the caller wires the cloned
-// machine in — and the clone starts with no recorders, metrics, latency
-// probe or divergence probe attached: observers watch one world, and a
-// counterfactual replay attaches fresh ones, so the two worlds' evidence
-// streams stay independent.
+// construction), and so is the domain cache, a pure function of its key:
+// a clone that rebuilds under a fix reuses a hierarchy the source or an
+// earlier clone built. The map is not locked, so a world and its clones
+// must not run concurrently. Hooks are reset to no-ops — the caller
+// wires the cloned machine in — and the clone starts with no recorders,
+// metrics, latency probe or divergence probe attached: observers watch
+// one world, and a counterfactual replay attaches fresh ones, so the two
+// worlds' evidence streams stay independent.
 //
 // A placement policy makes decisions rather than observing them and
 // cannot be cloned meaningfully; Clone panics if one is attached.
@@ -59,6 +62,7 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		queuedMask:     s.queuedMask,
 		busyMask:       s.busyMask,
 		loadGen:        s.loadGen,
+		domainCache:    s.domainCache,
 	}
 
 	ns.groups = make([]*TaskGroup, len(s.groups))
@@ -118,24 +122,19 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		nc.reschedTm.RestoreFrom(c.reschedTm)
 		ns.cpus[i] = nc
 	}
-
-	if s.domainCache != nil {
-		ns.domainCache = make(map[domainKey][][]*Domain, len(s.domainCache))
-		for k, v := range s.domainCache {
-			ns.domainCache[k] = v
-		}
-	}
 	return ns
 }
 
 // ApplyFeatures switches the fix set of a (typically just-cloned)
 // scheduler and rebuilds the domain hierarchy under the new flags. The
-// domain cache stays: its key carries every construction input the flags
-// change (the construction perspective and, through includeNUMA, the
-// missing-domains fix), so an entry built under the old flags is never
-// served under the new ones, and a fix that leaves construction alone
-// (group imbalance, overload-on-wakeup) gets its hierarchy as a cache
-// hit. The rebuild counter is restored so the clone's counters match a
+// shared domain cache stays: its key carries every construction input
+// the flags change (the construction perspective and, through
+// includeNUMA, the missing-domains fix), so an entry built under the old
+// flags is never served under the new ones, a fix that leaves
+// construction alone (group imbalance, overload-on-wakeup) gets its
+// hierarchy as a cache hit, and so does a construction fix that an
+// earlier clone of the same world already applied. The rebuild counter
+// is restored so the clone's counters match a
 // scheduler constructed with f from the start — the property explain's
 // mid-run replays rest on (explain's TestForkAtOnsetReplayMatchesFreshRun
 // compares a forked, re-configured world with a fresh one).

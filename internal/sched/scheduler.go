@@ -66,7 +66,8 @@ type Scheduler struct {
 	cfg      Config
 	cpus     []*CPU
 	hooks    Hooks
-	recs     []*trace.Recorder // attached recorders (see emit.go)
+	recs     []*trace.Recorder // attached recorders that keep events (see emit.go)
+	counts   []*trace.Recorder // attached count-only recorders
 	policy   PlacementPolicy
 	latProbe LatencyProbe
 	mx       *Metrics         // observability hooks (nil = disabled, see AttachObs)
@@ -94,7 +95,9 @@ type Scheduler struct {
 	// Domain hierarchies are cached per (online-set, includeNUMA,
 	// gcFixed) equivalence class (domainKey): hotplug storms cycle
 	// through a handful of online sets, and with the cache each revisit
-	// is a pointer swap instead of per-core reconstruction.
+	// is a pointer swap instead of per-core reconstruction. An entry is
+	// a pure function of its key, so a scheduler and its clones share
+	// one map.
 	domainCache map[domainKey][][]*Domain
 
 	// Balance-pass scratch buffers, reused across calls so the periodic
@@ -155,6 +158,7 @@ func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Scheduler {
 		nohzBalancer: -1,
 		idleHead:     -1,
 		idleTail:     -1,
+		domainCache:  map[domainKey][][]*Domain{},
 	}
 	s.rootGroup = s.NewGroup("root")
 	for i := 0; i < topo.NumCores(); i++ {

@@ -382,6 +382,10 @@ func (r *Recorder) Active() bool { return r.active }
 // test a producer makes before computing an event's fields.
 func (r *Recorder) Wants(k Kind) bool { return r.active && r.kinds.Has(k) }
 
+// CountOnly reports whether the recorder keeps no event, only the count
+// (NewDecisionCounter): Record reads nothing of an event but its kind.
+func (r *Recorder) CountOnly() bool { return r.countOnly }
+
 // Reset discards all recorded events and counts, keeping the backing
 // array and the started state.
 func (r *Recorder) Reset() {
