@@ -151,19 +151,24 @@ shard-usage:
 	echo "shard-usage: bad -shard specs, bad numbers and repeated entries exit 2 on campaign, bisect and tourney"
 
 # The paper-tables CLI, built once like shard-usage: every experiment at
-# a small scale must exit 0, and a negative or non-finite -scale or an
+# a small scale must exit 0 and print exactly the committed
+# baselines/wastedcores-smoke.txt (the tables are deterministic, so the
+# gate is a byte comparison), and a negative or non-finite -scale or an
 # unknown experiment must exit 2 (usage) without running anything.
 wastedcores-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/wastedcores" ./cmd/wastedcores; \
 	rc=0; "$$tmp/wastedcores" -scale 0.1 all >"$$tmp/out.txt" 2>&1 || rc=$$?; \
 	[ "$$rc" = 0 ] || { echo "wastedcores-smoke: -scale 0.1 all exited $$rc:"; cat "$$tmp/out.txt"; exit 1; }; \
+	cmp -s "$$tmp/out.txt" baselines/wastedcores-smoke.txt || { \
+		echo "wastedcores-smoke: -scale 0.1 all differs from baselines/wastedcores-smoke.txt:"; \
+		diff -u baselines/wastedcores-smoke.txt "$$tmp/out.txt" | head -40; exit 1; }; \
 	for bad in -scale=-1 -scale=NaN tables; do \
 		rc=0; out=$$("$$tmp/wastedcores" $$bad table1 2>&1) || rc=$$?; \
 		if [ "$$rc" != 2 ] || grep -q '^Table 1' <<<"$$out"; then \
 			echo "wastedcores-smoke: $$bad exited $$rc, want 2 before running: $$out"; exit 1; fi; \
 	done; \
-	echo "wastedcores-smoke: every experiment runs at -scale 0.1; a bad -scale or experiment exits 2"
+	echo "wastedcores-smoke: every experiment at -scale 0.1 prints the committed baseline; a bad -scale or experiment exits 2"
 
 # The -baseline verdict itself, on built CLIs like shard-usage: against
 # a copy of its smoke baseline with one trailing newline appended, each
@@ -281,7 +286,8 @@ campaign-default:
 # Regenerate the committed rolling baselines after an *intentional*
 # scheduler-model change (commit the result; CI cmps against these).
 # Covers the smoke and the default-scale baselines, so additive
-# artifact fields land in all six at once.
+# artifact fields land in all six at once, and the paper tables that
+# wastedcores-smoke gates.
 baseline-refresh:
 	$(GO) run ./cmd/bisect -preset smoke -q -out baselines/bisect-smoke.json
 	$(GO) run ./cmd/campaign -matrix smoke -q -out baselines/campaign-smoke.json
@@ -290,6 +296,7 @@ baseline-refresh:
 	$(GO) run ./cmd/explain -in explain-bisect.json -q -out baselines/explain-smoke.json
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
+	$(GO) run ./cmd/wastedcores -scale 0.1 all >baselines/wastedcores-smoke.txt
 
 ci: lint build race bench-test shard-usage wastedcores-smoke baseline-verdict bisect-smoke campaign-smoke tourney-smoke \
 	explain-smoke schedviz-smoke bisect-default campaign-default

@@ -58,8 +58,10 @@ type Config struct {
 }
 
 // DefaultMaxEpisodes caps replayed episodes per scenario, bounding its
-// replay cost: each episode is at most 5 forks plus 5 window replays
-// (the control and one per fix whose replay is not a copy of it).
+// replay cost: each episode is at most 5 window replays (the control
+// and one per fix whose replay is not a copy of it) and 5 forks (the
+// episode world, and one per replay but the last, which runs on the
+// episode world itself).
 // Episodes beyond the cap are counted in SkippedEpisodes, never silently
 // dropped.
 const DefaultMaxEpisodes = 8
@@ -408,21 +410,35 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		WindowNs:    int64(window),
 	}
 
+	// Only the episode's last simulated replay runs on the episode world
+	// itself. The control is the last only when the scenario already has
+	// every fix; otherwise a fix replay may follow it.
+	controlLast := !replayEveryFix && o.base == sched.AllFixes()
 	probe := &sched.DivergenceProbe{Armed: sched.Features{
 		FixGroupConstruction: !o.base.FixGroupConstruction,
 		FixMissingDomains:    !o.base.FixMissingDomains,
 	}}
-	control := o.runReplay(spec, o.base, o.controlRing, probe)
+	control := o.runReplay(spec, controlLast, o.base, o.controlRing, probe)
 	ep.Control = control
 	// copied holds the fixes whose replay is the control's.
 	copied := mergeFeatures(o.base, sched.Features{
 		FixGroupConstruction: !probe.Fired.FixGroupConstruction,
 		FixMissingDomains:    !probe.Fired.FixMissingDomains,
 	})
+	simulated := func(fix sched.Features) bool {
+		return replayEveryFix || mergeFeatures(copied, fix) != copied
+	}
+	names := policy.LatticeFixNames()
+	last := -1
+	for i := range names {
+		if simulated(policy.LatticeFeatures(1 << i)) {
+			last = i
+		}
+	}
 
-	for i, name := range policy.LatticeFixNames() {
+	for i, name := range names {
 		fix := policy.LatticeFeatures(1 << i)
-		if !replayEveryFix && mergeFeatures(copied, fix) == copied {
+		if !simulated(fix) {
 			if fixReplayed != nil {
 				how := "cleared"
 				if mergeFeatures(o.base, fix) == o.base {
@@ -436,7 +452,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		if fixReplayed != nil {
 			fixReplayed(name, "simulated")
 		}
-		rep := o.runReplay(spec, mergeFeatures(o.base, fix), o.fixedRing, nil)
+		rep := o.runReplay(spec, i == last, mergeFeatures(o.base, fix), o.fixedRing, nil)
 		fr := FixReplay{
 			Fix:            name,
 			Replay:         rep,
@@ -453,13 +469,18 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 	return ep
 }
 
-// runReplay forks the episode world, applies feats, attaches probe (nil
-// attaches none), and advances the world through the window with the
-// checker's own sampling schedule, on the observer's reset replay
-// scratch. ring is reset and then holds the window's decision records.
-func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, ring *trace.Recorder, probe *sched.DivergenceProbe) Replay {
+// runReplay forks the episode world, or takes the world itself for the
+// episode's last replay (last), after which nothing reads it. It
+// applies feats, attaches probe (nil attaches none), and advances the
+// world through the window with the checker's own sampling schedule, on
+// the observer's reset replay scratch. ring is reset and then holds the
+// window's decision records.
+func (o *Observer) runReplay(spec episodeSpec, last bool, feats sched.Features, ring *trace.Recorder, probe *sched.DivergenceProbe) Replay {
 	ring.Reset()
-	w := fork(spec.world)
+	w := spec.world
+	if !last {
+		w = fork(w)
+	}
 	if w == nil {
 		return Replay{} // second-level fork cannot realistically fail; stay safe
 	}

@@ -43,13 +43,19 @@ func TestReplayScratchReuse(t *testing.T) {
 	if world == nil {
 		t.Fatal("world not forkable")
 	}
+	// An episode's last replay runs on its episode world, so each replay
+	// of the episode gets its own fork of world.
+	replay := func(spec episodeSpec) Episode {
+		spec.world = fork(world)
+		return o.replayEpisode(spec)
+	}
 	for _, spec := range []episodeSpec{
-		{kind: "checker", world: world, from: now, onset: now, detected: now, idle: 8, busy: 9,
+		{kind: "checker", from: now, onset: now, detected: now, idle: 8, busy: 9,
 			persistFn: persistChecker},
-		{kind: "streak", world: world, from: now, onset: now, detected: now, idle: -1, busy: -1,
+		{kind: "streak", from: now, onset: now, detected: now, idle: -1, busy: -1,
 			persistFn: persistStreak},
 	} {
-		want := o.replayEpisode(spec)
+		want := replay(spec)
 		if want.Control.Decisions == 0 || want.Control.Events == 0 {
 			t.Fatalf("%s: control replay recorded nothing: %+v", spec.kind, want.Control)
 		}
@@ -63,7 +69,7 @@ func TestReplayScratchReuse(t *testing.T) {
 
 		for round := 0; round < 2; round++ {
 			dirtyScratch(o, 2*int(want.Control.Decisions))
-			if got := o.replayEpisode(spec); !reflect.DeepEqual(got, want) {
+			if got := replay(spec); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, reuse %d: episode differs from the fresh observer's:\n got  %+v\n want %+v",
 					spec.kind, round+1, got, want)
 			}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -131,10 +133,7 @@ func (m *Machine) forkThread(ot *MThread, np *Proc) *MThread {
 	*nt = *ot
 	nt.T = m.Sched.ThreadByID(ot.T.ID())
 	nt.proc = np
-	nt.loops = make(map[int]int, len(ot.loops))
-	for pc, cnt := range ot.loops {
-		nt.loops[pc] = cnt
-	}
+	nt.loops = slices.Clone(ot.loops)
 	if ot.poppedTask.OnDone != nil {
 		panic("machine: Fork with an in-flight Task.OnDone hook")
 	}

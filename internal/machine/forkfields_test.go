@@ -43,6 +43,7 @@ var forkRules = map[string]string{
 	"MThread.T":                "remapped: the fork's scheduler thread",
 	"MThread.proc":             "remapped: the fork's Proc",
 	"MThread.prog":             "shared: immutable once built",
+	"MThread.script":           "shared: immutable once spawned",
 	"MThread.loops":            "deep: copied",
 	"MThread.computeTm":        "reset: re-registered on the fork's engine",
 	"MThread.poppedFrom":       "remapped: the fork's WorkQueue",
@@ -171,8 +172,8 @@ func forkWorld() *Machine {
 	m.NewSpinFlag()
 	m.NewWaitQueue()
 	m.NewWorkQueue().push(Task{Dur: sim.Millisecond, Fanout: 2, Depth: 1})
-	t := m.NewProc("target", ProcOpts{Cap: 1.5}).newThread(prog, SpawnOpts{})
-	t.loops[1] = 3
+	t := m.NewProc("target", ProcOpts{Cap: 1.5}).newThread(prog, SpawnOpts{Script: []sim.Time{sim.Millisecond}})
+	t.loops = []int32{0, 3}
 	t.poppedTask = Task{Dur: sim.Millisecond, Fanout: 2, Depth: 1}
 	return m
 }

@@ -91,10 +91,16 @@ type MThread struct {
 	proc *Proc
 	prog Program
 
+	// script holds the durations of the program's Scripted instructions
+	// in execution order (immutable once spawned); scriptPos is the next
+	// one to take.
+	script    []sim.Time
+	scriptPos int
+
 	pc          int
-	loops       map[int]int
-	epoch       uint64 // invalidates deferred VM events across preemptions
-	stepPending bool   // a deferStep event is queued
+	loops       []int32 // jumps taken per loop slot (Instr.Obj), grown on a slot's first jump
+	epoch       uint64  // invalidates deferred VM events across preemptions
+	stepPending bool    // a deferStep event is queued
 
 	// Compute progress.
 	computing    bool
@@ -176,6 +182,10 @@ type SpawnOpts struct {
 	// parent's core ("Linux spawns threads on the same core as their
 	// parent thread", §3.2). Nil starts on the first allowed core.
 	Parent *MThread
+	// Script supplies the durations of the program's Scripted compute
+	// and sleep instructions, one entry per execution, in order. The
+	// thread keeps the slice: it must not change after the spawn.
+	Script []sim.Time
 }
 
 // Spawn creates and starts a thread executing prog inside p, using fork
@@ -208,10 +218,10 @@ func (p *Proc) newThread(prog Program, opts SpawnOpts) *MThread {
 		Affinity: opts.Affinity,
 	})
 	mt := &MThread{
-		T:     st,
-		proc:  p,
-		prog:  prog,
-		loops: map[int]int{},
+		T:      st,
+		proc:   p,
+		prog:   prog,
+		script: opts.Script,
 	}
 	m := p.m
 	mt.bindCallbacks(m)

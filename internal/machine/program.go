@@ -52,7 +52,8 @@ const (
 	// OpDrain blocks until work-queue Obj is empty and all popped tasks
 	// have completed.
 	OpDrain
-	// OpJump loops: jump to instruction To, Count times.
+	// OpJump loops: jump to instruction To, Count times, counting the
+	// jumps in the thread's loop slot Obj.
 	OpJump
 	// OpExit terminates the thread.
 	OpExit
@@ -101,21 +102,26 @@ func (k OpKind) String() string {
 	}
 }
 
-// Instr is one program instruction. It packs into 32 bytes — the NAS
-// programs are fully unrolled, so one 64-thread launch holds hundreds of
-// thousands of them — which bounds the integer fields to int32. Object
-// ids and jump targets are indices into in-memory slices, far below
-// that; for the caller-supplied repeat and push counts, fan-outs and
-// depths, the Builder panics on a value that does not fit rather than
-// truncate it.
+// Instr is one program instruction, packed into 32 bytes, which bounds
+// the integer fields to int32. Object ids, loop slots and jump targets
+// are indices into in-memory slices, far below that; for the
+// caller-supplied repeat and push counts, fan-outs and depths, the
+// Builder panics on a value that does not fit rather than truncate it.
+// A loop whose durations vary per iteration stays rolled: its compute
+// and sleep instructions are Scripted, and the durations sit in the
+// thread's script at 8 bytes each.
 type Instr struct {
-	Kind   OpKind
-	Obj    int32    // lock/barrier/queue object id
-	Dur    sim.Time // compute/sleep/push durations
-	To     int32    // jump target pc
-	Count  int32    // jump iterations or push count
-	Fanout int32    // children per completed pushed task
-	Depth  int32    // fan-out depth of pushed tasks
+	Kind OpKind
+	// Scripted makes a compute or sleep take its duration from the next
+	// entry of the thread's script (SpawnOpts.Script) instead of Dur, so
+	// a loop body can run a different duration on every iteration.
+	Scripted bool
+	Obj      int32    // lock/barrier/queue object id; a jump's loop slot
+	Dur      sim.Time // compute/sleep/push durations
+	To       int32    // jump target pc
+	Count    int32    // jump iterations or push count
+	Fanout   int32    // children per completed pushed task
+	Depth    int32    // fan-out depth of pushed tasks
 }
 
 // Program is an instruction list executed by one thread.
@@ -126,7 +132,8 @@ type Program []Instr
 // for the next program without releasing it, so one builder can emit
 // many programs while growing its buffer only to the largest.
 type Builder struct {
-	prog Program
+	prog  Program
+	loops int32 // loop slots handed out to the program's jumps
 }
 
 // NewProgram returns an empty program builder.
@@ -141,6 +148,20 @@ func (b *Builder) Compute(d sim.Time) *Builder {
 // Sleep appends a timed block of duration d.
 func (b *Builder) Sleep(d sim.Time) *Builder {
 	b.prog = append(b.prog, Instr{Kind: OpSleep, Dur: d})
+	return b
+}
+
+// ScriptedCompute appends a CPU burst whose duration is the next entry
+// of the thread's script.
+func (b *Builder) ScriptedCompute() *Builder {
+	b.prog = append(b.prog, Instr{Kind: OpCompute, Scripted: true})
+	return b
+}
+
+// ScriptedSleep appends a timed block whose duration is the next entry
+// of the thread's script.
+func (b *Builder) ScriptedSleep() *Builder {
+	b.prog = append(b.prog, Instr{Kind: OpSleep, Scripted: true})
 	return b
 }
 
@@ -221,7 +242,8 @@ func (b *Builder) PostFlag(f *SpinFlag) *Builder {
 	return b
 }
 
-// Repeat executes body count times.
+// Repeat executes body count times. Each loop gets its own slot for its
+// per-thread jump count.
 func (b *Builder) Repeat(count int, body func(*Builder)) *Builder {
 	if count <= 0 {
 		return b
@@ -233,7 +255,8 @@ func (b *Builder) Repeat(count int, body func(*Builder)) *Builder {
 		return b // empty body: nothing to loop over
 	}
 	if count > 1 {
-		b.prog = append(b.prog, Instr{Kind: OpJump, To: int32(start), Count: int32(count - 1)})
+		b.prog = append(b.prog, Instr{Kind: OpJump, Obj: b.loops, To: int32(start), Count: int32(count - 1)})
+		b.loops++
 	}
 	return b
 }
@@ -251,6 +274,7 @@ func (b *Builder) Build() Program {
 // Programs already built are unaffected.
 func (b *Builder) Reset() *Builder {
 	b.prog = b.prog[:0]
+	b.loops = 0
 	return b
 }
 

@@ -37,9 +37,9 @@ func TestBuildExactSizeAndReset(t *testing.T) {
 	}
 }
 
-// TestInstrIs32Bytes pins the instruction layout: the NAS programs are
-// fully unrolled, so every byte of Instr is paid hundreds of thousands
-// of times per launch.
+// TestInstrIs32Bytes pins the instruction layout: Scripted sits in the
+// padding after Kind, so the flag that keeps the NAS and make loops
+// rolled costs no byte per instruction.
 func TestInstrIs32Bytes(t *testing.T) {
 	if s := unsafe.Sizeof(Instr{}); s != 32 {
 		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 32", s)

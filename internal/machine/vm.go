@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // This file is the program interpreter. Every entry point runs inside its
@@ -84,16 +85,18 @@ func (m *Machine) step(t *MThread) {
 		ins := &t.prog[t.pc]
 		switch ins.Kind {
 		case OpCompute:
+			d := t.dur(ins)
 			t.computing = true
-			t.remaining = ins.Dur
-			t.segmentTotal = ins.Dur
+			t.remaining = d
+			t.segmentTotal = d
 			m.scheduleCompute(t, t.proc.rate())
 			return
 
 		case OpSleep:
+			d := t.dur(ins)
 			t.pc++
 			m.Sched.BlockCurrent(t.T, sched.StateSleeping)
-			t.sleepH = m.Eng.AfterCall(ins.Dur, t.sleepCb, 0)
+			t.sleepH = m.Eng.AfterCall(d, t.sleepCb, 0)
 			return
 
 		case OpLock:
@@ -203,15 +206,15 @@ func (m *Machine) step(t *MThread) {
 			return
 
 		case OpJump:
-			cnt, seen := t.loops[t.pc]
-			if !seen {
-				cnt = int(ins.Count)
+			k := int(ins.Obj)
+			if k >= len(t.loops) {
+				t.loops = append(t.loops, make([]int32, k+1-len(t.loops))...)
 			}
-			if cnt > 0 {
-				t.loops[t.pc] = cnt - 1
+			if t.loops[k] < ins.Count {
+				t.loops[k]++
 				t.pc = int(ins.To)
 			} else {
-				delete(t.loops, t.pc)
+				t.loops[k] = 0 // the loop is done; a re-entry counts afresh
 				t.pc++
 			}
 			continue
@@ -244,6 +247,21 @@ func (m *Machine) step(t *MThread) {
 			panic(fmt.Sprintf("machine: bad instruction %v at pc %d", ins.Kind, t.pc))
 		}
 	}
+}
+
+// dur returns the duration of t's compute or sleep instruction ins: its
+// own Dur, or for a Scripted one the next entry of t's script.
+func (t *MThread) dur(ins *Instr) sim.Time {
+	if !ins.Scripted {
+		return ins.Dur
+	}
+	if t.scriptPos >= len(t.script) {
+		panic(fmt.Sprintf("machine: thread %q (tid %d) at pc %d: scripted %v reads past the end of its %d-entry script",
+			t.T.Name(), t.T.ID(), t.pc, ins.Kind, len(t.script)))
+	}
+	d := t.script[t.scriptPos]
+	t.scriptPos++
+	return d
 }
 
 // acquireLock hands l to t (which must be at its OpLock instruction),

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -275,4 +276,43 @@ func TestWorkDoneConservation(t *testing.T) {
 	if total != want {
 		t.Fatalf("workDone total = %v, want %v", total, want)
 	}
+}
+
+// TestScriptedDurations: a rolled loop's scripted compute and sleep take
+// their thread's script entries in order, one per execution, and two
+// threads sharing one program read their own scripts.
+func TestScriptedDurations(t *testing.T) {
+	m := newM(topology.SMP(2))
+	p := m.NewProc("p", ProcOpts{})
+	prog := NewProgram().Repeat(3, func(b *Builder) { b.ScriptedCompute().ScriptedSleep() }).Build()
+	const ms = sim.Millisecond
+	a := p.Spawn(prog, SpawnOpts{Script: []sim.Time{1 * ms, 9 * ms, 2 * ms, 9 * ms, 3 * ms, 9 * ms}})
+	b := p.Spawn(prog, SpawnOpts{Script: []sim.Time{4 * ms, 1 * ms, 5 * ms, 1 * ms, 6 * ms, 1 * ms}})
+	if _, ok := m.RunUntilDone(sim.Second, p); !ok {
+		t.Fatal("did not finish")
+	}
+	if a.WorkDone() != 6*ms || b.WorkDone() != 15*ms {
+		t.Fatalf("work done %v and %v, want 6ms and 15ms", a.WorkDone(), b.WorkDone())
+	}
+	if a.FinishedAt() < 33*ms || b.FinishedAt() < 18*ms {
+		t.Fatalf("finished at %v and %v, want at least 33ms and 18ms (compute plus sleep)", a.FinishedAt(), b.FinishedAt())
+	}
+}
+
+// TestScriptOverrunPanics: a scripted instruction that finds its
+// thread's script used up panics naming the thread and its pc, not with
+// a bare index out of range.
+func TestScriptOverrunPanics(t *testing.T) {
+	m := newM(topology.SMP(1))
+	p := m.NewProc("p", ProcOpts{})
+	prog := NewProgram().Repeat(3, func(b *Builder) { b.ScriptedCompute().ScriptedSleep() }).Build()
+	p.Spawn(prog, SpawnOpts{Name: "short", Script: []sim.Time{1, 2, 3, 4, 5}}) // the last sleep has none
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `thread "short"`) || !strings.Contains(msg, "pc 1:") {
+			t.Fatalf("panic %q, want one naming thread \"short\" at pc 1", msg)
+		}
+	}()
+	m.RunUntilDone(sim.Second, p)
+	t.Fatal("a script overrun did not panic")
 }

@@ -48,13 +48,19 @@ func LaunchMake(m *machine.Machine, opts MakeOpts) *machine.Proc {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	p := m.NewProc("make", machine.ProcOpts{})
+	// Every worker runs one rolled job loop. Its jittered compile and
+	// header-I/O durations are drawn here, worker by worker, into its
+	// script; all scripts share one array.
+	prog := machine.NewProgram().Repeat(opts.JobsPerThread, func(b *machine.Builder) {
+		b.ScriptedCompute().ScriptedSleep()
+	}).Build()
+	durs := make([]sim.Time, 0, 2*opts.Threads*max(opts.JobsPerThread, 0))
 	for i := 0; i < opts.Threads; i++ {
-		b := machine.NewProgram()
+		first := len(durs)
 		for j := 0; j < opts.JobsPerThread; j++ {
-			b.Compute(jitter(rng, opts.JobGrain, 0.5))
-			b.Sleep(jitter(rng, 300*sim.Microsecond, 0.5)) // header I/O
+			durs = append(durs, jitter(rng, opts.JobGrain, 0.5), jitter(rng, 300*sim.Microsecond, 0.5))
 		}
-		p.SpawnOn(opts.SpawnCore, b.Build(), machine.SpawnOpts{Name: "cc"})
+		p.SpawnOn(opts.SpawnCore, prog, machine.SpawnOpts{Name: "cc", Script: durs[first:len(durs):len(durs)]})
 	}
 	return p
 }

@@ -205,45 +205,74 @@ func (a NASApp) Launch(m *machine.Machine, opts NASLaunchOpts) *machine.Proc {
 		}
 	}
 
-	// One builder serves every thread: Build copies each program out at
-	// its exact size, and Reset keeps the buffer, so the buffer grows
-	// once per launch rather than once per thread.
-	b := machine.NewProgram()
-	for i := 0; i < opts.Threads; i++ {
-		b.Reset()
-		var lock *machine.SpinLock
+	// iteration appends one loop body of thread i. backWait adds the
+	// pipeline's back-credit wait, which joins lu's body once the first
+	// pipelineWindow sweeps are done.
+	iteration := func(b *machine.Builder, i int, backWait bool) {
+		if flags != nil && i > 0 {
+			b.WaitFlag(flags[i]) // input from predecessor
+		}
+		b.ScriptedCompute()
+		if stall > 0 {
+			b.ScriptedSleep()
+		}
 		if len(locks) > 0 {
-			lock = locks[i%len(locks)]
+			lock := locks[i%len(locks)]
+			b.Lock(lock).Compute(crit).Unlock(lock)
 		}
+		if flags != nil {
+			if i > 0 {
+				b.PostFlag(back[i]) // free predecessor's slot
+			}
+			if i < opts.Threads-1 {
+				if backWait {
+					b.WaitFlag(back[i+1]) // successor must drain first
+				}
+				b.PostFlag(flags[i+1]) // hand off to successor
+			}
+		}
+		if bar != nil {
+			b.Barrier(bar)
+		}
+	}
+
+	// Each thread runs its loop rolled. The jittered compute and stall
+	// durations are drawn here, thread by thread and within an iteration
+	// compute first, into the thread's script, which the body's scripted
+	// instructions read in turn. All scripts share one array, and threads
+	// share one program unless their body names their own sync objects
+	// (lu's flags, ua's lock shards).
+	perIter := 1
+	if stall > 0 {
+		perIter = 2
+	}
+	// Only lu's body changes, when the back-credit wait joins it: the
+	// first early iterations run without it, the rest with it.
+	early := iters
+	if flags != nil {
+		early = min(iters, pipelineWindow)
+	}
+	durs := make([]sim.Time, 0, opts.Threads*iters*perIter)
+	b := machine.NewProgram()
+	var prog machine.Program
+	for i := 0; i < opts.Threads; i++ {
+		first := len(durs)
 		for it := 0; it < iters; it++ {
-			if flags != nil && i > 0 {
-				b.WaitFlag(flags[i]) // input from predecessor
-			}
-			b.Compute(jitter(rng, grain, a.Jitter))
+			durs = append(durs, jitter(rng, grain, a.Jitter))
 			if stall > 0 {
-				b.Sleep(jitter(rng, stall, a.Jitter))
-			}
-			if lock != nil {
-				b.Lock(lock).Compute(crit).Unlock(lock)
-			}
-			if flags != nil {
-				if i > 0 {
-					b.PostFlag(back[i]) // free predecessor's slot
-				}
-				if i < opts.Threads-1 {
-					if it >= pipelineWindow {
-						b.WaitFlag(back[i+1]) // successor must drain first
-					}
-					b.PostFlag(flags[i+1]) // hand off to successor
-				}
-			}
-			if bar != nil {
-				b.Barrier(bar)
+				durs = append(durs, jitter(rng, stall, a.Jitter))
 			}
 		}
-		p.SpawnOn(opts.SpawnCore, b.Build(), machine.SpawnOpts{
+		if prog == nil || flags != nil || len(locks) > 1 {
+			b.Reset()
+			b.Repeat(early, func(b *machine.Builder) { iteration(b, i, false) })
+			b.Repeat(iters-early, func(b *machine.Builder) { iteration(b, i, true) })
+			prog = b.Build()
+		}
+		p.SpawnOn(opts.SpawnCore, prog, machine.SpawnOpts{
 			Name:     a.Name,
 			Affinity: opts.Affinity,
+			Script:   durs[first:len(durs):len(durs)],
 		})
 	}
 	return p

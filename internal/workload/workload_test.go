@@ -245,13 +245,13 @@ func TestUAShardsLocks(t *testing.T) {
 }
 
 // TestNASLaunchAllocatesProgramsOnce bounds a launch's allocation by
-// roughly the size of its programs: lu at 64 threads unrolls ~2,250
-// instructions per thread, 4.6 MB of 32-byte Instrs in all. Building
-// every thread through one reused builder and copying each program out
-// at its exact size keeps the launch near that (5.0 MB); a builder per
-// thread, growing each program from empty, allocates 20 MB.
+// roughly the size of its scripts: lu at 64 threads draws 28,800
+// durations, 230 KB at 8 bytes each, and with its rolled programs and
+// threads the launch allocates 0.35 MB. Unrolling the loops, one
+// 32-byte instruction per step, allocates 5.0 MB even through one
+// reused builder, so the bound catches a return to unrolled programs.
 func TestNASLaunchAllocatesProgramsOnce(t *testing.T) {
-	const limitMB = 6
+	const limitMB = 1
 	m := fixedMachine(topology.SMP(64), 3)
 	lu, _ := NASAppByName("lu")
 	var before, after runtime.MemStats
