@@ -11,9 +11,10 @@ import (
 	"repro/internal/topology"
 )
 
-// TopologySpec is a named machine shape. Build must return a fresh
-// Topology on every call (scenarios run concurrently and must not share
-// mutable state).
+// TopologySpec is a named machine shape. A Topology is immutable apart
+// from its locked memo, so concurrent scenarios may share one: a
+// registered spec's Build returns the same Topology on every call (see
+// RegisterTopology), and with it the domain hierarchies memoized on it.
 type TopologySpec struct {
 	Name  string
 	Build func() *topology.Topology
@@ -124,12 +125,14 @@ var (
 	topoOrder  []string
 )
 
-// RegisterTopology adds a named machine shape to the registry. It
-// errors on an empty or duplicate name.
+// RegisterTopology adds a named machine shape to the registry, wrapping
+// its Build so that the shape is built once per process. It errors on an
+// empty or duplicate name.
 func RegisterTopology(t TopologySpec) error {
 	if t.Name == "" || t.Build == nil {
 		return fmt.Errorf("campaign: topology must have a name and a builder")
 	}
+	t.Build = sync.OnceValue(t.Build)
 	topoMu.Lock()
 	defer topoMu.Unlock()
 	if _, dup := topoByName[t.Name]; dup {

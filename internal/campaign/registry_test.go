@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 // TestConfigRegistryCompat pins the compatibility surface of the
@@ -149,4 +152,49 @@ func FuzzWorkloadByName(f *testing.F) {
 			t.Fatalf("%q resolves to %q, which resolves to %q (ok=%v)", name, w.Name, again.Name, ok)
 		}
 	})
+}
+
+// TestRegisteredTopologyBuiltOnce: every scenario of a registered shape
+// runs on one Topology, so the domain hierarchies memoized on it are
+// built once per process.
+func TestRegisteredTopologyBuiltOnce(t *testing.T) {
+	for _, tp := range BuiltinTopologies() {
+		if a, b := tp.Build(), tp.Build(); a != b {
+			t.Errorf("topology %q: two Build calls returned two Topologies", tp.Name)
+		}
+	}
+}
+
+// TestWorkersShareTopologyMemo: concurrent workers on one Topology
+// request and build its domain hierarchies through the shared memo (the
+// race detector watches this in make race), hotplug storms included. The
+// artifact must not depend on which worker built which hierarchy: four
+// workers on one fresh Topology write the bytes one worker writes on
+// another.
+func TestWorkersShareTopologyMemo(t *testing.T) {
+	run := func(workers int) []byte {
+		topo := topology.Bulldozer8()
+		m := Matrix{
+			Topologies: []TopologySpec{{Name: "bulldozer8", Build: func() *topology.Topology { return topo }}},
+			Workloads:  MustWorkloads("nas-hotplug-storm:lu:4", "nas-hotplug:cg", "make2r"),
+			Configs:    MustConfigs("bugs", "fixed"),
+			Seeds:      []int64{1, 2},
+			Scale:      0.05,
+		}
+		c, err := RunScenarios(m.Scenarios(), RunnerOpts{Workers: workers, BaseSeed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := c.Result("bulldozer8/nas-hotplug-storm:lu:4/bugs/s1"); r == nil || r.Counters.DomainRebuilds < 8 {
+			t.Fatalf("the hotplug storm rebuilt too few hierarchies to exercise the memo: %+v", r)
+		}
+		data, err := c.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if !bytes.Equal(run(1), run(4)) {
+		t.Fatal("artifact differs between one and four workers on a shared topology")
+	}
 }

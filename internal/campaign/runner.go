@@ -413,6 +413,7 @@ func runScenario(sc Scenario, opts RunnerOpts, probe *sched.DivergenceProbe) Res
 		WakeStreaks:           col.StreakStats(),
 		Extra:                 outcome.Extra,
 	}
+	col.Release()
 	if rec != nil {
 		r.TraceEvents = rec.Len()
 		r.TraceDropped = rec.Dropped()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Options tunes experiment runs.
@@ -44,8 +43,9 @@ func (o Options) withDefaults() Options {
 }
 
 // runGrid runs every registered campaign workload under every
-// registered config, each on a fresh bulldozer8 (the paper's machine)
-// whose engine and workload seed are opts.Seed, and returns
+// registered config, each in a fresh world on the registered bulldozer8
+// (the paper's machine) whose engine and workload seed are opts.Seed,
+// and returns
 // out[workload][config]. A table thus runs exactly the scenario a
 // campaign runs, but attaches no sanity checker and derives no seed
 // from the scenario key, so its numbers depend on opts.Seed alone.
@@ -55,8 +55,9 @@ func (o Options) withDefaults() Options {
 func runGrid(opts Options, launch sim.Time, workloads, configs []string) [][]campaign.Outcome {
 	opts = opts.withDefaults()
 	ws, cs := campaign.MustWorkloads(workloads...), campaign.MustConfigs(configs...)
+	bulldozer8 := campaign.MustTopologies("bulldozer8")[0]
 	outs := campaign.ForEach(len(ws)*len(cs), 0, func(i int) campaign.Outcome {
-		topo, c := topology.Bulldozer8(), cs[i%len(cs)]
+		topo, c := bulldozer8.Build(), cs[i%len(cs)]
 		m := machine.New(topo, c.Config, opts.Seed)
 		detach, err := c.Apply(m.Sched)
 		if err != nil {

@@ -35,6 +35,7 @@ package explain
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/checker"
 	"repro/internal/latency"
@@ -210,16 +211,29 @@ type Observer struct {
 	counter *trace.Recorder
 
 	// Replay scratch, reset before each replay: every replay of the
-	// scenario's episodes shares one collector and two decision rings
-	// (the control's and a fix's, compared by firstDivergence), which
-	// allocate only to outgrow the largest replay so far.
-	replayCol   *latency.Collector
-	controlRing *trace.Recorder
-	fixedRing   *trace.Recorder
+	// scenario's episodes shares one collector and two decision rings,
+	// all recycled across scenarios (see Report), which allocate only to
+	// outgrow the largest replay so far.
+	replayCol *latency.Collector
+	rings     *replayRings
 
 	pend   *pending
 	report ScenarioExplain
 }
+
+// replayRings are the control's and a fix's decision rings, compared by
+// firstDivergence. ringPool recycles them across observers.
+type replayRings struct{ control, fixed *trace.Recorder }
+
+var ringPool = sync.Pool{New: func() any {
+	r := &replayRings{
+		control: trace.NewDecisionRing(trace.DefaultRingCap),
+		fixed:   trace.NewDecisionRing(trace.DefaultRingCap),
+	}
+	r.control.Start()
+	r.fixed.Start()
+	return r
+}}
 
 // NewObserver creates an observer for m and attaches its decision
 // counter to m's scheduler. The machine must not have started episodes
@@ -227,17 +241,14 @@ type Observer struct {
 func NewObserver(m *machine.Machine, cfg Config) *Observer {
 	cfg.Checker = cfg.Checker.WithDefaults()
 	o := &Observer{
-		m:           m,
-		cfg:         cfg,
-		base:        m.Sched.Config().Features,
-		counter:     trace.NewDecisionCounter(trace.DefaultRingCap),
-		replayCol:   latency.NewCollector(latency.Config{StreakK: cfg.StreakK}),
-		controlRing: trace.NewDecisionRing(trace.DefaultRingCap),
-		fixedRing:   trace.NewDecisionRing(trace.DefaultRingCap),
+		m:         m,
+		cfg:       cfg,
+		base:      m.Sched.Config().Features,
+		counter:   trace.NewDecisionCounter(trace.DefaultRingCap),
+		replayCol: latency.NewCollector(latency.Config{StreakK: cfg.StreakK}),
+		rings:     ringPool.Get().(*replayRings),
 	}
-	for _, r := range []*trace.Recorder{o.counter, o.controlRing, o.fixedRing} {
-		r.Start()
-	}
+	o.counter.Start()
 	m.Sched.SetRecorder(o.counter)
 	return o
 }
@@ -342,12 +353,16 @@ func (o *Observer) OnStreak(start, at sim.Time) {
 	})
 }
 
-// Report finalizes and returns the scenario's explain report. Call once
-// the workload has finished.
+// Report finalizes and returns the scenario's explain report, and hands
+// the replay scratch on to the next observer. Call it once, when the
+// workload has finished: the observer replays nothing after it.
 func (o *Observer) Report() *ScenarioExplain {
 	o.pend = nil
 	o.report.Decisions = o.counter.Total()
 	o.report.DecisionsDropped = o.counter.Dropped()
+	o.replayCol.Release()
+	ringPool.Put(o.rings) // runReplay resets a ring before each use
+	o.replayCol, o.rings = nil, nil
 	r := o.report
 	return &r
 }
@@ -418,7 +433,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		FixGroupConstruction: !o.base.FixGroupConstruction,
 		FixMissingDomains:    !o.base.FixMissingDomains,
 	}}
-	control := o.runReplay(spec, controlLast, o.base, o.controlRing, probe)
+	control := o.runReplay(spec, controlLast, o.base, o.rings.control, probe)
 	ep.Control = control
 	// copied holds the fixes whose replay is the control's.
 	copied := mergeFeatures(o.base, sched.Features{
@@ -452,7 +467,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		if fixReplayed != nil {
 			fixReplayed(name, "simulated")
 		}
-		rep := o.runReplay(spec, i == last, mergeFeatures(o.base, fix), o.fixedRing, nil)
+		rep := o.runReplay(spec, i == last, mergeFeatures(o.base, fix), o.rings.fixed, nil)
 		fr := FixReplay{
 			Fix:            name,
 			Replay:         rep,
@@ -463,7 +478,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		if fr.Erases {
 			ep.Attribution = append(ep.Attribution, name)
 		}
-		fr.FirstDivergence = firstDivergence(o.controlRing.Events(), o.fixedRing.Events())
+		fr.FirstDivergence = firstDivergence(o.rings.control.Events(), o.rings.fixed.Events())
 		ep.Fixes = append(ep.Fixes, fr)
 	}
 	return ep

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 func TestBothDesignsCompleteAllWork(t *testing.T) {
@@ -96,5 +98,28 @@ func TestMakespanIncludesOverhead(t *testing.T) {
 	}
 	if sh.Switches == 0 || pc.Switches == 0 {
 		t.Fatal("no switches recorded")
+	}
+}
+
+// TestSharedSweepAllocatesNothing: on a steady world, every core running
+// one hog and nothing queued, the work-conservation sweep refills its
+// online-core scratch in place and re-arms through a bound func, so a
+// sweep period allocates nothing.
+func TestSharedSweepAllocatesNothing(t *testing.T) {
+	m := machine.New(topology.SMP(8), SharedConfig(), 1)
+	g := AttachShared(m.Sched)
+	p := m.NewProc("p", machine.ProcOpts{})
+	hog := machine.NewProgram().Compute(sim.Second).Build()
+	for i := 0; i < 8; i++ {
+		p.SpawnOn(topology.CoreID(i), hog, machine.SpawnOpts{})
+	}
+	m.Run(10 * SweepEvery) // warm the engine's event pool
+	sweeps := g.Sweeps
+	allocs := testing.AllocsPerRun(50, func() { m.Eng.RunUntil(m.Eng.Now() + SweepEvery) })
+	if g.Sweeps <= sweeps {
+		t.Fatal("no sweep ran in the measured periods")
+	}
+	if allocs != 0 {
+		t.Fatalf("a sweep period allocates %.1f times, want 0", allocs)
 	}
 }

@@ -41,6 +41,8 @@ const SweepEvery = sim.Millisecond
 type SharedRunqueue struct {
 	s       *sched.Scheduler
 	stopped bool
+	sweepFn func()            // sweep, bound once: rescheduling allocates nothing
+	online  []topology.CoreID // sweep's scratch: the online cores, ascending
 
 	// Steals counts work-conservation pulls by idle cores.
 	Steals uint64
@@ -52,8 +54,9 @@ type SharedRunqueue struct {
 // work-conservation sweep.
 func AttachShared(s *sched.Scheduler) *SharedRunqueue {
 	g := &SharedRunqueue{s: s}
+	g.sweepFn = g.sweep
 	s.SetPlacementPolicy(g)
-	s.Engine().After(SweepEvery, g.sweep)
+	s.Engine().After(SweepEvery, g.sweepFn)
 	return g
 }
 
@@ -92,7 +95,8 @@ func (g *SharedRunqueue) sweep() {
 		return
 	}
 	g.Sweeps++
-	online := g.s.OnlineCPUs()
+	g.online = g.s.OnlineSet().AppendCores(g.online[:0])
+	online := g.online
 	for _, idle := range online {
 		if !g.s.IsIdle(idle) {
 			continue
@@ -111,7 +115,7 @@ func (g *SharedRunqueue) sweep() {
 			g.Steals++
 		}
 	}
-	g.s.Engine().After(SweepEvery, g.sweep)
+	g.s.Engine().After(SweepEvery, g.sweepFn)
 }
 
 // PerCoreRunqueue emulates strictly static per-core runqueues: wakeups

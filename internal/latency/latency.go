@@ -8,10 +8,11 @@
 // event stream into two deterministic artifacts:
 //
 //   - Digests: fixed-bucket summaries of wakeup-to-run delay and
-//     runqueue-wait spans, with exact p50/p95/p99/max computed through
-//     internal/stats over the (deterministic) sample stream — byte-
-//     stable JSON, so campaign artifacts carrying them stay identical
-//     across worker counts, shard merges and incremental re-runs;
+//     runqueue-wait spans, with exact p50/p95/p99/max read from the
+//     collector's own sample buffer, sorted in place, with
+//     stats.PercentileSorted — byte-stable JSON, so campaign artifacts
+//     carrying them stay identical across worker counts, shard merges
+//     and incremental re-runs;
 //
 //   - Streaks: runs of K consecutive wakeups placed on busy cores
 //     while an allowed core sat idle. TPC-H's overload-on-wakeup
@@ -22,13 +23,15 @@
 //
 // A Collector is wired to one scheduler (one scenario); everything it
 // records derives from virtual time, so campaign results built from it
-// inherit the byte-identical-artifact guarantee.
+// inherit the byte-identical-artifact guarantee. Its sample buffers are
+// recycled across collectors: Release hands them to the next one.
 package latency
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -95,7 +98,7 @@ type Digest struct {
 	// MeanNs is the integer mean (sum/count, truncated).
 	MeanNs int64 `json:"mean_ns"`
 	// P50Ns, P95Ns and P99Ns are linear-interpolated percentiles
-	// (stats.Percentile), truncated to nanoseconds.
+	// (stats.PercentileSorted), truncated to nanoseconds.
 	P50Ns int64 `json:"p50_ns"`
 	P95Ns int64 `json:"p95_ns"`
 	P99Ns int64 `json:"p99_ns"`
@@ -115,24 +118,19 @@ func (d *Digest) String() string {
 		sim.Time(d.P50Ns), sim.Time(d.P95Ns), sim.Time(d.P99Ns), sim.Time(d.MaxNs), d.Count)
 }
 
-// MakeDigest summarizes a sample stream of nanosecond spans. The input
-// order is irrelevant (the percentiles read one sorted copy) and the
-// samples are not retained. Returns nil for an empty stream, so artifact
-// fields can omit empty digests.
+// MakeDigest summarizes a sample stream of nanosecond spans. It sorts ns
+// in place, so the digest does not depend on the input order, and does
+// not retain it. Returns nil for an empty stream, so artifact fields can
+// omit empty digests.
 func MakeDigest(ns []int64) *Digest {
 	if len(ns) == 0 {
 		return nil
 	}
 	d := &Digest{Count: int64(len(ns))}
-	xs := make([]float64, len(ns))
 	var sum int64
 	maxBucket := 0
 	buckets := make([]int64, NumBuckets)
-	for i, v := range ns {
-		// Spans are bounded by the scenario horizon (< 2^53 ns), so the
-		// float64 conversion is exact and the percentiles stay
-		// byte-deterministic.
-		xs[i] = float64(v)
+	for _, v := range ns {
 		sum += v
 		b := BucketIndex(v)
 		buckets[b]++
@@ -144,10 +142,13 @@ func MakeDigest(ns []int64) *Digest {
 		}
 	}
 	d.MeanNs = sum / d.Count
-	sort.Float64s(xs)
-	d.P50Ns = int64(stats.PercentileSorted(xs, 50))
-	d.P95Ns = int64(stats.PercentileSorted(xs, 95))
-	d.P99Ns = int64(stats.PercentileSorted(xs, 99))
+	// Spans are bounded by the scenario horizon (< 2^53 ns), so the
+	// percentiles' float64 conversion is exact and the digest
+	// byte-deterministic.
+	slices.Sort(ns)
+	d.P50Ns = int64(stats.PercentileSorted(ns, 50))
+	d.P95Ns = int64(stats.PercentileSorted(ns, 95))
+	d.P99Ns = int64(stats.PercentileSorted(ns, 99))
 	d.Buckets = buckets[:maxBucket+1]
 	return d
 }
@@ -183,12 +184,21 @@ func (s *Streaks) String() string {
 		s.Streaks, s.K, s.Longest, sim.Time(s.LongestStartNs), sim.Time(s.LongestEndNs))
 }
 
+// samples is a collector's sample storage. Every context switch appends
+// a wait span, so growing the buffers from nil in every scenario would
+// dominate the collector's cost; samplePool recycles them instead.
+type samples struct {
+	wake []int64 // wakeup-to-run delays, ns
+	wait []int64 // every runqueue-wait span, ns
+}
+
+var samplePool = sync.Pool{New: func() any { return new(samples) }}
+
 // Collector accumulates one scheduler's latency evidence. It implements
 // sched.LatencyProbe; attach with Scheduler.SetLatencyProbe.
 type Collector struct {
-	cfg  Config
-	wake []int64 // wakeup-to-run delays, ns
-	wait []int64 // every runqueue-wait span, ns
+	cfg Config
+	buf *samples // from samplePool; nil once released
 
 	// Streak state: the current run of busy-while-idle placements.
 	run      int
@@ -208,16 +218,14 @@ type Collector struct {
 // synchronously; defer real work to the engine (e.g. After(0, ...)).
 func (c *Collector) SetStreakHook(fn func(start, at sim.Time)) { c.streakHook = fn }
 
-// NewCollector returns a Collector with the given tuning. The sample
-// buffers are pre-sized: every context switch appends a wait span, so
-// growing from nil would dominate the collector's cost early in a run.
+// NewCollector returns a Collector with the given tuning, on sample
+// buffers a released collector left in the pool when there is one.
 func NewCollector(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	return &Collector{
-		cfg:  cfg,
-		st:   Streaks{K: cfg.StreakK},
-		wake: make([]int64, 0, 1024),
-		wait: make([]int64, 0, 4096),
+		cfg: cfg,
+		st:  Streaks{K: cfg.StreakK},
+		buf: samplePool.Get().(*samples),
 	}
 }
 
@@ -226,18 +234,28 @@ func NewCollector(cfg Config) *Collector {
 // across runs (one per explain replay) stops allocating once its
 // buffers reach their high-water mark.
 func (c *Collector) Reset() {
-	c.wake = c.wake[:0]
-	c.wait = c.wait[:0]
+	c.buf.wake = c.buf.wake[:0]
+	c.buf.wait = c.buf.wait[:0]
 	c.run = 0
 	c.runStart = 0
 	c.st = Streaks{K: c.cfg.StreakK}
 }
 
+// Release returns the sample buffers to the pool for the next collector.
+// Call it once nothing will read the collector's samples again: after
+// its digests are taken. A released collector must not record again.
+func (c *Collector) Release() {
+	c.Reset()
+	samplePool.Put(c.buf)
+	c.buf = nil
+}
+
 // WaitEnd implements sched.LatencyProbe.
 func (c *Collector) WaitEnd(at sim.Time, t *sched.Thread, cpu topology.CoreID, wait sim.Time, wakeup bool) {
-	c.wait = append(c.wait, int64(wait))
+	b := c.buf
+	b.wait = append(b.wait, int64(wait))
 	if wakeup {
-		c.wake = append(c.wake, int64(wait))
+		b.wake = append(b.wake, int64(wait))
 	}
 }
 
@@ -272,12 +290,13 @@ func (c *Collector) WakeupPlaced(at sim.Time, t *sched.Thread, cpu topology.Core
 }
 
 // WakeDigest summarizes the wakeup-to-run delays seen so far (nil when
-// none).
-func (c *Collector) WakeDigest() *Digest { return MakeDigest(c.wake) }
+// none), sorting the collector's buffer in place: no reader depends on
+// the samples' arrival order.
+func (c *Collector) WakeDigest() *Digest { return MakeDigest(c.buf.wake) }
 
 // WaitDigest summarizes every runqueue-wait span seen so far (nil when
-// none).
-func (c *Collector) WaitDigest() *Digest { return MakeDigest(c.wait) }
+// none), sorting the collector's buffer in place.
+func (c *Collector) WaitDigest() *Digest { return MakeDigest(c.buf.wait) }
 
 // StreakStats returns a copy of the streak witness, or nil when no
 // streak reached K — so artifact fields stay omitted for clean runs.
@@ -294,7 +313,7 @@ func (c *Collector) StreakStats() *Streaks {
 func (c *Collector) StreakCount() int { return c.st.Streaks }
 
 // Wakeups returns how many wakeup-to-run delays have been recorded.
-func (c *Collector) Wakeups() int { return len(c.wake) }
+func (c *Collector) Wakeups() int { return len(c.buf.wake) }
 
 // Waits returns how many runqueue-wait spans have been recorded.
-func (c *Collector) Waits() int { return len(c.wait) }
+func (c *Collector) Waits() int { return len(c.buf.wait) }

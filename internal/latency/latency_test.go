@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -196,5 +198,102 @@ func TestCollectorOnMachine(t *testing.T) {
 	}
 	if wd.Count != int64(col.Wakeups()) || qd.Count != int64(col.Waits()) {
 		t.Fatal("digest counts disagree with collector counts")
+	}
+}
+
+// floatCopyDigest is MakeDigest as it was before it sorted its input in
+// place: the percentiles read a sorted float64 copy of the samples.
+func floatCopyDigest(ns []int64) *Digest {
+	if len(ns) == 0 {
+		return nil
+	}
+	d := &Digest{Count: int64(len(ns))}
+	xs := make([]float64, len(ns))
+	var sum int64
+	maxBucket := 0
+	buckets := make([]int64, NumBuckets)
+	for i, v := range ns {
+		xs[i] = float64(v)
+		sum += v
+		b := BucketIndex(v)
+		buckets[b]++
+		if b > maxBucket {
+			maxBucket = b
+		}
+		if v > d.MaxNs {
+			d.MaxNs = v
+		}
+	}
+	d.MeanNs = sum / d.Count
+	sort.Float64s(xs)
+	d.P50Ns = int64(stats.PercentileSorted(xs, 50))
+	d.P95Ns = int64(stats.PercentileSorted(xs, 95))
+	d.P99Ns = int64(stats.PercentileSorted(xs, 99))
+	d.Buckets = buckets[:maxBucket+1]
+	return d
+}
+
+// TestMakeDigestMatchesFloatCopy: sorting the int64 samples in place and
+// converting two order statistics gives the digest a sorted float64 copy
+// gives, on edge cases and on random streams.
+func TestMakeDigestMatchesFloatCopy(t *testing.T) {
+	const p52 = int64(1) << 52
+	streams := [][]int64{
+		{1000},
+		{3_000_000, 5},
+		{7, 7, 7, 7, 7, 7, 7},
+		{p52 + 1, p52 - 3, p52, p52 - 1, p52 + 2, p52 - 2},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 10, 99, 100, 101, 1000, 4097} {
+		for _, span := range []int64{3, 1000, int64(10 * sim.Millisecond), int64(1000 * sim.Second)} {
+			ns := make([]int64, n)
+			for i := range ns {
+				ns[i] = rng.Int63n(span)
+			}
+			streams = append(streams, ns)
+		}
+	}
+	for _, ns := range streams {
+		want := floatCopyDigest(append([]int64(nil), ns...))
+		if got := MakeDigest(append([]int64(nil), ns...)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: MakeDigest = %+v, float copy = %+v", len(ns), got, want)
+		}
+	}
+}
+
+// TestCollectorReuseAfterRelease: a collector made after another's
+// Release may record into the released, grown buffers; its digests must
+// equal those of its own stream alone, however long the stream before.
+func TestCollectorReuseAfterRelease(t *testing.T) {
+	feed := func(c *Collector, seed int64, n int) (wake, wait []int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			v := rng.Int63n(int64(10 * sim.Millisecond))
+			c.WaitEnd(0, nil, 0, sim.Time(v), i%3 == 0)
+			wait = append(wait, v)
+			if i%3 == 0 {
+				wake = append(wake, v)
+			}
+		}
+		return wake, wait
+	}
+	first := NewCollector(Config{})
+	feed(first, 1, 5000)
+	first.WaitDigest()
+	first.Release()
+	for round := int64(0); round < 3; round++ {
+		c := NewCollector(Config{})
+		if c.Waits() != 0 || c.Wakeups() != 0 {
+			t.Fatalf("round %d: a new collector starts with %d waits and %d wakeups", round, c.Waits(), c.Wakeups())
+		}
+		wake, wait := feed(c, 2+round, 300+int(round)*100)
+		if got, want := c.WakeDigest(), MakeDigest(wake); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: wake digest %+v, want %+v", round, got, want)
+		}
+		if got, want := c.WaitDigest(), MakeDigest(wait); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: wait digest %+v, want %+v", round, got, want)
+		}
+		c.Release()
 	}
 }

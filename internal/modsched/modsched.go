@@ -80,6 +80,8 @@ type CoreModule struct {
 	cfg     Config
 	modules []Module
 	stopped bool
+	sweepFn func()            // sweep, bound once: rescheduling allocates nothing
+	online  []topology.CoreID // sweep's scratch: the online cores, ascending
 
 	// Stats per module.
 	accepted   map[string]uint64
@@ -100,8 +102,9 @@ func Attach(s *sched.Scheduler, cfg Config, modules ...Module) *CoreModule {
 		accepted:   map[string]uint64{},
 		overridden: map[string]uint64{},
 	}
+	cm.sweepFn = cm.sweep
 	s.SetPlacementPolicy(cm)
-	s.Engine().After(cm.cfg.EnforceEvery, cm.sweep)
+	s.Engine().After(cm.cfg.EnforceEvery, cm.sweepFn)
 	return cm
 }
 
@@ -174,7 +177,8 @@ func (cm *CoreModule) sweep() {
 		return
 	}
 	cm.Sweeps++
-	online := cm.s.OnlineCPUs()
+	cm.online = cm.s.OnlineSet().AppendCores(cm.online[:0])
+	online := cm.online
 	steals := 0
 	for _, idle := range online {
 		if steals >= cm.cfg.MaxStealsPerSweep {
@@ -200,7 +204,7 @@ func (cm *CoreModule) sweep() {
 			steals++
 		}
 	}
-	cm.s.Engine().After(cm.cfg.EnforceEvery, cm.sweep)
+	cm.s.Engine().After(cm.cfg.EnforceEvery, cm.sweepFn)
 }
 
 // String reports per-module acceptance statistics.

@@ -299,3 +299,27 @@ func TestModuleRegistry(t *testing.T) {
 		t.Errorf("BuiltinModules has %d entries, want >= 3", len(BuiltinModules()))
 	}
 }
+
+// TestSweepAllocatesNothing: on a steady world, every core running one
+// hog and nothing queued, the enforcement sweep refills its online-core
+// scratch in place and re-arms through a bound func, so a sweep period
+// allocates nothing.
+func TestSweepAllocatesNothing(t *testing.T) {
+	m := buggyMachine(topology.SMP(8), 7)
+	cm := Attach(m.Sched, Config{})
+	p := m.NewProc("p", machine.ProcOpts{})
+	hog := machine.NewProgram().Compute(sim.Second).Build()
+	for i := 0; i < 8; i++ {
+		p.SpawnOn(topology.CoreID(i), hog, machine.SpawnOpts{})
+	}
+	every := cm.cfg.EnforceEvery
+	m.Run(10 * every) // warm the engine's event pool and the balancer's scratch
+	sweeps := cm.Sweeps
+	allocs := testing.AllocsPerRun(50, func() { m.Eng.RunUntil(m.Eng.Now() + every) })
+	if cm.Sweeps <= sweeps {
+		t.Fatal("no sweep ran in the measured periods")
+	}
+	if allocs != 0 {
+		t.Fatalf("a sweep period allocates %.1f times, want 0", allocs)
+	}
+}

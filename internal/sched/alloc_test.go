@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -12,7 +13,7 @@ import (
 // of the tick path (accounting + preemption check + periodic balancing
 // across every due domain level): after warmup it must stay at a small
 // constant per tick period, independent of core count — the scratch
-// buffers, per-core timers and domain cache make the common case
+// buffers, per-core timers and memoized domains make the common case
 // allocation-free, with only amortized noise (runqueue pool growth,
 // trace-free bookkeeping) remaining.
 func TestPeriodicBalanceTickAllocs(t *testing.T) {
@@ -38,10 +39,10 @@ func TestPeriodicBalanceTickAllocs(t *testing.T) {
 }
 
 // TestHotplugDomainRebuildReusesCache: cycling the same core off and on
-// must hit the domain cache (pointer swap), not reconstruct hierarchies,
-// while still resetting the per-level balance bookkeeping. The cache
-// also survives ApplyFeatures, so it must stay exact across fix
-// switches: see checkApplyFeaturesMatchesFresh.
+// must take the topology's memoized hierarchy (pointer swap), not
+// reconstruct it, while still resetting the per-level balance
+// bookkeeping. The memo also serves ApplyFeatures, so it must stay exact
+// across fix switches: see checkApplyFeaturesMatchesFresh.
 func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 	e := newEnv(topology.Bulldozer8(), DefaultConfig().WithFixes(AllFixes()))
 	if err := e.s.DisableCPU(5); err != nil {
@@ -64,16 +65,9 @@ func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 	}
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatalf("level %d rebuilt instead of cache-hit", i)
+			t.Fatalf("level %d rebuilt instead of taken from the memo", i)
 		}
 	}
-	// The cache holds one entry per distinct (online set, includeNUMA)
-	// seen: full set (x2: with and without NUMA never both occur here,
-	// so exactly the visited classes) and the set without core 5.
-	if n := len(e.s.domainCache); n != 2 {
-		t.Fatalf("domain cache has %d entries, want 2", n)
-	}
-
 	// The studied kernel plus one scheduler built with each single
 	// lattice fix, all put through the same hotplug cycle.
 	topo := topology.Bulldozer8()
@@ -102,11 +96,11 @@ func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 
 // checkApplyFeaturesMatchesFresh: Clone + ApplyFeatures(fixes[i]) on
 // base must give every core the hierarchy, and the scheduler the
-// counters, of built[i] (constructed with that fix), whatever the domain
-// cache holds. Switching the clone back must then give base's own
-// hierarchies: a gc-fixed cache entry is never served to a gc-buggy
+// counters, of built[i] (constructed with that fix), whatever the
+// topology's memo holds. Switching the clone back must then give base's
+// own hierarchies: a gc-fixed memo entry is never served to a gc-buggy
 // scheduler, nor the reverse. Fixes that leave construction alone must
-// be cache hits, sharing base's Domain values.
+// keep base's Domain values.
 func checkApplyFeaturesMatchesFresh(t *testing.T, stage string, base *testEnv, fixes []Features, built []*Scheduler) {
 	t.Helper()
 	same := func(what string, a, b *Scheduler) {
@@ -131,7 +125,7 @@ func checkApplyFeaturesMatchesFresh(t *testing.T, stage string, base *testEnv, f
 				id := topology.CoreID(cpu)
 				for lvl, d := range c.Domains(id) {
 					if d != base.s.Domains(id)[lvl] {
-						t.Fatalf("%s, %s: cpu %d level %d rebuilt instead of cache-hit", stage, what, cpu, lvl)
+						t.Fatalf("%s, %s: cpu %d level %d rebuilt instead of kept", stage, what, cpu, lvl)
 					}
 				}
 			}
@@ -204,5 +198,49 @@ func TestOccupancyIncrementalMatchesRescan(t *testing.T) {
 	check("after enable and run")
 	if events == 0 {
 		t.Fatal("no event checked")
+	}
+}
+
+// TestApplyFeaturesKeepsHierarchyWhenKeyUnchanged: gi and oow never
+// enter the hierarchy's key, so on a mid-run world ApplyFeatures with gi
+// and then with oow only switches the flags. Every core keeps its Domain
+// pointers and its balance bookkeeping, no rebuild is counted, and the
+// switch allocates nothing.
+func TestApplyFeaturesKeepsHierarchyWhenKeyUnchanged(t *testing.T) {
+	e := newEnv(topology.Bulldozer8(), DefaultConfig())
+	for i := 0; i < 24; i++ {
+		e.hog("h", topology.CoreID(i%8), ThreadOpts{})
+	}
+	e.run(50 * sim.Millisecond)
+	type bookkeeping struct {
+		domains []*Domain
+		next    []sim.Time
+		failed  []int
+	}
+	snapshot := func() []bookkeeping {
+		out := make([]bookkeeping, len(e.s.cpus))
+		for i, c := range e.s.cpus {
+			out[i] = bookkeeping{append([]*Domain(nil), c.domains...),
+				append([]sim.Time(nil), c.nextBalance...), append([]int(nil), c.balanceFailed...)}
+		}
+		return out
+	}
+	want := snapshot()
+	rebuilds := e.s.Counters().DomainRebuilds
+	gi, oow := Features{FixGroupImbalance: true}, Features{FixOverloadWakeup: true}
+	for _, f := range []Features{gi, oow} {
+		e.s.ApplyFeatures(f)
+		if e.s.Config().Features != f {
+			t.Fatalf("features %+v after ApplyFeatures(%+v)", e.s.Config().Features, f)
+		}
+		if !reflect.DeepEqual(snapshot(), want) {
+			t.Fatalf("ApplyFeatures(%+v) changed a core's domains or balance bookkeeping", f)
+		}
+		if got := e.s.Counters().DomainRebuilds; got != rebuilds {
+			t.Fatalf("ApplyFeatures(%+v): %d domain rebuilds, want %d", f, got, rebuilds)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.s.ApplyFeatures(gi); e.s.ApplyFeatures(oow) }); allocs != 0 {
+		t.Fatalf("switching between gi and oow allocates %.1f times, want 0", allocs)
 	}
 }

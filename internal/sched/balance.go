@@ -131,43 +131,6 @@ func (s *Scheduler) designatedCPU(c *CPU, d *Domain) topology.CoreID {
 	return mask.First()
 }
 
-// groupBalanceMask restricts designation candidates to the cores whose own
-// per-core view of this domain level has exactly this local group — the
-// kernel's group_balance_mask. With overlapping NUMA groups, a core of
-// group G that builds a different local group from its own perspective
-// would balance a different instance; counting it here would leave G's
-// instance permanently unbalanced.
-func (s *Scheduler) groupBalanceMask(g CPUSet, levelName string) CPUSet {
-	var mask CPUSet
-	g.ForEach(func(id topology.CoreID) {
-		oc := s.cpus[id]
-		if !oc.online {
-			return
-		}
-		od := s.levelDomain(oc, levelName)
-		if od == nil {
-			return
-		}
-		if ogi := od.local; ogi >= 0 && od.Groups[ogi].Equal(g) {
-			mask.Set(id)
-		}
-	})
-	if mask.Empty() {
-		return g
-	}
-	return mask
-}
-
-// levelDomain returns c's domain with the given level name, or nil.
-func (s *Scheduler) levelDomain(c *CPU, name string) *Domain {
-	for _, d := range c.domains {
-		if d.Name == name {
-			return d
-		}
-	}
-	return nil
-}
-
 // balanceInterval returns the effective re-balance interval for c at
 // domain d: idle cores retry every tick (the kernel keeps sd->balance_
 // interval at its minimum when idle and multiplies it by busy_factor when

@@ -38,7 +38,6 @@ var cloneRules = map[string]string{
 	"Scheduler.threads":      "deep: each Thread cloned",
 	"Scheduler.groups":       "deep: each TaskGroup copied",
 	"Scheduler.rootGroup":    "remapped: the clone's root group",
-	"Scheduler.domainCache":  "shared: a pure function of its key",
 	"Scheduler.gsScratch":    "reset: balance-pass scratch",
 	"Scheduler.gsGroups":     "reset: balance-pass scratch",
 	"Scheduler.stealScratch": "reset: balance-pass scratch",

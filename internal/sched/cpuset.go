@@ -89,9 +89,21 @@ func (s CPUSet) ForEach(fn func(c topology.CoreID)) {
 
 // Cores returns the members in ascending order.
 func (s CPUSet) Cores() []topology.CoreID {
-	out := make([]topology.CoreID, 0, s.Count())
-	s.ForEach(func(c topology.CoreID) { out = append(out, c) })
-	return out
+	return s.AppendCores(make([]topology.CoreID, 0, s.Count()))
+}
+
+// AppendCores appends the members to dst in ascending order and returns
+// the extended slice: a scan that refills one slice, AppendCores(buf[:0]),
+// allocates nothing once the slice has room for every core.
+func (s CPUSet) AppendCores(dst []topology.CoreID) []topology.CoreID {
+	for w := 0; w < 2; w++ {
+		b := s.bits[w]
+		for b != 0 {
+			dst = append(dst, topology.CoreID(w*64+bits.TrailingZeros64(b)))
+			b &= b - 1
+		}
+	}
+	return dst
 }
 
 // TraceMask converts the set to a trace.Mask for considered-cores events.

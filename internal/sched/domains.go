@@ -66,46 +66,52 @@ func (d *Domain) String() string {
 	return b.String()
 }
 
-// domainKey identifies a domain-hierarchy equivalence class: the same
-// online set under the same NUMA-inclusion rule and construction
-// perspective always yields the same per-core hierarchies (the topology
-// and balance interval are fixed for a scheduler's lifetime).
-// ApplyFeatures may flip the construction-perspective fix mid-run, so
-// gcFixed is part of the key: an entry built under one perspective is
-// never served to the other.
+// domainKey identifies a domain hierarchy on one topology: the same
+// online set, balance interval, NUMA-inclusion rule and construction
+// perspective always yield the same per-core hierarchies. ApplyFeatures
+// may flip the construction-perspective fix mid-run, so gcFixed is part
+// of the key: an entry built under one perspective is never served to
+// the other.
 type domainKey struct {
+	interval    sim.Time
 	online      CPUSet
 	includeNUMA bool
 	gcFixed     bool
 }
 
+// domainKey returns the key of the hierarchy the scheduler builds under
+// features f: the missing-domains bug drops the NUMA levels once a
+// hotplug event occurred, unless f fixes it.
+func (s *Scheduler) domainKey(f Features) domainKey {
+	return domainKey{
+		interval:    s.cfg.BalanceInterval,
+		online:      s.online,
+		includeNUMA: !s.domainsBroken || f.FixMissingDomains,
+		gcFixed:     f.FixGroupConstruction,
+	}
+}
+
+// hierarchy returns every core's domain list under key, indexed by core
+// (nil for offline cores). It is built once per topology and key, and
+// every scheduler and fork on the topology shares it: no code writes a
+// Domain after construction.
+func hierarchy(topo *topology.Topology, key domainKey) [][]*Domain {
+	return topo.Memo(key, func() any { return buildHierarchy(topo, key) }).([][]*Domain)
+}
+
 // rebuildDomains regenerates every core's domain hierarchy. It implements
-// the Missing Scheduling Domains bug: when afterHotplug is set and the fix
-// is disabled, only the intra-node levels are regenerated — the paper's
+// the Missing Scheduling Domains bug: after a hotplug event, with the
+// fix disabled, only the intra-node levels are regenerated — the paper's
 // "the call to the function generating domains across NUMA nodes was
 // dropped by Linux developers during code refactoring".
 //
-// Hierarchies are cached per (online-set, includeNUMA, gcFixed): hotplug
-// storms revisit the same few online sets over and over, a fix replay
-// that leaves construction alone rebuilds its parent's hierarchy, and
-// clones share the cache, so only a world's first replay of a
-// construction fix builds that fix's hierarchy; a cache hit swaps
-// pointers instead of reconstructing per-core domain lists. The
+// The hierarchy comes from the topology's memo (see hierarchy): hotplug
+// storms revisit the same few online sets, and every scenario on a
+// topology starts from the same one, so a rebuild swaps pointers. The
 // per-level balance bookkeeping is still reset on every rebuild (reusing
-// the backing arrays), exactly as an uncached rebuild would.
+// the backing arrays).
 func (s *Scheduler) rebuildDomains() {
-	includeNUMA := !s.domainsBroken || s.cfg.Features.FixMissingDomains
-	gcFixed := s.cfg.Features.FixGroupConstruction
-	key := domainKey{online: s.online, includeNUMA: includeNUMA, gcFixed: gcFixed}
-	hier, hit := s.domainCache[key]
-	if !hit {
-		hier = make([][]*Domain, len(s.cpus))
-		for _, c := range s.cpus {
-			if c.online {
-				hier[c.id] = s.buildDomainsWith(c.id, includeNUMA, gcFixed)
-			}
-		}
-	}
+	hier := hierarchy(s.topo, s.domainKey(s.cfg.Features))
 	now := s.eng.Now()
 	for _, c := range s.cpus {
 		if !c.online {
@@ -127,34 +133,57 @@ func (s *Scheduler) rebuildDomains() {
 			c.balanceFailed[i] = 0
 		}
 	}
-	if !hit {
-		// The balance masks need every core's hierarchy in place (they
-		// compare the per-core views of a group), so they are filled in a
-		// second pass and then cached with the entry.
-		for _, c := range s.cpus {
-			for _, d := range c.domains {
-				d.localMask = CPUSet{}
-				if d.local >= 0 {
-					d.localMask = s.groupBalanceMask(d.Groups[d.local], d.Name)
-				}
-			}
-		}
-		s.domainCache[key] = hier
-	}
 	s.counters.DomainRebuilds++
 	s.probeDomainsCheck()
 }
 
-// buildDomainsWith constructs the bottom-up domain list for one core with
-// the construction flags given explicitly, so the divergence probe can
-// build the hierarchy an alternative fix set would have produced.
-func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed bool) []*Domain {
-	topo := s.topo
+// buildHierarchy constructs every online core's domain list under key,
+// then the balance masks, which compare the per-core views of a group
+// and so need the whole hierarchy in place.
+func buildHierarchy(topo *topology.Topology, key domainKey) [][]*Domain {
+	hier := make([][]*Domain, topo.NumCores())
+	key.online.ForEach(func(c topology.CoreID) { hier[c] = buildDomains(topo, key, c) })
+	for _, domains := range hier {
+		for _, d := range domains {
+			if d.local >= 0 {
+				d.localMask = groupBalanceMask(hier, d.Groups[d.local], d.Name)
+			}
+		}
+	}
+	return hier
+}
+
+// groupBalanceMask restricts designation candidates to the cores whose own
+// per-core view of this domain level has exactly this local group — the
+// kernel's group_balance_mask. With overlapping NUMA groups, a core of
+// group G that builds a different local group from its own perspective
+// would balance a different instance; counting it here would leave G's
+// instance permanently unbalanced.
+func groupBalanceMask(hier [][]*Domain, g CPUSet, levelName string) CPUSet {
+	var mask CPUSet
+	g.ForEach(func(id topology.CoreID) {
+		for _, od := range hier[id] {
+			if od.Name == levelName {
+				if ogi := od.local; ogi >= 0 && od.Groups[ogi].Equal(g) {
+					mask.Set(id)
+				}
+				return
+			}
+		}
+	})
+	if mask.Empty() {
+		return g
+	}
+	return mask
+}
+
+// buildDomains constructs the bottom-up domain list of one online core
+// under key, without its balance masks (see buildHierarchy).
+func buildDomains(topo *topology.Topology, key domainKey, cpu topology.CoreID) []*Domain {
 	var domains []*Domain
 	level := 0
-	interval := s.cfg.BalanceInterval
-
-	online := s.OnlineSet()
+	interval := key.interval
+	online := key.online
 
 	// SMT level: the pair of hardware siblings, groups = single cores.
 	if sib, ok := topo.SMTSibling(cpu); ok {
@@ -195,7 +224,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 		}
 	}
 
-	if !includeNUMA || topo.NumNodes() == 1 {
+	if !key.includeNUMA || topo.NumNodes() == 1 {
 		for _, d := range domains {
 			d.local = d.localGroup(cpu)
 		}
@@ -224,7 +253,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 			Span:     span,
 			Interval: interval,
 		}
-		d.Groups = s.buildNUMAGroups(span, node, h, gcFixed)
+		d.Groups = buildNUMAGroups(topo, span, node, h, key.gcFixed)
 		domains = append(domains, d)
 		level++
 		interval *= 2
@@ -246,8 +275,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 // and two-hop-apart nodes (1 and 2 on our machine) appear together in
 // every group. Fixed construction starts from the balancing core's own
 // node.
-func (s *Scheduler) buildNUMAGroups(span CPUSet, selfNode topology.NodeID, h int, gcFixed bool) []CPUSet {
-	topo := s.topo
+func buildNUMAGroups(topo *topology.Topology, span CPUSet, selfNode topology.NodeID, h int, gcFixed bool) []CPUSet {
 	// Nodes present in the span, ascending.
 	var nodes []topology.NodeID
 	seen := map[topology.NodeID]bool{}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -318,6 +319,101 @@ func TestGridBalancingSpreads(t *testing.T) {
 	for c := 0; c < 18; c++ {
 		if got := s.NrRunning(topology.CoreID(c)); got != 1 {
 			t.Fatalf("core %d nr_running = %d, want 1", c, got)
+		}
+	}
+}
+
+// TestHierarchiesSharedPerTopology: two schedulers on one topology take
+// pointer-identical per-core hierarchies from its memo, and a hotplug
+// storm on one, with a divergence probe requesting the alternative
+// hierarchies too, leaves the other's untouched. Every hierarchy the
+// storm could request then equals a fresh buildHierarchy, balance
+// masks included: nothing wrote to a shared entry.
+func TestHierarchiesSharedPerTopology(t *testing.T) {
+	topo := topology.Bulldozer8()
+	a := newTestSched(topo, DefaultConfig())
+	b := newTestSched(topo, DefaultConfig())
+	for cpu := range a.cpus {
+		id := topology.CoreID(cpu)
+		da, db := a.Domains(id), b.Domains(id)
+		if len(da) == 0 || len(da) != len(db) {
+			t.Fatalf("cpu %d: %d and %d levels", cpu, len(da), len(db))
+		}
+		for lvl := range da {
+			if da[lvl] != db[lvl] {
+				t.Fatalf("cpu %d level %d: two schedulers on one topology built separate domains", cpu, lvl)
+			}
+		}
+	}
+	bDomains := make([][]*Domain, len(b.cpus))
+	bDescribed := make([]string, len(b.cpus))
+	for cpu := range b.cpus {
+		id := topology.CoreID(cpu)
+		bDomains[cpu] = append([]*Domain(nil), b.Domains(id)...)
+		bDescribed[cpu] = b.DescribeDomains(id)
+	}
+
+	// keys collects every key a rebuild or the probe can request in the
+	// storm: the current online set under each construction flag pair.
+	keys := map[domainKey]bool{}
+	note := func() {
+		for _, gc := range []bool{false, true} {
+			for _, md := range []bool{false, true} {
+				keys[a.domainKey(Features{FixGroupConstruction: gc, FixMissingDomains: md})] = true
+			}
+		}
+	}
+	a.SetDivergenceProbe(&DivergenceProbe{Armed: AllFixes()})
+	note()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60; i++ {
+		cpu := topology.CoreID(rng.Intn(topo.NumCores()))
+		var err error
+		if a.cpus[cpu].online {
+			if a.OnlineSet().Count() == 1 {
+				continue
+			}
+			err = a.DisableCPU(cpu)
+		} else {
+			err = a.EnableCPU(cpu)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		note()
+	}
+	if len(keys) < 20 {
+		t.Fatalf("the storm visited %d hierarchy keys; too few to exercise the memo", len(keys))
+	}
+
+	for cpu := range b.cpus {
+		id := topology.CoreID(cpu)
+		got := b.Domains(id)
+		if len(got) != len(bDomains[cpu]) {
+			t.Fatalf("cpu %d: the other scheduler's hierarchy changed depth", cpu)
+		}
+		for lvl := range got {
+			if got[lvl] != bDomains[cpu][lvl] {
+				t.Fatalf("cpu %d level %d: the other scheduler's domain was replaced", cpu, lvl)
+			}
+		}
+		if d := b.DescribeDomains(id); d != bDescribed[cpu] {
+			t.Fatalf("cpu %d: the other scheduler's domains changed:\n%s\nwant\n%s", cpu, d, bDescribed[cpu])
+		}
+	}
+	for key := range keys {
+		memo, fresh := hierarchy(topo, key), buildHierarchy(topo, key)
+		for cpu := range fresh {
+			if !domainsEqual(memo[cpu], fresh[cpu]) {
+				t.Fatalf("key %+v cpu %d: memo entry differs from a fresh build", key, cpu)
+			}
+			for lvl, d := range fresh[cpu] {
+				m := memo[cpu][lvl]
+				if m.local != d.local || !m.localMask.Equal(d.localMask) {
+					t.Fatalf("key %+v cpu %d level %d: local group %d mask %s, fresh build %d %s",
+						key, cpu, lvl, m.local, m.localMask, d.local, d.localMask)
+				}
+			}
 		}
 	}
 }

@@ -24,10 +24,7 @@ func (s *Scheduler) GroupByID(id int) *TaskGroup { return s.groups[id] }
 // all copied; pending tick and resched events are re-registered on eng at
 // their original (time, sequence) positions, so the clone's event queue
 // pops in source order. Domain hierarchies are shared (immutable after
-// construction), and so is the domain cache, a pure function of its key:
-// a clone that rebuilds under a fix reuses a hierarchy the source or an
-// earlier clone built. The map is not locked, so a world and its clones
-// must not run concurrently. Hooks are reset to no-ops — the caller
+// construction; see hierarchy). Hooks are reset to no-ops — the caller
 // wires the cloned machine in — and the clone starts with no recorders,
 // metrics, latency probe or divergence probe attached: observers watch
 // one world, and a counterfactual replay attaches fresh ones, so the two
@@ -62,7 +59,6 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		queuedMask:     s.queuedMask,
 		busyMask:       s.busyMask,
 		loadGen:        s.loadGen,
-		domainCache:    s.domainCache,
 	}
 
 	ns.groups = make([]*TaskGroup, len(s.groups))
@@ -126,30 +122,31 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 }
 
 // ApplyFeatures switches the fix set of a (typically just-cloned)
-// scheduler and rebuilds the domain hierarchy under the new flags. The
-// shared domain cache stays: its key carries every construction input
-// the flags change (the construction perspective and, through
-// includeNUMA, the missing-domains fix), so an entry built under the old
-// flags is never served under the new ones, a fix that leaves
-// construction alone (group imbalance, overload-on-wakeup) gets its
-// hierarchy as a cache hit, and so does a construction fix that an
-// earlier clone of the same world already applied. The rebuild counter
-// is restored so the clone's counters match a
-// scheduler constructed with f from the start — the property explain's
-// mid-run replays rest on (explain's TestForkAtOnsetReplayMatchesFreshRun
-// compares a forked, re-configured world with a fresh one).
+// scheduler and rebuilds the domain hierarchy under the new flags. When
+// the new flags leave the hierarchy's key unchanged — group imbalance and
+// overload-on-wakeup never enter it, and the missing-domains fix does not
+// before a hotplug event — it only sets the flags: a rebuild would return
+// pointer-identical hierarchies, every core would keep its balance
+// bookkeeping (see below), and the divergence probe's verdict, read from
+// fields of the key, could not change.
 //
-// Rebuilding resets every core's periodic-balance schedule, which is
-// right when the hierarchy changed (the old levels no longer exist) but
-// would be a pure perturbation for fixes that leave construction alone
-// (group imbalance, overload-on-wakeup): a counterfactual replay's
-// divergence from its control must come from the fix's decisions, not
-// from a rescheduled balance pass. Cores whose hierarchy the rebuild
-// reproduced identically therefore keep their pre-rebuild schedules —
-// also what makes a mid-run fork + ApplyFeatures byte-identical to a
-// fresh run with the fix, when the fix had not fired by the fork instant.
+// Otherwise the rebuild takes the new key's hierarchy from the
+// topology's memo and the rebuild counter is restored, so the clone's
+// counters match a scheduler constructed with f from the start — the
+// property explain's mid-run replays rest on (explain's
+// TestForkAtOnsetReplayMatchesFreshRun compares a forked, re-configured
+// world with a fresh one). Rebuilding resets every core's periodic-balance
+// schedule, which is right when the hierarchy changed (the old levels no
+// longer exist) but would be a pure perturbation where it did not: a
+// counterfactual replay's divergence from its control must come from the
+// fix's decisions, not from a rescheduled balance pass. Cores whose
+// hierarchy the rebuild reproduced identically therefore keep their
+// pre-rebuild schedules — also what makes a mid-run fork + ApplyFeatures
+// byte-identical to a fresh run with the fix, when the fix had not fired
+// by the fork instant.
 func (s *Scheduler) ApplyFeatures(f Features) {
-	if f == s.cfg.Features {
+	if s.domainKey(f) == s.domainKey(s.cfg.Features) {
+		s.cfg.Features = f
 		return
 	}
 	oldDomains := make([][]*Domain, len(s.cpus))
@@ -217,30 +214,28 @@ func (s *Scheduler) probeDomainsCheck() {
 	if p == nil {
 		return
 	}
-	includeNUMA := !s.domainsBroken || s.cfg.Features.FixMissingDomains
 	if p.Armed.FixGroupConstruction && !p.Fired.FixGroupConstruction {
-		if !s.hierarchyMatches(includeNUMA, !s.cfg.Features.FixGroupConstruction) {
+		f := s.cfg.Features
+		f.FixGroupConstruction = !f.FixGroupConstruction
+		if !s.hierarchyMatches(s.domainKey(f)) {
 			p.Fired.FixGroupConstruction = true
 		}
 	}
 	if p.Armed.FixMissingDomains && !p.Fired.FixMissingDomains {
-		altNUMA := !s.domainsBroken || !s.cfg.Features.FixMissingDomains
-		if altNUMA != includeNUMA && !s.hierarchyMatches(altNUMA, s.cfg.Features.FixGroupConstruction) {
+		f := s.cfg.Features
+		f.FixMissingDomains = !f.FixMissingDomains
+		if alt := s.domainKey(f); alt != s.domainKey(s.cfg.Features) && !s.hierarchyMatches(alt) {
 			p.Fired.FixMissingDomains = true
 		}
 	}
 }
 
-// hierarchyMatches reports whether rebuilding every online core's domain
-// list under the given construction parameters would reproduce the
-// current hierarchy. Pure: it builds fresh candidate hierarchies and
-// compares structure, leaving the scheduler untouched.
-func (s *Scheduler) hierarchyMatches(includeNUMA, gcFixed bool) bool {
+// hierarchyMatches reports whether every online core's domain list under
+// key, taken from the topology's memo, equals its current one.
+func (s *Scheduler) hierarchyMatches(key domainKey) bool {
+	alt := hierarchy(s.topo, key)
 	for _, c := range s.cpus {
-		if !c.online {
-			continue
-		}
-		if !domainsEqual(c.domains, s.buildDomainsWith(c.id, includeNUMA, gcFixed)) {
+		if c.online && !domainsEqual(c.domains, alt[c.id]) {
 			return false
 		}
 	}

@@ -92,14 +92,6 @@ type Scheduler struct {
 
 	counters Counters
 
-	// Domain hierarchies are cached per (online-set, includeNUMA,
-	// gcFixed) equivalence class (domainKey): hotplug storms cycle
-	// through a handful of online sets, and with the cache each revisit
-	// is a pointer swap instead of per-core reconstruction. An entry is
-	// a pure function of its key, so a scheduler and its clones share
-	// one map.
-	domainCache map[domainKey][][]*Domain
-
 	// Balance-pass scratch buffers, reused across calls so the periodic
 	// tick path allocates nothing in steady state. The scheduler is
 	// single-threaded (one engine), and loadBalance never nests, so one
@@ -158,7 +150,6 @@ func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Scheduler {
 		nohzBalancer: -1,
 		idleHead:     -1,
 		idleTail:     -1,
-		domainCache:  map[domainKey][][]*Domain{},
 	}
 	s.rootGroup = s.NewGroup("root")
 	for i := 0; i < topo.NumCores(); i++ {
@@ -449,8 +440,8 @@ func (s *Scheduler) migrateThread(t *Thread, src, dst *CPU, op trace.Op) {
 // the hotplug paths, so reading it is free).
 func (s *Scheduler) OnlineSet() CPUSet { return s.online }
 
-// OnlineCPUs returns the ids of online cores in a new slice; OnlineSet
-// reads them without allocating.
+// OnlineCPUs returns the ids of online cores in a new slice; a scan that
+// runs often refills its own with OnlineSet().AppendCores.
 func (s *Scheduler) OnlineCPUs() []topology.CoreID { return s.OnlineSet().Cores() }
 
 // NrRunning returns rq->nr_running for a core (queued + current).

@@ -81,24 +81,27 @@ func Percentile(xs []float64, p float64) float64 {
 
 // PercentileSorted is Percentile for input already sorted ascending: a
 // caller that reads several percentiles of one sample sorts it once.
-func PercentileSorted(sorted []float64, p float64) float64 {
+// Integer samples interpolate in float64 after converting the two order
+// statistics, so for values below 2^53, where the conversion is exact
+// and monotone, the result equals that of a sorted float64 copy.
+func PercentileSorted[T int64 | float64](sorted []T, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return sorted[0]
+		return float64(sorted[0])
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return float64(sorted[len(sorted)-1])
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return float64(sorted[lo])
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
 }
 
 // Speedup returns before/after — the "Speedup factor (×)" column of the

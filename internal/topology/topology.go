@@ -9,6 +9,7 @@ package topology
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -19,7 +20,9 @@ type CoreID int
 // NodeID identifies a NUMA node.
 type NodeID int
 
-// Topology is an immutable machine description.
+// Topology is an immutable machine description, safe to share across
+// goroutines. The one mutable part is a memo of values derived from it
+// (see Memo), which lives and dies with the Topology.
 type Topology struct {
 	name         string
 	numCores     int
@@ -34,6 +37,9 @@ type Topology struct {
 	clockGHz     float64
 	memoryGB     int
 	interconnect string
+
+	memoMu sync.Mutex
+	memo   map[any]any
 }
 
 // Spec carries the raw description consumed by New. Adjacency lists the
@@ -151,6 +157,28 @@ func New(spec Spec) (*Topology, error) {
 		}
 	}
 	return t, nil
+}
+
+// Memo returns the value derived from t under key, calling build to make
+// it on the first request for key and returning that same value to every
+// later one. It is for values that are a pure function of t and key,
+// such as the scheduler's domain hierarchies, which then cost one build
+// per topology however many worlds run on it. The value must not be
+// modified once returned: callers on other goroutines share it. build
+// runs under t's memo lock, so concurrent requests wait for one build,
+// and build must not call Memo on t.
+func (t *Topology) Memo(key any, build func() any) any {
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	if v, ok := t.memo[key]; ok {
+		return v
+	}
+	if t.memo == nil {
+		t.memo = map[any]any{}
+	}
+	v := build()
+	t.memo[key] = v
+	return v
 }
 
 // Name returns the human-readable machine name.

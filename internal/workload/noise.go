@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // Noise models the transient kernel threads of §3.3: "the kernel launches
@@ -22,6 +23,7 @@ type Noise struct {
 	minDur  sim.Time
 	maxDur  sim.Time
 	stopped bool
+	online  []topology.CoreID // burst's scratch: the online cores, ascending
 
 	// Spawned counts bursts emitted.
 	Spawned int
@@ -83,7 +85,8 @@ func (n *Noise) scheduleNext() {
 }
 
 func (n *Noise) burst() {
-	online := n.m.Sched.OnlineCPUs()
+	n.online = n.m.Sched.OnlineSet().AppendCores(n.online[:0])
+	online := n.online
 	if len(online) == 0 {
 		return
 	}
