@@ -22,7 +22,7 @@ SHELL := /bin/bash
 .PHONY: all build vet lint test race bench bench-test bench-out.txt bench-json \
 	bench-baseline-refresh profile campaign bisect tourney shard-usage wastedcores-smoke baseline-verdict \
 	bisect-smoke campaign-smoke tourney-smoke explain-smoke trace-smoke schedviz-smoke \
-	bisect-default campaign-default baseline-refresh ci
+	examples-smoke bisect-default campaign-default baseline-refresh ci
 
 all: ci
 
@@ -265,6 +265,23 @@ schedviz-smoke:
 	done; \
 	echo "schedviz-smoke: every mode and -perfetto render the example trace; a truncated trace exits 1, bad -cores/-cols exit 2"
 
+# Every example program, on binaries built once into a temp dir like
+# shard-usage: each examples/* directory with a main.go must build, exit
+# 0 and print something. Each runs with the temp dir as its working
+# directory, because groupimbalance writes its trace there.
+examples-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	n=0; for dir in examples/*/; do \
+		[ -f "$$dir/main.go" ] || continue; \
+		ex=$$(basename "$$dir"); \
+		$(GO) build -o "$$tmp/$$ex" "./$${dir%/}"; \
+		rc=0; (cd "$$tmp" && "./$$ex" >"$$ex.out" 2>"$$ex.err") || rc=$$?; \
+		[ "$$rc" = 0 ] || { echo "examples-smoke: $$ex exited $$rc:"; cat "$$tmp/$$ex.err"; exit 1; }; \
+		[ -s "$$tmp/$$ex.out" ] || { echo "examples-smoke: $$ex printed nothing"; exit 1; }; \
+		n=$$((n + 1)); \
+	done; \
+	echo "examples-smoke: all $$n example programs exit 0 with output"
+
 # The default-scale gates: the 128-point lattice and the 30-scenario
 # campaign, gated like the smoke ones. Each simulates in under a
 # second, so they run on every push. The lattice also repeats with
@@ -299,4 +316,4 @@ baseline-refresh:
 	$(GO) run ./cmd/wastedcores -scale 0.1 all >baselines/wastedcores-smoke.txt
 
 ci: lint build race bench-test shard-usage wastedcores-smoke baseline-verdict bisect-smoke campaign-smoke tourney-smoke \
-	explain-smoke schedviz-smoke bisect-default campaign-default
+	explain-smoke schedviz-smoke examples-smoke bisect-default campaign-default

@@ -55,7 +55,7 @@ func BenchmarkAblationNOHZ(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var t sim.Time
 			for i := 0; i < b.N; i++ {
-				cfg := sched.DefaultConfig().WithFixes(sched.AllFixes())
+				cfg := sched.DefaultConfig().WithFixes(sched.AllFixes)
 				cfg.NOHZ = nohz
 				t = spreadTime(cfg)
 			}
@@ -73,7 +73,7 @@ func BenchmarkAblationBalanceInterval(b *testing.B) {
 			var t sim.Time
 			var calls uint64
 			for i := 0; i < b.N; i++ {
-				cfg := sched.DefaultConfig().WithFixes(sched.AllFixes())
+				cfg := sched.DefaultConfig().WithFixes(sched.AllFixes)
 				cfg.BalanceInterval = interval
 				m := machine.New(topology.Bulldozer8(), cfg, 7)
 				p := m.NewProc("load", machine.ProcOpts{})
@@ -98,7 +98,7 @@ func BenchmarkAblationMigrationCost(b *testing.B) {
 		b.Run(fmt.Sprintf("%v", cost), func(b *testing.B) {
 			var t sim.Time
 			for i := 0; i < b.N; i++ {
-				cfg := sched.DefaultConfig().WithFixes(sched.AllFixes())
+				cfg := sched.DefaultConfig().WithFixes(sched.AllFixes)
 				cfg.MigrationCost = cost
 				t = spreadTime(cfg)
 			}
@@ -113,7 +113,7 @@ func BenchmarkAblationMigrationCost(b *testing.B) {
 // a runqueue.
 func BenchmarkAblationBarrierWait(b *testing.B) {
 	run := func(blockAfter sim.Time) sim.Time {
-		m := machine.New(topology.SMP(4), sched.DefaultConfig().WithFixes(sched.AllFixes()), 7)
+		m := machine.New(topology.SMP(4), sched.DefaultConfig().WithFixes(sched.AllFixes), 7)
 		p := m.NewProc("p", machine.ProcOpts{})
 		bar := m.NewAdaptiveBarrier(8, blockAfter)
 		prog := machine.NewProgram().
@@ -146,7 +146,9 @@ func BenchmarkAblationBarrierWait(b *testing.B) {
 func BenchmarkAblationModular(b *testing.B) {
 	run := func(fix, modular bool) sim.Time {
 		cfg := sched.DefaultConfig()
-		cfg.Features.FixOverloadWakeup = fix
+		if fix {
+			cfg.Features |= sched.FixOverloadWakeup
+		}
 		m := machine.New(topology.Bulldozer8(), cfg, 42)
 		if modular {
 			modsched.Attach(m.Sched, modsched.Config{}, modsched.CacheAffinity{})
@@ -185,7 +187,9 @@ func BenchmarkAblationGroupMetric(b *testing.B) {
 	run := func(min bool) sim.Time {
 		topo := topology.Bulldozer8()
 		cfg := sched.DefaultConfig()
-		cfg.Features.FixGroupImbalance = min
+		if min {
+			cfg.Features |= sched.FixGroupImbalance
+		}
 		m := machine.New(topo, cfg, 42)
 		workload.LaunchR(m, topo.CoresOfNode(0)[0], 10*sim.Second)
 		workload.LaunchR(m, topo.CoresOfNode(4)[0], 10*sim.Second)

@@ -297,7 +297,7 @@ func BenchmarkCheckerOverhead(b *testing.B) {
 // machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m := machine.New(topology.Bulldozer8(), sched.DefaultConfig().WithFixes(sched.AllFixes()), 7)
+		m := machine.New(topology.Bulldozer8(), sched.DefaultConfig().WithFixes(sched.AllFixes), 7)
 		p := m.NewProc("load", machine.ProcOpts{})
 		prog := machine.NewProgram().Compute(sim.Second).Build()
 		for j := 0; j < 128; j++ {
@@ -317,7 +317,9 @@ func BenchmarkWakeupPath(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := schedsim.DefaultConfig()
-			cfg.Features.FixOverloadWakeup = fix
+			if fix {
+				cfg.Features |= sched.FixOverloadWakeup
+			}
 			m := schedsim.NewMachine(schedsim.Bulldozer8(), cfg, 7)
 			db := schedsim.NewTPCH(m, schedsim.TPCHOpts{Containers: []int{32, 16, 16}, Autogroups: true, Seed: 1, Scale: 0.5})
 			m.Run(50 * schedsim.Millisecond)

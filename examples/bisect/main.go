@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"repro/internal/bisect"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func main() {
 	// min-load comparison (fix-gi) sees min load 0 in every overlapping
 	// group — pinned-away nodes are idle — and stops balancing.
 	for _, in := range cell.Interactions {
-		if in.Added == "gi" {
+		if in.Added == sched.FixGroupImbalance.String() {
 			fmt.Printf("non-monotone: {%s} + %s re-introduces %v of idle-while-overloaded time (%v before)\n",
 				in.Base, in.Added, sim.Time(in.CombinedIdleNs), sim.Time(in.BaseIdleNs))
 		}

@@ -16,7 +16,9 @@ import (
 func run(fix bool) {
 	topo := schedsim.Bulldozer8()
 	cfg := schedsim.DefaultConfig()
-	cfg.Features.FixGroupImbalance = fix
+	if fix {
+		cfg.Features = schedsim.FixGroupImbalance
+	}
 
 	m := schedsim.NewMachine(topo, cfg, 42)
 	rec := schedsim.NewRecorder(1 << 20)

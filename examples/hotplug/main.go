@@ -13,7 +13,9 @@ import (
 func run(fix bool) {
 	topo := schedsim.Bulldozer8()
 	cfg := schedsim.DefaultConfig()
-	cfg.Features.FixMissingDomains = fix
+	if fix {
+		cfg.Features = schedsim.FixMissingDomains
+	}
 	m := schedsim.NewMachine(topo, cfg, 42)
 
 	// The /proc hotplug cycle that triggers the bug.

@@ -22,7 +22,9 @@ import (
 
 func run(fix, modular bool) (total schedsim.Time, report string) {
 	cfg := schedsim.DefaultConfig()
-	cfg.Features.FixOverloadWakeup = fix
+	if fix {
+		cfg.Features = schedsim.FixOverloadWakeup
+	}
 	m := schedsim.NewMachine(schedsim.Bulldozer8(), cfg, 42)
 	var cm *modsched.CoreModule
 	if modular {

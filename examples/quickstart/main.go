@@ -11,8 +11,9 @@ import (
 
 func main() {
 	// A 2-node, 8-core machine running the kernel the paper studied
-	// (all four bugs present). Pass schedsim.AllFixes() to Features to
-	// run the repaired scheduler instead.
+	// (all four bugs present). Set cfg.Features to schedsim.AllFixes (or
+	// to single fixes such as schedsim.FixGroupImbalance) to run the
+	// repaired scheduler instead.
 	cfg := schedsim.DefaultConfig()
 	m := schedsim.NewMachine(schedsim.TwoNode(4), cfg, 1)
 

@@ -12,7 +12,9 @@ import (
 
 func run(fix bool) (q18, full schedsim.Time) {
 	cfg := schedsim.DefaultConfig()
-	cfg.Features.FixOverloadWakeup = fix
+	if fix {
+		cfg.Features = schedsim.FixOverloadWakeup
+	}
 	m := schedsim.NewMachine(schedsim.Bulldozer8(), cfg, 42)
 
 	db := schedsim.NewTPCH(m, schedsim.DefaultTPCHOpts())

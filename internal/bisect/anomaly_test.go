@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/policy"
+	"repro/internal/sched"
 )
 
 // TestMinLoadAnomalySweep is the dedicated sweep ROADMAP asked for, and
@@ -38,16 +40,16 @@ func TestMinLoadAnomalySweep(t *testing.T) {
 		t.Fatal("cell missing")
 	}
 
-	find := func(f FixSet) int64 {
-		res := r.Campaign.Result("bulldozer8/nas-pin:lu/" + f.ConfigName() + "/s1")
+	find := func(f sched.Features) int64 {
+		res := r.Campaign.Result("bulldozer8/nas-pin:lu/" + policy.LatticeConfigName(f) + "/s1")
 		if res == nil {
-			t.Fatalf("missing lattice point %s", f.ConfigName())
+			t.Fatalf("missing lattice point %s", policy.LatticeConfigName(f))
 		}
 		return res.IdleWhileOverloadedNs
 	}
 
-	gc := find(FixGC)
-	gigc := find(FixGI | FixGC)
+	gc := find(sched.FixGroupConstruction)
+	gigc := find(sched.FixGroupImbalance | sched.FixGroupConstruction)
 	window := r.CheckerMNs
 
 	// Characterization: gc alone leaves at most startup transients; the

@@ -32,6 +32,7 @@ package bisect
 import (
 	"repro/internal/campaign"
 	"repro/internal/checker"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -125,7 +126,7 @@ func (o Options) Matrix() campaign.Matrix {
 	return campaign.Matrix{
 		Topologies: o.Topologies,
 		Workloads:  o.Workloads,
-		Configs:    campaign.LatticeConfigs(),
+		Configs:    policy.LatticeConfigs(),
 		Seeds:      o.Seeds,
 		Scale:      o.Scale,
 		Horizon:    o.Horizon,

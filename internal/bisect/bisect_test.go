@@ -11,84 +11,28 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/sched"
 )
-
-func TestFixSetMatchesLattice(t *testing.T) {
-	configs := campaign.LatticeConfigs()
-	if len(configs) != NumSets {
-		t.Fatalf("lattice has %d configs, want %d", len(configs), NumSets)
-	}
-	for mask, spec := range configs {
-		f := FixSet(mask)
-		if f.ConfigName() != spec.Name {
-			t.Errorf("mask %d: ConfigName = %q, campaign name = %q", mask, f.ConfigName(), spec.Name)
-		}
-		if spec.Config.Features != f.Features() {
-			t.Errorf("mask %d: features diverge: %+v vs %+v", mask, spec.Config.Features, f.Features())
-		}
-		got, ok := ParseConfigName(spec.Name)
-		if !ok || got != f {
-			t.Errorf("ParseConfigName(%q) = %v, %v; want %v", spec.Name, got, ok, f)
-		}
-		if campaign.LatticeConfigName(mask) != spec.Name {
-			t.Errorf("LatticeConfigName(%d) = %q, want %q", mask, campaign.LatticeConfigName(mask), spec.Name)
-		}
-		// The lattice names resolve through the campaign registry too.
-		if _, ok := campaign.ConfigByName(spec.Name); !ok {
-			t.Errorf("ConfigByName(%q) not found", spec.Name)
-		}
-	}
-	names := campaign.LatticeFixNames()
-	for i, bit := range Singles() {
-		if bit.String() != names[i] {
-			t.Errorf("fix bit %d: name %q, campaign name %q", i, bit.String(), names[i])
-		}
-	}
-}
-
-func TestFixSetBasics(t *testing.T) {
-	f := FixGI | FixOOW
-	if f.String() != "gi+oow" {
-		t.Errorf("String = %q", f.String())
-	}
-	if FixSet(0).String() != "none" || FixSet(0).ConfigName() != "fx-none" {
-		t.Error("empty set misrendered")
-	}
-	if !f.Has(FixGI) || f.Has(FixGC) || !FixGI.SubsetOf(f) || f.SubsetOf(FixGI) {
-		t.Error("Has/SubsetOf wrong")
-	}
-	if f.Count() != 2 || FixSet(15).Count() != 4 {
-		t.Error("Count wrong")
-	}
-	if _, ok := Parse("gi+bogus"); ok {
-		t.Error("Parse accepted bogus fix")
-	}
-	if _, ok := Parse("gi+gi"); ok {
-		t.Error("Parse accepted duplicate fix")
-	}
-	if _, ok := ParseConfigName("fix-gi"); ok {
-		t.Error("ParseConfigName accepted non-lattice name")
-	}
-}
 
 // TestMinimalSets exercises the lattice walk directly, including
 // non-monotone families where an ok set has ok supersets missing.
 func TestMinimalSets(t *testing.T) {
+	gi, gc, oow, md := sched.FixGroupImbalance, sched.FixGroupConstruction, sched.FixOverloadWakeup, sched.FixMissingDomains
 	cases := []struct {
 		name string
-		ok   func(FixSet) bool
-		want []FixSet
+		ok   func(sched.Features) bool
+		want []sched.Features
 	}{
-		{"monotone-single", func(f FixSet) bool { return f.Has(FixGC) }, []FixSet{FixGC}},
-		{"two-singletons", func(f FixSet) bool { return f.Has(FixGI) || f.Has(FixOOW) },
-			[]FixSet{FixGI, FixOOW}},
-		{"pair-required", func(f FixSet) bool { return f.Has(FixGI | FixMD) }, []FixSet{FixGI | FixMD}},
-		{"empty-family", func(f FixSet) bool { return false }, nil},
-		{"all-ok", func(f FixSet) bool { return true }, []FixSet{0}},
+		{"monotone-single", func(f sched.Features) bool { return f.Has(gc) }, []sched.Features{gc}},
+		{"two-singletons", func(f sched.Features) bool { return f.Has(gi) || f.Has(oow) },
+			[]sched.Features{gi, oow}},
+		{"pair-required", func(f sched.Features) bool { return f.Has(gi | md) }, []sched.Features{gi | md}},
+		{"empty-family", func(f sched.Features) bool { return false }, nil},
+		{"all-ok", func(f sched.Features) bool { return true }, []sched.Features{0}},
 		// Non-monotone: gc alone works, gi spoils it unless md also set.
-		{"non-monotone", func(f FixSet) bool {
-			return f.Has(FixGC) && (!f.Has(FixGI) || f.Has(FixMD))
-		}, []FixSet{FixGC}},
+		{"non-monotone", func(f sched.Features) bool {
+			return f.Has(gc) && (!f.Has(gi) || f.Has(md))
+		}, []sched.Features{gc}},
 	}
 	for _, tc := range cases {
 		got := minimalSets(tc.ok)
@@ -352,7 +296,7 @@ func TestOptionsByName(t *testing.T) {
 		if !ok || len(o.Topologies) == 0 || len(o.Workloads) == 0 {
 			t.Errorf("preset %q broken", name)
 		}
-		if o.Matrix().Size()%NumSets != 0 {
+		if o.Matrix().Size()%len(lattice{}) != 0 {
 			t.Errorf("preset %q matrix size %d not a lattice multiple", name, o.Matrix().Size())
 		}
 	}

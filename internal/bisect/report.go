@@ -9,6 +9,8 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -179,6 +181,9 @@ func (r *Report) Cell(topology, workload string, seed int64) *Cell {
 	return nil
 }
 
+// lattice holds one cell's results, indexed by fix set.
+type lattice [sched.AllFixes + 1]*campaign.Result
+
 // Analyze walks the lattice of an already-run campaign. The campaign
 // must contain, for every (topology, workload, seed) cell, all 16
 // lattice configurations (extra non-lattice configs are ignored). The
@@ -195,18 +200,18 @@ func Analyze(c *campaign.Campaign, _ Options) (*Report, error) {
 		topo, load string
 		seed       int64
 	}
-	cells := map[cellKey]*[NumSets]*campaign.Result{}
+	cells := map[cellKey]*lattice{}
 	var order []cellKey
 	for i := range c.Results {
 		res := &c.Results[i]
-		f, ok := ParseConfigName(res.Config)
+		f, ok := policy.ParseLatticeConfigName(res.Config)
 		if !ok {
 			continue
 		}
 		k := cellKey{res.Topology, res.Workload, res.Seed}
 		lat := cells[k]
 		if lat == nil {
-			lat = new([NumSets]*campaign.Result)
+			lat = new(lattice)
 			cells[k] = lat
 			order = append(order, k)
 		}
@@ -244,10 +249,10 @@ func Analyze(c *campaign.Campaign, _ Options) (*Report, error) {
 	}
 	for _, k := range order {
 		lat := cells[k]
-		for f := range lat {
-			if lat[f] == nil {
+		for f, res := range lat {
+			if res == nil {
 				return nil, fmt.Errorf("bisect: cell %s/%s/s%d is missing lattice config %s",
-					k.topo, k.load, k.seed, FixSet(f).ConfigName())
+					k.topo, k.load, k.seed, policy.LatticeConfigName(sched.Features(f)))
 			}
 		}
 		cell := analyzeCell(k.topo, k.load, k.seed, lat, c.CheckerMNs)
@@ -258,7 +263,7 @@ func Analyze(c *campaign.Campaign, _ Options) (*Report, error) {
 
 // analyzeCell runs the memoized lattice walks for one cell. windowNs is
 // the artifact's monitoring window, used as the interaction threshold.
-func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, windowNs int64) Cell {
+func analyzeCell(topo, load string, seed int64, lat *lattice, windowNs int64) Cell {
 	base := lat[0]
 	cell := Cell{
 		Topology:           topo,
@@ -274,7 +279,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	// Episode verdict: clean(f) zeroes every baseline class.
 	baseClasses := sortedKeys(base.EpisodeClasses)
 	if len(baseClasses) > 0 {
-		clean := func(f FixSet) bool {
+		clean := func(f sched.Features) bool {
 			for _, cl := range baseClasses {
 				if lat[f].EpisodeClasses[cl] > 0 {
 					return false
@@ -307,7 +312,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 				BaselineEpisodes: base.EpisodeClasses[cl],
 				BaselineIdleNs:   base.IdleNsByClass[cl],
 			}
-			minimal := minimalSets(func(f FixSet) bool { return lat[f].EpisodeClasses[cl] == 0 })
+			minimal := minimalSets(func(f sched.Features) bool { return lat[f].EpisodeClasses[cl] == 0 })
 			cv.Unresolved = len(minimal) == 0
 			for _, f := range minimal {
 				cv.MinimalFixSets = append(cv.MinimalFixSets, f.String())
@@ -319,8 +324,8 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	// Non-monotone edges: adding one fix re-introduces more than one
 	// monitoring window of idle-while-overloaded time.
 	threshold := windowNs
-	for _, f := range All() {
-		for _, bit := range Singles() {
+	for f := range sched.AllFixes + 1 {
+		for _, bit := range sched.Fixes {
 			if f.Has(bit) {
 				continue
 			}
@@ -346,9 +351,9 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	})
 
 	// Performance verdict over completed runs.
-	best := FixSet(0)
+	best := sched.Features(0)
 	bestNs := int64(-1)
-	for _, f := range All() {
+	for f := range sched.AllFixes + 1 {
 		if !lat[f].Completed {
 			continue
 		}
@@ -360,7 +365,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 		cell.PerfBestSet = best.String()
 		cell.PerfBestMakespanNs = bestNs
 		limit := float64(bestNs) * (1 + PerfTolerancePct/100)
-		qualifies := func(f FixSet) bool {
+		qualifies := func(f sched.Features) bool {
 			return lat[f].Completed && float64(lat[f].MakespanNs) <= limit
 		}
 		for _, f := range minimalSets(qualifies) {
@@ -371,7 +376,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	// Wakeup-streak verdict: which minimal fix sets silence the
 	// episode-level overload-on-wakeup witness present under the
 	// studied kernel.
-	streaksOf := func(f FixSet) int {
+	streaksOf := func(f sched.Features) int {
 		if st := lat[f].WakeStreaks; st != nil {
 			return st.Streaks
 		}
@@ -380,7 +385,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	if base.WakeStreaks != nil && base.WakeStreaks.Streaks > 0 {
 		cell.BaselineStreaks = base.WakeStreaks.Streaks
 		cell.BaselineLongestStreak = base.WakeStreaks.Longest
-		minimal := minimalSets(func(f FixSet) bool { return streaksOf(f) == 0 })
+		minimal := minimalSets(func(f sched.Features) bool { return streaksOf(f) == 0 })
 		cell.StreakUnresolved = len(minimal) == 0
 		for _, f := range minimal {
 			cell.StreakMinimalFixSets = append(cell.StreakMinimalFixSets, f.String())
@@ -392,16 +397,16 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 	// without a wake digest recorded no wakeup-to-run delays, which is
 	// a genuine zero tail; the axis is skipped entirely only when no
 	// completed run has a digest (a pre-latency artifact).
-	p99Of := func(f FixSet) int64 {
+	p99Of := func(f sched.Features) int64 {
 		if d := lat[f].WakeLatency; d != nil {
 			return d.P99Ns
 		}
 		return 0
 	}
 	anyDigest := false
-	bestLat := FixSet(0)
+	bestLat := sched.Features(0)
 	bestLatNs := int64(-1)
-	for _, f := range All() {
+	for f := range sched.AllFixes + 1 {
 		if !lat[f].Completed {
 			continue
 		}
@@ -416,7 +421,7 @@ func analyzeCell(topo, load string, seed int64, lat *[NumSets]*campaign.Result, 
 		cell.LatencyBestSet = bestLat.String()
 		cell.LatencyBestP99Ns = bestLatNs
 		limit := float64(bestLatNs)*(1+LatencyTolerancePct/100) + float64(LatencySlack)
-		qualifies := func(f FixSet) bool {
+		qualifies := func(f sched.Features) bool {
 			return lat[f].Completed && float64(p99Of(f)) <= limit
 		}
 		for _, f := range minimalSets(qualifies) {
@@ -454,7 +459,7 @@ func explainCheck(cell *Cell, base *campaign.Result) *ExplainCheck {
 	}
 	// Render the unions in canonical lattice order, so the artifact stays
 	// byte-stable.
-	for _, bit := range Singles() {
+	for _, bit := range sched.Fixes {
 		if checkerFixes[bit.String()] {
 			ec.CheckerFixes = append(ec.CheckerFixes, bit.String())
 		}
@@ -489,30 +494,30 @@ func minimalCovered(minimal []string, erasers map[string]bool) bool {
 	return false
 }
 
-// minimalSets walks the lattice bottom-up (by popcount) and returns the
-// minimal elements of the family {f : ok(f)}: every ok set none of whose
-// proper subsets is ok. ok is evaluated exactly once per lattice point
-// (the memoized cells); subset reachability propagates through the Hasse
-// diagram (f covers f&^bit) instead of re-enumerating subsets.
-func minimalSets(ok func(FixSet) bool) []FixSet {
-	var okMemo, subsetOK [NumSets]bool
-	for mask := 0; mask < NumSets; mask++ {
-		f := FixSet(mask)
-		okMemo[mask] = ok(f)
-		for _, bit := range Singles() {
+// minimalSets walks the lattice bottom-up (in ascending order, so every
+// subset of f precedes f) and returns the minimal elements of the
+// family {f : ok(f)}: every ok set none of whose proper subsets is ok.
+// ok is evaluated exactly once per lattice point (the memoized cells);
+// subset reachability propagates through the Hasse diagram (f covers
+// f&^bit) instead of re-enumerating subsets.
+func minimalSets(ok func(sched.Features) bool) []sched.Features {
+	var okMemo, subsetOK [sched.AllFixes + 1]bool
+	for f := range sched.AllFixes + 1 {
+		okMemo[f] = ok(f)
+		for _, bit := range sched.Fixes {
 			if f.Has(bit) {
-				child := mask &^ int(bit)
+				child := f &^ bit
 				if okMemo[child] || subsetOK[child] {
-					subsetOK[mask] = true
+					subsetOK[f] = true
 					break
 				}
 			}
 		}
 	}
-	var out []FixSet
-	for mask := 0; mask < NumSets; mask++ {
-		if okMemo[mask] && !subsetOK[mask] {
-			out = append(out, FixSet(mask))
+	var out []sched.Features
+	for f := range sched.AllFixes + 1 {
+		if okMemo[f] && !subsetOK[f] {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -650,7 +655,7 @@ func Decode(data []byte) (*Report, error) {
 func (r *Report) FormatSummary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "bisect: %d cells x %d lattice points (base seed %d, scale %.3g, checker S=%v M=%v)\n",
-		len(r.Cells), NumSets, r.BaseSeed, float64(r.ScaleMilli)/1000,
+		len(r.Cells), len(lattice{}), r.BaseSeed, float64(r.ScaleMilli)/1000,
 		sim.Time(r.CheckerSNs), sim.Time(r.CheckerMNs))
 	for i := range r.Cells {
 		c := &r.Cells[i]

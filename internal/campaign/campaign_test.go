@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/latency"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -222,7 +223,7 @@ func TestWorkloadByName(t *testing.T) {
 // feature sets, bounded by the fully-buggy and fully-fixed kernels, and
 // every lattice name resolves through ConfigByName.
 func TestLatticeConfigs(t *testing.T) {
-	configs := LatticeConfigs()
+	configs := policy.LatticeConfigs()
 	if len(configs) != 16 {
 		t.Fatalf("lattice size = %d, want 16", len(configs))
 	}
@@ -232,10 +233,10 @@ func TestLatticeConfigs(t *testing.T) {
 	if configs[15].Name != "fx-gi+gc+oow+md" {
 		t.Errorf("mask 15 = %q, want fx-gi+gc+oow+md", configs[15].Name)
 	}
-	if configs[0].Config.Features != (sched.Features{}) {
+	if configs[0].Config.Features != 0 {
 		t.Error("fx-none has fixes enabled")
 	}
-	if configs[15].Config.Features != sched.AllFixes() {
+	if configs[15].Config.Features != sched.AllFixes {
 		t.Error("full mask misses fixes")
 	}
 	seenName := map[string]bool{}
@@ -251,9 +252,6 @@ func TestLatticeConfigs(t *testing.T) {
 			t.Errorf("ConfigByName(%q) mismatch", c.Name)
 		}
 	}
-	if len(LatticeFixNames()) != 4 {
-		t.Error("LatticeFixNames wrong length")
-	}
 }
 
 // latticeMatrix is a one-cell lattice over a scenario with confirmed
@@ -262,7 +260,7 @@ func latticeMatrix() Matrix {
 	return Matrix{
 		Topologies: MustTopologies("bulldozer8"),
 		Workloads:  MustWorkloads("nas-pin:lu"),
-		Configs:    LatticeConfigs(),
+		Configs:    policy.LatticeConfigs(),
 		Seeds:      []int64{1},
 		Scale:      0.25,
 		Horizon:    100 * sim.Second,

@@ -3,7 +3,6 @@ package campaign
 import (
 	"sort"
 
-	"repro/internal/policy"
 	"repro/internal/sched"
 )
 
@@ -18,10 +17,10 @@ import (
 //
 // The collapse rests on the divergence probe (sched.DivergenceProbe):
 // each guarded decision in the scheduler re-evaluates itself under the
-// flipped fix flags and records which flips would have changed anything.
-// A fix flag that never fired during a run cannot have affected the
+// flipped fixes and records which flips would have changed anything.
+// A fix that never fired during a run cannot have affected the
 // trajectory, so the run's artifact bytes are also the artifact of every
-// config that only adds never-fired flags. Single-node cells collapse gc
+// config that only adds never-fired fixes. Single-node cells collapse gc
 // and md immediately (domain hierarchies agree), hotplug-free cells
 // collapse md — in the default sweep well over half the lattice points
 // are copies. Cells the probe cannot vouch for fail cellCollapsible, and
@@ -38,31 +37,30 @@ func RunScenariosForked(scenarios []Scenario, opts RunnerOpts) (*Campaign, error
 // runCell executes one collapsible cell's scenarios into results
 // (disjoint indices, so concurrent cells never race).
 func runCell(scenarios []Scenario, idxs []int, opts RunnerOpts, results []Result) {
-	// Ascending lattice order: lower masks run first, so a never-fired
-	// flag set collapses the configs above before they are visited.
+	// Ascending lattice order: smaller fix sets run first, so a
+	// never-fired fix collapses the configs above before they are visited.
 	sorted := append([]int(nil), idxs...)
 	sort.SliceStable(sorted, func(a, b int) bool {
-		return featuresMask(scenarios[sorted[a]].Config.Config.Features) <
-			featuresMask(scenarios[sorted[b]].Config.Config.Features)
+		return scenarios[sorted[a]].Config.Config.Features < scenarios[sorted[b]].Config.Config.Features
 	})
 
-	covered := map[int]Result{} // lattice mask -> result of an equivalent run
+	covered := map[sched.Features]Result{} // fix set -> result of an equivalent run
 	for _, i := range sorted {
 		sc := scenarios[i]
-		mask := featuresMask(sc.Config.Config.Features)
-		r, ok := covered[mask]
+		f := sc.Config.Config.Features
+		r, ok := covered[f]
 		if ok {
 			r.Key = sc.Key()
 			r.Config = sc.Config.Name
 		} else {
-			probe := &sched.DivergenceProbe{Armed: maskFeatures(latticeFullMask &^ mask)}
+			probe := &sched.DivergenceProbe{Armed: sched.AllFixes &^ f}
 			r = runScenario(sc, opts, probe)
 			// Equivalence collapse: every superset reachable by adding
-			// only never-fired flags shares this trajectory byte for byte.
-			never := (latticeFullMask &^ mask) &^ featuresMask(probe.Fired)
+			// only never-fired fixes shares this trajectory byte for byte.
+			never := probe.Armed &^ probe.Fired
 			for sub := never; ; sub = (sub - 1) & never {
-				if _, ok := covered[mask|sub]; !ok {
-					covered[mask|sub] = r
+				if _, ok := covered[f|sub]; !ok {
+					covered[f|sub] = r
 				}
 				if sub == 0 {
 					break
@@ -92,45 +90,17 @@ func cellCollapsible(scenarios []Scenario, idxs []int, opts RunnerOpts) bool {
 	}
 	first := scenarios[idxs[0]]
 	ref := first.Config.Config
-	ref.Features = sched.Features{}
+	ref.Features = 0
 	for _, i := range idxs {
 		sc := scenarios[i]
 		if len(sc.Config.Modules) > 0 || sc.Config.Attach != nil {
 			return false
 		}
 		cfg := sc.Config.Config
-		cfg.Features = sched.Features{}
+		cfg.Features = 0
 		if cfg != ref || sc.Scale != first.Scale || sc.Horizon != first.Horizon {
 			return false
 		}
 	}
 	return true
-}
-
-// latticeFullMask has every lattice fix bit set.
-const latticeFullMask = 1<<4 - 1
-
-// featuresMask packs Features into the canonical lattice mask
-// (latticeFixes bit order).
-func featuresMask(f sched.Features) int {
-	mask := 0
-	if f.FixGroupImbalance {
-		mask |= 1 << 0
-	}
-	if f.FixGroupConstruction {
-		mask |= 1 << 1
-	}
-	if f.FixOverloadWakeup {
-		mask |= 1 << 2
-	}
-	if f.FixMissingDomains {
-		mask |= 1 << 3
-	}
-	return mask
-}
-
-// maskFeatures is featuresMask's inverse (the policy registry owns the
-// canonical bit order).
-func maskFeatures(mask int) sched.Features {
-	return policy.LatticeFeatures(mask)
 }

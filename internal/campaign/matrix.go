@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -184,25 +185,12 @@ func TopologyByName(name string) (TopologySpec, bool) {
 // the modular-scheduler redesign, the §2.2 globalq queue designs, and
 // the placement-axis variants. It forwards to policy.Builtin; the
 // sixteen fx-* lattice points are registered too but enumerated via
-// LatticeConfigs.
+// policy.LatticeConfigs.
 func BuiltinConfigs() []ConfigSpec { return policy.Builtin() }
 
 // ConfigByName resolves any registered policy name, including the 16
-// "fx-*" lattice configurations (see LatticeConfigs).
+// "fx-*" lattice configurations (see policy.LatticeConfigs).
 func ConfigByName(name string) (ConfigSpec, bool) { return policy.ByName(name) }
-
-// LatticeFixNames lists the short fix names in canonical bit order
-// (forwards to the policy registry, which owns the lattice).
-func LatticeFixNames() []string { return policy.LatticeFixNames() }
-
-// LatticeConfigName renders the canonical config name of one lattice
-// mask: "fx-none" for the studied kernel, else "fx-" plus the enabled
-// short names joined with "+" in canonical order (e.g. "fx-gi+oow").
-func LatticeConfigName(mask int) string { return policy.LatticeConfigName(mask) }
-
-// LatticeConfigs enumerates the full 2^4 bug-fix lattice, indexed by
-// mask — see policy.LatticeConfigs.
-func LatticeConfigs() []ConfigSpec { return policy.LatticeConfigs() }
 
 // specNames joins the Name fields for usage strings.
 func specNames[T any](specs []T, name func(T) string) string {
@@ -223,8 +211,8 @@ func TopologyNames() string {
 // names, sorted, plus the pattern of the 16 lattice points.
 func ConfigNames() string {
 	return specNames(BuiltinConfigs(), func(c ConfigSpec) string { return c.Name }) +
-		", plus fx-none and fx-<fix>[+<fix>...] with fixes " + strings.Join(LatticeFixNames(), ", ") +
-		" in that order"
+		", plus fx-none and fx-<fix>[+<fix>...] with fixes " +
+		strings.ReplaceAll(sched.AllFixes.String(), "+", ", ") + " in that order"
 }
 
 // WorkloadNames lists every name WorkloadByName accepts: the builtin

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
@@ -17,8 +19,8 @@ func TestConfigRegistryCompat(t *testing.T) {
 		"bugs", "fix-gi", "fix-gc", "fix-oow", "fix-md",
 		"fixed", "powersave", "modsched",
 	}
-	for mask := 0; mask < 16; mask++ {
-		legacy = append(legacy, LatticeConfigName(mask))
+	for f := range sched.AllFixes + 1 {
+		legacy = append(legacy, policy.LatticeConfigName(f))
 	}
 	for _, name := range legacy {
 		if _, ok := ConfigByName(name); !ok {
@@ -117,7 +119,7 @@ func TestNamesListEveryFamily(t *testing.T) {
 	if len(families) != 5 {
 		t.Errorf("%d workload families, want 5", len(families))
 	}
-	for _, c := range LatticeConfigs() {
+	for _, c := range policy.LatticeConfigs() {
 		if _, ok := ConfigByName(c.Name); !ok {
 			t.Errorf("lattice config %s does not resolve", c.Name)
 		}

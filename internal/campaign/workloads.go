@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -445,6 +446,7 @@ func serveWorkload(qps int) Workload {
 		for i, l := range lats {
 			ms[i] = float64(l) / float64(sim.Millisecond)
 		}
+		slices.Sort(ms)
 		if !done {
 			end = rc.Horizon
 		}
@@ -453,10 +455,10 @@ func serveWorkload(qps int) Workload {
 			Completed: done,
 			Extra: map[string]float64{
 				"served":       float64(srv.Completed()),
-				"serve_p50_ms": stats.Percentile(ms, 50),
-				"serve_p95_ms": stats.Percentile(ms, 95),
-				"serve_p99_ms": stats.Percentile(ms, 99),
-				"serve_max_ms": stats.Max(ms),
+				"serve_p50_ms": stats.PercentileSorted(ms, 50),
+				"serve_p95_ms": stats.PercentileSorted(ms, 95),
+				"serve_p99_ms": stats.PercentileSorted(ms, 99),
+				"serve_max_ms": ms[len(ms)-1],
 			},
 		}
 	}}

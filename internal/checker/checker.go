@@ -282,10 +282,10 @@ func (c *Checker) flag(detectedAt, onsetAt sim.Time, idle, busy topology.CoreID,
 	// reads the group-imbalance flag: when the divergence probe watches that
 	// flag, a classification the flipped metric would change is observable
 	// divergence even if no balancing decision ever differed.
-	if p := c.s.Probe(); p != nil && p.Armed.FixGroupImbalance && !p.Fired.FixGroupImbalance {
-		gi := c.s.Config().Features.FixGroupImbalance
+	if p := c.s.Probe(); p.Watching(sched.FixGroupImbalance) {
+		gi := c.s.Config().Features.Has(sched.FixGroupImbalance)
 		if classifyWith(c.s, idle, busy, wakeupsOnBusy, gi) != classifyWith(c.s, idle, busy, wakeupsOnBusy, !gi) {
-			p.Fired.FixGroupImbalance = true
+			p.Fired |= sched.FixGroupImbalance
 		}
 	}
 	v := Violation{

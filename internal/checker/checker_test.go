@@ -19,7 +19,7 @@ func hogProgram(d sim.Time) machine.Program {
 }
 
 func TestNoFalsePositiveOnBalancedSystem(t *testing.T) {
-	m := machine.New(topology.SMP(4), sched.DefaultConfig().WithFixes(sched.AllFixes()), 1)
+	m := machine.New(topology.SMP(4), sched.DefaultConfig().WithFixes(sched.AllFixes), 1)
 	c := New(m.Sched, nil, Config{S: 100 * sim.Millisecond})
 	c.Start()
 	p := m.NewProc("p", machine.ProcOpts{})
@@ -147,7 +147,7 @@ func TestProfilingStartsOnFlag(t *testing.T) {
 func TestTransientNotFlagged(t *testing.T) {
 	// A violation that resolves during the monitoring window counts as
 	// transient, not as a bug.
-	m := machine.New(topology.SMP(2), sched.DefaultConfig().WithFixes(sched.AllFixes()), 1)
+	m := machine.New(topology.SMP(2), sched.DefaultConfig().WithFixes(sched.AllFixes), 1)
 	c := New(m.Sched, nil, Config{S: 40 * sim.Millisecond, M: 100 * sim.Millisecond})
 	c.Start()
 	p := m.NewProc("p", machine.ProcOpts{})

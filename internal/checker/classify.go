@@ -50,7 +50,7 @@ func Classes() []Class {
 // wakeupsOnBusy is the number of wakeups placed on busy cores during the
 // monitoring window (counter delta between detection and confirmation).
 func Classify(s *sched.Scheduler, idle, busy topology.CoreID, wakeupsOnBusy uint64) Class {
-	return classifyWith(s, idle, busy, wakeupsOnBusy, s.Config().Features.FixGroupImbalance)
+	return classifyWith(s, idle, busy, wakeupsOnBusy, s.Config().Features.Has(sched.FixGroupImbalance))
 }
 
 // classifyWith is Classify with the group-imbalance flag given explicitly:

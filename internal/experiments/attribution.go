@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bisect"
 	"repro/internal/campaign"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -38,12 +39,14 @@ type AttributionRow struct {
 
 // attributionCases maps the paper's tables to campaign cells and fixes.
 var attributionCases = []struct {
-	Table, Bug, Workload, PaperFix, Basis string
+	Table, Bug, Workload string
+	PaperFix             sched.Features
+	Basis                string
 }{
-	{"Table 1", "Scheduling Group Construction", "nas-pin:lu", "gc", "episodes"},
-	{"Table 2", "Overload-on-Wakeup", "tpch", "oow", "makespan"},
-	{"Table 3", "Missing Scheduling Domains", "nas-hotplug:lu", "md", "episodes"},
-	{"Table 4 (§3.1)", "Group Imbalance", "make2r", "gi", "episodes"},
+	{"Table 1", "Scheduling Group Construction", "nas-pin:lu", sched.FixGroupConstruction, "episodes"},
+	{"Table 2", "Overload-on-Wakeup", "tpch", sched.FixOverloadWakeup, "makespan"},
+	{"Table 3", "Missing Scheduling Domains", "nas-hotplug:lu", sched.FixMissingDomains, "episodes"},
+	{"Table 4 (§3.1)", "Group Imbalance", "make2r", sched.FixGroupImbalance, "episodes"},
 }
 
 // Attribution runs the fix-set bisection over the four pathology
@@ -78,7 +81,7 @@ func Attribution(opts Options) ([]AttributionRow, *bisect.Report, error) {
 			Table:    c.Table,
 			Bug:      c.Bug,
 			Scenario: "bulldozer8/" + c.Workload,
-			PaperFix: c.PaperFix,
+			PaperFix: c.PaperFix.String(),
 			Basis:    c.Basis,
 		}
 		switch c.Basis {
@@ -88,7 +91,7 @@ func Attribution(opts Options) ([]AttributionRow, *bisect.Report, error) {
 			row.Computed = cell.PerfMinimalFixSets
 		}
 		for _, set := range row.Computed {
-			if set == c.PaperFix {
+			if set == row.PaperFix {
 				row.Match = true
 			}
 		}
@@ -97,7 +100,7 @@ func Attribution(opts Options) ([]AttributionRow, *bisect.Report, error) {
 			notes = append(notes, "episodes too short for invariant confirmation; makespan verdict")
 		}
 		for _, in := range cell.Interactions {
-			if in.Base == c.PaperFix {
+			if in.Base == row.PaperFix {
 				notes = append(notes, fmt.Sprintf("interaction: +%s re-introduces %v idle-while-overloaded",
 					in.Added, sim.Time(in.CombinedIdleNs)))
 				break

@@ -16,6 +16,7 @@ package experiments
 import (
 	"repro/internal/campaign"
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -42,35 +43,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// runGrid runs every registered campaign workload under every
-// registered config, each in a fresh world on the registered bulldozer8
-// (the paper's machine) whose engine and workload seed are opts.Seed,
-// and returns
-// out[workload][config]. A table thus runs exactly the scenario a
+// runGrid runs every registered campaign workload under every fix set
+// (its fx-* lattice config: kernel defaults plus those fixes), each in
+// a fresh world on the registered bulldozer8 (the paper's machine)
+// whose engine and workload seed are opts.Seed, and returns
+// out[workload][fix set]. A table thus runs exactly the scenario a
 // campaign runs, but attaches no sanity checker and derives no seed
 // from the scenario key, so its numbers depend on opts.Seed alone.
 // launch is the virtual time at which the workloads start the program
 // a table times; each run is bounded at launch+horizon, so the program
 // itself gets the whole horizon.
-func runGrid(opts Options, launch sim.Time, workloads, configs []string) [][]campaign.Outcome {
+func runGrid(opts Options, launch sim.Time, workloads []string, fixes []sched.Features) [][]campaign.Outcome {
 	opts = opts.withDefaults()
-	ws, cs := campaign.MustWorkloads(workloads...), campaign.MustConfigs(configs...)
+	ws := campaign.MustWorkloads(workloads...)
 	bulldozer8 := campaign.MustTopologies("bulldozer8")[0]
-	outs := campaign.ForEach(len(ws)*len(cs), 0, func(i int) campaign.Outcome {
-		topo, c := bulldozer8.Build(), cs[i%len(cs)]
-		m := machine.New(topo, c.Config, opts.Seed)
-		detach, err := c.Apply(m.Sched)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
-		defer detach()
-		return ws[i/len(cs)].Run(&campaign.RunContext{
+	outs := campaign.ForEach(len(ws)*len(fixes), 0, func(i int) campaign.Outcome {
+		topo := bulldozer8.Build()
+		m := machine.New(topo, sched.DefaultConfig().WithFixes(fixes[i%len(fixes)]), opts.Seed)
+		return ws[i/len(fixes)].Run(&campaign.RunContext{
 			M: m, Topo: topo, Seed: opts.Seed, Scale: opts.Scale, Horizon: launch + horizon,
 		})
 	})
 	grid := make([][]campaign.Outcome, len(ws))
 	for w := range grid {
-		grid[w] = outs[w*len(cs) : (w+1)*len(cs)]
+		grid[w] = outs[w*len(fixes) : (w+1)*len(fixes)]
 	}
 	return grid
 }

@@ -64,10 +64,9 @@ type Fig2Result struct {
 func Fig2(opts Options) *Fig2Result {
 	opts = opts.withDefaults()
 	res := &Fig2Result{}
-	run := func(fix bool) (*viz.Heatmap, *viz.Heatmap, sim.Time, sim.Time) {
+	run := func(fixes sched.Features) (*viz.Heatmap, *viz.Heatmap, sim.Time, sim.Time) {
 		topo := topology.Bulldozer8()
-		cfg := sched.DefaultConfig()
-		cfg.Features.FixGroupImbalance = fix
+		cfg := sched.DefaultConfig().WithFixes(fixes)
 		m := machine.New(topo, cfg, opts.Seed)
 		rec := trace.NewRecorder(1 << 21)
 		m.SetRecorder(rec)
@@ -103,8 +102,8 @@ func Fig2(opts Options) *Fig2Result {
 		load.RowGroup = size.RowGroup
 		return size, load, end, 0
 	}
-	res.BugSize, res.BugLoad, res.MakeBug, res.RBug = run(false)
-	res.FixSize, _, res.MakeFix, res.RFix = run(true)
+	res.BugSize, res.BugLoad, res.MakeBug, res.RBug = run(0)
+	res.FixSize, _, res.MakeFix, res.RFix = run(sched.FixGroupImbalance)
 
 	// Count nodes left underloaded in the buggy heatmap: nodes whose
 	// cores averaged fewer than half a runnable thread — the "two nodes
@@ -195,10 +194,9 @@ type Fig5Result struct {
 // cores considered by core 0's load balancing, with and without the fix.
 func Fig5(opts Options) *Fig5Result {
 	opts = opts.withDefaults()
-	run := func(fix bool) (string, int) {
+	run := func(fixes sched.Features) (string, int) {
 		topo := topology.Bulldozer8()
-		cfg := sched.DefaultConfig()
-		cfg.Features.FixMissingDomains = fix
+		cfg := sched.DefaultConfig().WithFixes(fixes)
 		m := machine.New(topo, cfg, opts.Seed)
 		if err := m.DisableCore(63); err != nil {
 			panic(err)
@@ -227,7 +225,7 @@ func Fig5(opts Options) *Fig5Result {
 		return chart, n
 	}
 	res := &Fig5Result{}
-	res.ChartBug, res.CoverageBug = run(false)
-	res.ChartFix, res.CoverageFix = run(true)
+	res.ChartBug, res.CoverageBug = run(0)
+	res.ChartFix, res.CoverageFix = run(sched.FixMissingDomains)
 	return res
 }

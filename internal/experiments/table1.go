@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -28,20 +29,20 @@ type NASRow struct {
 // created ("threads are created on the same node as their parent
 // thread", §3.2); with the fix they spread over both nodes.
 func Table1(opts Options) []NASRow {
-	return nasTable(opts, "nas-pin:", "fx-gc", 0)
+	return nasTable(opts, "nas-pin:", sched.FixGroupConstruction, 0)
 }
 
 // nasTable runs the campaign workload family+<app> for every NAS
 // application under the studied kernel (fx-none) and under fix, and
 // times each run from launch, the virtual time at which the workload
 // starts the application.
-func nasTable(opts Options, family, fix string, launch sim.Time) []NASRow {
+func nasTable(opts Options, family string, fix sched.Features, launch sim.Time) []NASRow {
 	apps := workload.NASSuite()
 	names := make([]string, len(apps))
 	for i, app := range apps {
 		names[i] = family + app.Name
 	}
-	grid := runGrid(opts, launch, names, []string{"fx-none", fix})
+	grid := runGrid(opts, launch, names, []sched.Features{0, fix})
 	rows := make([]NASRow, len(apps))
 	for i, app := range apps {
 		buggy, fixed := grid[i][0], grid[i][1]

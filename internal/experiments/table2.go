@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -22,13 +23,16 @@ type Table2Row struct {
 	Complete bool
 }
 
-// table2Configs are the paper's four rows and the fix-lattice configs
-// they run under.
-var table2Configs = []struct{ Name, Config string }{
-	{"None", "fx-none"},
-	{"Group Imbalance", "fx-gi"},
-	{"Overload-on-Wakeup", "fx-oow"},
-	{"Both", "fx-gi+oow"},
+// table2Configs are the paper's four rows and the fix sets they run
+// under.
+var table2Configs = []struct {
+	Name  string
+	Fixes sched.Features
+}{
+	{"None", 0},
+	{"Group Imbalance", sched.FixGroupImbalance},
+	{"Overload-on-Wakeup", sched.FixOverloadWakeup},
+	{"Both", sched.FixGroupImbalance | sched.FixOverloadWakeup},
 }
 
 // Table2 reproduces the paper's Table 2 with the campaign workload tpch:
@@ -36,12 +40,12 @@ var table2Configs = []struct{ Name, Config string }{
 // autogroups) running TPC-H alongside transient kernel noise, under
 // each combination of the Group Imbalance and Overload-on-Wakeup fixes.
 func Table2(opts Options) []Table2Row {
-	configs := make([]string, len(table2Configs))
+	fixes := make([]sched.Features, len(table2Configs))
 	for i, c := range table2Configs {
-		configs[i] = c.Config
+		fixes[i] = c.Fixes
 	}
-	rows := make([]Table2Row, len(configs))
-	for i, o := range runGrid(opts, 0, []string{"tpch"}, configs)[0] {
+	rows := make([]Table2Row, len(fixes))
+	for i, o := range runGrid(opts, 0, []string{"tpch"}, fixes)[0] {
 		rows[i] = Table2Row{
 			Config:   table2Configs[i].Name,
 			Q18:      sim.Time(math.Round(o.Extra["q18_s"] * float64(sim.Second))),

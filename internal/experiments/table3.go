@@ -1,6 +1,9 @@
 package experiments
 
-import "repro/internal/campaign"
+import (
+	"repro/internal/campaign"
+	"repro/internal/sched"
+)
 
 // Table3 reproduces the paper's Table 3: disable and re-enable one core,
 // then launch each NAS application with 64 threads (the machine's default
@@ -11,7 +14,7 @@ import "repro/internal/campaign"
 // and barriers while holders sit in runqueues. Each run is timed from
 // the application's launch, HotplugSettle after the hotplug cycle.
 func Table3(opts Options) []NASRow {
-	return nasTable(opts, "nas-hotplug:", "fx-md", campaign.HotplugSettle)
+	return nasTable(opts, "nas-hotplug:", sched.FixMissingDomains, campaign.HotplugSettle)
 }
 
 // FormatTable3 renders rows in the paper's Table 3 layout.

@@ -30,7 +30,9 @@ func GroupImbalanceLU(opts Options) LuRResult {
 	run := func(fix bool) (sim.Time, bool) {
 		topo := topology.Bulldozer8()
 		cfg := sched.DefaultConfig()
-		cfg.Features.FixGroupImbalance = fix
+		if fix {
+			cfg.Features = sched.FixGroupImbalance
+		}
 		m := machine.New(topo, cfg, opts.Seed)
 		// Four R processes on four distinct nodes, each its own tty.
 		for i := 0; i < 4; i++ {

@@ -40,7 +40,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/latency"
 	"repro/internal/machine"
-	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -428,35 +427,29 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 	// Only the episode's last simulated replay runs on the episode world
 	// itself. The control is the last only when the scenario already has
 	// every fix; otherwise a fix replay may follow it.
-	controlLast := !replayEveryFix && o.base == sched.AllFixes()
-	probe := &sched.DivergenceProbe{Armed: sched.Features{
-		FixGroupConstruction: !o.base.FixGroupConstruction,
-		FixMissingDomains:    !o.base.FixMissingDomains,
-	}}
+	controlLast := !replayEveryFix && o.base == sched.AllFixes
+	const construction = sched.FixGroupConstruction | sched.FixMissingDomains
+	probe := &sched.DivergenceProbe{Armed: construction &^ o.base}
 	control := o.runReplay(spec, controlLast, o.base, o.rings.control, probe)
 	ep.Control = control
 	// copied holds the fixes whose replay is the control's.
-	copied := mergeFeatures(o.base, sched.Features{
-		FixGroupConstruction: !probe.Fired.FixGroupConstruction,
-		FixMissingDomains:    !probe.Fired.FixMissingDomains,
-	})
+	copied := o.base | construction&^probe.Fired
 	simulated := func(fix sched.Features) bool {
-		return replayEveryFix || mergeFeatures(copied, fix) != copied
+		return replayEveryFix || !copied.Has(fix)
 	}
-	names := policy.LatticeFixNames()
-	last := -1
-	for i := range names {
-		if simulated(policy.LatticeFeatures(1 << i)) {
-			last = i
+	var last sched.Features // the last simulated fix, 0 if none
+	for _, fix := range sched.Fixes {
+		if simulated(fix) {
+			last = fix
 		}
 	}
 
-	for i, name := range names {
-		fix := policy.LatticeFeatures(1 << i)
+	for _, fix := range sched.Fixes {
+		name := fix.String()
 		if !simulated(fix) {
 			if fixReplayed != nil {
 				how := "cleared"
-				if mergeFeatures(o.base, fix) == o.base {
+				if o.base.Has(fix) {
 					how = "in-base"
 				}
 				fixReplayed(name, how)
@@ -467,7 +460,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		if fixReplayed != nil {
 			fixReplayed(name, "simulated")
 		}
-		rep := o.runReplay(spec, i == last, mergeFeatures(o.base, fix), o.rings.fixed, nil)
+		rep := o.runReplay(spec, fix == last, o.base|fix, o.rings.fixed, nil)
 		fr := FixReplay{
 			Fix:            name,
 			Replay:         rep,
@@ -558,15 +551,6 @@ func firstDivergence(control, fixed []trace.Event) *Divergence {
 		return d
 	}
 	return nil
-}
-
-// mergeFeatures ORs two fix sets.
-func mergeFeatures(a, b sched.Features) sched.Features {
-	a.FixGroupImbalance = a.FixGroupImbalance || b.FixGroupImbalance
-	a.FixGroupConstruction = a.FixGroupConstruction || b.FixGroupConstruction
-	a.FixOverloadWakeup = a.FixOverloadWakeup || b.FixOverloadWakeup
-	a.FixMissingDomains = a.FixMissingDomains || b.FixMissingDomains
-	return a
 }
 
 // WriteEpisode renders one episode for humans (cmd/explain).

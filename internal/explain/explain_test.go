@@ -10,6 +10,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/explain"
 	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -28,7 +29,7 @@ func smokeScenarios(t *testing.T, workloads ...string) []campaign.Scenario {
 	m := campaign.Matrix{
 		Topologies: campaign.MustTopologies("bulldozer8"),
 		Workloads:  campaign.MustWorkloads(workloads...),
-		Configs:    campaign.LatticeConfigs()[:1], // fx-none: the studied kernel
+		Configs:    policy.LatticeConfigs()[:1], // fx-none: the studied kernel
 		Seeds:      []int64{1},
 		Scale:      0.5,
 		Horizon:    100 * sim.Second,
@@ -159,7 +160,7 @@ func TestForkAtOnsetReplayMatchesFreshRun(t *testing.T) {
 
 	bugs := sched.DefaultConfig()
 	fixed := bugs
-	fixed.Features.FixGroupImbalance = true
+	fixed.Features |= sched.FixGroupImbalance
 
 	m, p := launch(bugs)
 	forkAt := 500 * sim.Microsecond
@@ -226,7 +227,7 @@ func TestCopiedReplaysMatchSimulated(t *testing.T) {
 		m := campaign.Matrix{
 			Topologies: campaign.MustTopologies("bulldozer8"),
 			Workloads:  campaign.MustWorkloads(wl),
-			Configs:    campaign.LatticeConfigs(),
+			Configs:    policy.LatticeConfigs(),
 			Seeds:      []int64{1},
 			Scale:      0.1,
 			Horizon:    100 * sim.Second,

@@ -9,7 +9,7 @@ import (
 )
 
 func newM(topo *topology.Topology) *Machine {
-	return New(topo, sched.DefaultConfig().WithFixes(sched.AllFixes()), 7)
+	return New(topo, sched.DefaultConfig().WithFixes(sched.AllFixes), 7)
 }
 
 func TestComputeAndExit(t *testing.T) {

@@ -178,7 +178,9 @@ func TestStringReport(t *testing.T) {
 func TestModularMatchesFixedOnTPCH(t *testing.T) {
 	run := func(fix, modular bool) sim.Time {
 		cfg := sched.DefaultConfig()
-		cfg.Features.FixOverloadWakeup = fix
+		if fix {
+			cfg.Features |= sched.FixOverloadWakeup
+		}
 		m := machine.New(topology.Bulldozer8(), cfg, 42)
 		if modular {
 			Attach(m.Sched, Config{}, CacheAffinity{})

@@ -31,6 +31,7 @@ package obs
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -353,9 +354,10 @@ func (r *Registry) Snapshot() *Snapshot {
 				}
 				vals = append(vals, float64(p.V))
 			}
-			ss.P50 = int64(stats.Percentile(vals, 50))
-			ss.P95 = int64(stats.Percentile(vals, 95))
-			ss.P99 = int64(stats.Percentile(vals, 99))
+			slices.Sort(vals)
+			ss.P50 = int64(stats.PercentileSorted(vals, 50))
+			ss.P95 = int64(stats.PercentileSorted(vals, 95))
+			ss.P99 = int64(stats.PercentileSorted(vals, 99))
 		}
 		snap.Series = append(snap.Series, ss)
 	}

@@ -24,17 +24,17 @@ func init() {
 	}
 
 	// The historical campaign configs.
-	builtin(fixes("bugs", "the studied kernel: all four bugs present", sched.Features{}))
-	builtin(fixes("fix-gi", "Group Imbalance fix only (§3.1)", sched.Features{FixGroupImbalance: true}))
-	builtin(fixes("fix-gc", "Group Construction fix only (§3.2)", sched.Features{FixGroupConstruction: true}))
-	builtin(fixes("fix-oow", "Overload-on-Wakeup fix only (§3.3)", sched.Features{FixOverloadWakeup: true}))
-	builtin(fixes("fix-md", "Missing Domains fix only (§3.4)", sched.Features{FixMissingDomains: true}))
-	builtin(fixes("fixed", "all four fixes: the patched CFS model", sched.AllFixes()))
+	builtin(fixes("bugs", "the studied kernel: all four bugs present", 0))
+	builtin(fixes("fix-gi", "Group Imbalance fix only (§3.1)", sched.FixGroupImbalance))
+	builtin(fixes("fix-gc", "Group Construction fix only (§3.2)", sched.FixGroupConstruction))
+	builtin(fixes("fix-oow", "Overload-on-Wakeup fix only (§3.3)", sched.FixOverloadWakeup))
+	builtin(fixes("fix-md", "Missing Domains fix only (§3.4)", sched.FixMissingDomains))
+	builtin(fixes("fixed", "all four fixes: the patched CFS model", sched.AllFixes))
 	builtin(Policy{
 		Name: "powersave",
 		Desc: "all fixes under the power-saving policy that disarms the OoW fix",
 		Config: func() sched.Config {
-			c := sched.DefaultConfig().WithFixes(sched.AllFixes())
+			c := sched.DefaultConfig().WithFixes(sched.AllFixes)
 			c.Power = sched.PowerSaving
 			return c
 		}(),

@@ -6,71 +6,36 @@ import (
 	"repro/internal/sched"
 )
 
-// The 2^4 bug-fix lattice, owned here so the fix bit order has a single
-// source of truth (the campaign package forwards to these). Bit i of a
-// lattice mask toggles latticeFixes[i]; the short names are the ones
-// ROADMAP and the bisect package use (gi, gc, oow, md).
-var latticeFixes = []struct {
-	Name string
-	Set  func(*sched.Features)
-}{
-	{"gi", func(f *sched.Features) { f.FixGroupImbalance = true }},
-	{"gc", func(f *sched.Features) { f.FixGroupConstruction = true }},
-	{"oow", func(f *sched.Features) { f.FixOverloadWakeup = true }},
-	{"md", func(f *sched.Features) { f.FixMissingDomains = true }},
-}
+// LatticeConfigName renders the canonical policy name of one fix set:
+// "fx-" plus its short names ("fx-none", "fx-gi+oow"; see
+// sched.Features.String).
+func LatticeConfigName(f sched.Features) string { return "fx-" + f.String() }
 
-// LatticeFixNames lists the short fix names in canonical bit order.
-func LatticeFixNames() []string {
-	names := make([]string, len(latticeFixes))
-	for i, fx := range latticeFixes {
-		names[i] = fx.Name
+// ParseLatticeConfigName is LatticeConfigName's inverse: it maps an
+// "fx-*" name back to its fix set, and reports false for any other name.
+func ParseLatticeConfigName(name string) (sched.Features, bool) {
+	s, ok := strings.CutPrefix(name, "fx-")
+	if !ok {
+		return 0, false
 	}
-	return names
-}
-
-// LatticeConfigName renders the canonical policy name of one lattice
-// mask: "fx-none" for the studied kernel, else "fx-" plus the enabled
-// short names joined with "+" in canonical order (e.g. "fx-gi+oow").
-func LatticeConfigName(mask int) string {
-	var parts []string
-	for i, fx := range latticeFixes {
-		if mask&(1<<i) != 0 {
-			parts = append(parts, fx.Name)
-		}
-	}
-	if len(parts) == 0 {
-		return "fx-none"
-	}
-	return "fx-" + strings.Join(parts, "+")
-}
-
-// LatticeFeatures expands a lattice mask into scheduler feature toggles.
-func LatticeFeatures(mask int) sched.Features {
-	var f sched.Features
-	for i, fx := range latticeFixes {
-		if mask&(1<<i) != 0 {
-			fx.Set(&f)
-		}
-	}
-	return f
+	return sched.ParseFeatures(s)
 }
 
 // LatticeConfigs enumerates the full 2^4 bug-fix lattice: one Policy
-// per subset of the paper's four fixes, indexed by mask (element mask
-// has exactly the fixes of its set bits enabled). LatticeConfigs()[0]
-// is the studied kernel, LatticeConfigs()[15] the fully fixed one. The
-// bisection subsystem fans these through the campaign runner to name
-// minimal fix sets per scenario; all sixteen are also registered, so
-// ByName resolves any "fx-*" name.
+// per subset of the paper's four fixes, indexed by the set
+// (LatticeConfigs()[f].Config.Features == f). LatticeConfigs()[0] is
+// the studied kernel, LatticeConfigs()[sched.AllFixes] the fully fixed
+// one. The bisection subsystem fans these through the campaign runner
+// to name minimal fix sets per scenario; all sixteen are also
+// registered, so ByName resolves any "fx-*" name.
 func LatticeConfigs() []Policy {
-	out := make([]Policy, 0, 1<<len(latticeFixes))
-	for mask := 0; mask < 1<<len(latticeFixes); mask++ {
+	out := make([]Policy, 0, sched.AllFixes+1)
+	for f := range sched.AllFixes + 1 {
 		out = append(out, Policy{
-			Name:    LatticeConfigName(mask),
-			Desc:    "fix-lattice point " + LatticeConfigName(mask),
+			Name:    LatticeConfigName(f),
+			Desc:    "fix-lattice point " + LatticeConfigName(f),
 			Version: 1,
-			Config:  sched.DefaultConfig().WithFixes(LatticeFeatures(mask)),
+			Config:  sched.DefaultConfig().WithFixes(f),
 		})
 	}
 	return out

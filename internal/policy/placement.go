@@ -25,7 +25,7 @@ func attachPlacement(build func(s *sched.Scheduler) sched.PlacementPolicy) func(
 
 // fixedConfig is the fully fixed kernel the placement variants run on.
 func fixedConfig() sched.Config {
-	return sched.DefaultConfig().WithFixes(sched.AllFixes())
+	return sched.DefaultConfig().WithFixes(sched.AllFixes)
 }
 
 // greedyIdlest is work-stealing-flavoured greedy placement: always the

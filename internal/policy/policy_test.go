@@ -35,8 +35,8 @@ func TestLegacyNamesResolve(t *testing.T) {
 		"bugs", "fix-gi", "fix-gc", "fix-oow", "fix-md",
 		"fixed", "powersave", "modsched",
 	}
-	for mask := 0; mask < 16; mask++ {
-		legacy = append(legacy, LatticeConfigName(mask))
+	for f := range sched.AllFixes + 1 {
+		legacy = append(legacy, LatticeConfigName(f))
 	}
 	for _, name := range legacy {
 		p, ok := ByName(name)
@@ -67,8 +67,8 @@ func TestHistoricalConfigsUnchanged(t *testing.T) {
 		want sched.Config
 	}{
 		{"bugs", sched.DefaultConfig()},
-		{"fix-gi", sched.DefaultConfig().WithFixes(sched.Features{FixGroupImbalance: true})},
-		{"fixed", sched.DefaultConfig().WithFixes(sched.AllFixes())},
+		{"fix-gi", sched.DefaultConfig().WithFixes(sched.FixGroupImbalance)},
+		{"fixed", sched.DefaultConfig().WithFixes(sched.AllFixes)},
 	}
 	for _, c := range cases {
 		p, ok := ByName(c.name)
@@ -80,7 +80,7 @@ func TestHistoricalConfigsUnchanged(t *testing.T) {
 		}
 	}
 	pw, _ := ByName("powersave")
-	if pw.Config.Power != sched.PowerSaving || pw.Config.Features != sched.AllFixes() {
+	if pw.Config.Power != sched.PowerSaving || pw.Config.Features != sched.AllFixes {
 		t.Errorf("powersave config drifted: %+v", pw.Config)
 	}
 }
@@ -114,5 +114,28 @@ func TestApplyResolvesModulesAndDetaches(t *testing.T) {
 	bad := Policy{Name: "x", Modules: []string{"no-such-module"}}
 	if _, err := bad.Apply(m.Sched); err == nil {
 		t.Error("unknown module accepted")
+	}
+}
+
+// TestLatticeConfigsMatchFeatures: LatticeConfigs is indexed by fix set,
+// and LatticeConfigName and ParseLatticeConfigName are inverses over the
+// whole lattice that reject every non-lattice name.
+func TestLatticeConfigsMatchFeatures(t *testing.T) {
+	configs := LatticeConfigs()
+	for f := range sched.AllFixes + 1 {
+		if got := configs[f].Config.Features; got != f {
+			t.Errorf("LatticeConfigs()[%d] has fixes %d", f, got)
+		}
+		if configs[f].Name != LatticeConfigName(f) {
+			t.Errorf("LatticeConfigs()[%d] named %q, want %q", f, configs[f].Name, LatticeConfigName(f))
+		}
+		if got, ok := ParseLatticeConfigName(LatticeConfigName(f)); !ok || got != f {
+			t.Errorf("ParseLatticeConfigName(%q) = %d, %v; want %d", LatticeConfigName(f), got, ok, f)
+		}
+	}
+	for _, bad := range []string{"fix-gi", "bugs", "fx-", "fx-bogus", "gi"} {
+		if f, ok := ParseLatticeConfigName(bad); ok {
+			t.Errorf("ParseLatticeConfigName(%q) = %d, accepted", bad, f)
+		}
 	}
 }

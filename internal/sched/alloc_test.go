@@ -44,7 +44,7 @@ func TestPeriodicBalanceTickAllocs(t *testing.T) {
 // bookkeeping. The memo also serves ApplyFeatures, so it must stay exact
 // across fix switches: see checkApplyFeaturesMatchesFresh.
 func TestHotplugDomainRebuildReusesCache(t *testing.T) {
-	e := newEnv(topology.Bulldozer8(), DefaultConfig().WithFixes(AllFixes()))
+	e := newEnv(topology.Bulldozer8(), DefaultConfig().WithFixes(AllFixes))
 	if err := e.s.DisableCPU(5); err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,7 @@ func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 	// lattice fix, all put through the same hotplug cycle.
 	topo := topology.Bulldozer8()
 	base := newEnv(topo, DefaultConfig())
-	fixes := []Features{
-		{FixGroupImbalance: true},
-		{FixGroupConstruction: true},
-		{FixOverloadWakeup: true},
-		{FixMissingDomains: true},
-	}
+	fixes := Fixes
 	built := make([]*Scheduler, len(fixes))
 	for i, f := range fixes {
 		built[i] = newEnv(topo, DefaultConfig().WithFixes(f)).s
@@ -120,7 +115,7 @@ func checkApplyFeaturesMatchesFresh(t *testing.T, stage string, base *testEnv, f
 		c.ApplyFeatures(f)
 		what := fmt.Sprintf("fix %+v", f)
 		same(what, c, built[i])
-		if !f.FixGroupConstruction && !f.FixMissingDomains {
+		if f&(FixGroupConstruction|FixMissingDomains) == 0 {
 			for cpu := range c.cpus {
 				id := topology.CoreID(cpu)
 				for lvl, d := range c.Domains(id) {
@@ -227,7 +222,7 @@ func TestApplyFeaturesKeepsHierarchyWhenKeyUnchanged(t *testing.T) {
 	}
 	want := snapshot()
 	rebuilds := e.s.Counters().DomainRebuilds
-	gi, oow := Features{FixGroupImbalance: true}, Features{FixOverloadWakeup: true}
+	gi, oow := FixGroupImbalance, FixOverloadWakeup
 	for _, f := range []Features{gi, oow} {
 		e.s.ApplyFeatures(f)
 		if e.s.Config().Features != f {

@@ -35,7 +35,7 @@ type groupStats struct {
 // bug present, minimum load with the fix (§3.1: "Instead of comparing the
 // average loads, we compare the minimum loads").
 func (s *Scheduler) metric(g *groupStats) float64 {
-	return metricWith(g, s.cfg.Features.FixGroupImbalance)
+	return metricWith(g, s.cfg.Features.Has(FixGroupImbalance))
 }
 
 // metricWith is metric with the group-imbalance flag given explicitly, so
@@ -264,11 +264,11 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 	// group-imbalance flag, every metric-dependent step is recomputed
 	// under the flipped flag; any difference in the chosen group, the
 	// balanced verdict, or the amount to move fires the probe.
-	gi := s.cfg.Features.FixGroupImbalance
-	probeGI := s.probe != nil && s.probe.Armed.FixGroupImbalance && !s.probe.Fired.FixGroupImbalance
+	gi := s.cfg.Features.Has(FixGroupImbalance)
+	probeGI := s.probe.Watching(FixGroupImbalance)
 	busiest := s.pickBusiestGroup(groups, local, gi)
 	if probeGI && s.pickBusiestGroup(groups, local, !gi) != busiest {
-		s.probe.Fired.FixGroupImbalance = true
+		s.probe.Fired |= FixGroupImbalance
 		probeGI = false
 	}
 	if busiest == nil {
@@ -278,7 +278,7 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 	// Lines 15–16: balanced at this level.
 	balanced := metricWith(busiest, gi) <= metricWith(local, gi)
 	if probeGI && (metricWith(busiest, !gi) <= metricWith(local, !gi)) != balanced {
-		s.probe.Fired.FixGroupImbalance = true
+		s.probe.Fired |= FixGroupImbalance
 		probeGI = false
 	}
 	if balanced {
@@ -293,7 +293,7 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 	if imbalance <= 0 {
 		imbalance = (metricWith(busiest, gi) - metricWith(local, gi)) / 2
 		if probeGI && imbalance != (metricWith(busiest, !gi)-metricWith(local, !gi))/2 {
-			s.probe.Fired.FixGroupImbalance = true
+			s.probe.Fired |= FixGroupImbalance
 		}
 	}
 

@@ -17,7 +17,9 @@ import (
 func groupImbalanceScenario(t *testing.T, fix bool) (*testEnv, []*Thread) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Features.FixGroupImbalance = fix
+	if fix {
+		cfg.Features |= FixGroupImbalance
+	}
 	e := newEnv(topology.TwoNode(4), cfg)
 	// Two "R-like" high-load processes, each alone in its autogroup.
 	for i := 0; i < 2; i++ {
@@ -108,7 +110,9 @@ func TestGroupImbalanceFixSpeedsUpCrowd(t *testing.T) {
 func schedGroupConstructionScenario(t *testing.T, fix bool) *testEnv {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Features.FixGroupConstruction = fix
+	if fix {
+		cfg.Features |= FixGroupConstruction
+	}
 	e := newEnv(topology.Bulldozer8(), cfg)
 	topo := e.s.Topology()
 	// Pin to nodes 1 and 2 (two hops apart); spawn all threads on node 1,
@@ -162,7 +166,9 @@ func TestSchedGroupConstructionFixSpreads(t *testing.T) {
 func missingDomainsScenario(t *testing.T, fix bool) *testEnv {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Features.FixMissingDomains = fix
+	if fix {
+		cfg.Features |= FixMissingDomains
+	}
 	e := newEnv(topology.Bulldozer8(), cfg)
 	e.eng.After(sim.Millisecond, func() {
 		if err := e.s.DisableCPU(63); err != nil {

@@ -1,44 +1,88 @@
 package sched
 
-import "repro/internal/sim"
+import (
+	"slices"
+	"strings"
 
-// Features selects, independently, each of the paper's four bug fixes.
-// The zero value reproduces the kernel the paper studied: all four bugs
+	"repro/internal/sim"
+)
+
+// Features is a set of the paper's four bug fixes, one bit each. The
+// zero value reproduces the kernel the paper studied: all four bugs
 // present. This mirrors the paper's evaluation design, where fixes are
-// enabled one at a time and in combination (Table 2).
-type Features struct {
+// enabled one at a time and in combination (Table 2): the sixteen values
+// 0..AllFixes are the fix lattice that campaigns, bisection and explain
+// walk, and the bit order below is its canonical order.
+type Features uint8
+
+// The four fixes, in lattice order.
+const (
 	// FixGroupImbalance switches the load-balancer's scheduling-group
 	// comparison from average load to minimum load (§3.1): "Instead of
 	// comparing the average loads, we compare the minimum loads."
-	FixGroupImbalance bool
+	FixGroupImbalance Features = 1 << iota
 
 	// FixGroupConstruction builds scheduling groups from the perspective
 	// of each core rather than from the perspective of Core 0 (§3.2),
 	// repairing load balancing between nodes that are two hops apart.
-	FixGroupConstruction bool
+	FixGroupConstruction
 
 	// FixOverloadWakeup changes wakeup placement (§3.3): wake on the
 	// thread's previous core if idle; otherwise on the core that has been
 	// idle the longest; otherwise fall back to the original
 	// cache-affinity path. Only enforced under PowerPerformance, as in
 	// the paper.
-	FixOverloadWakeup bool
+	FixOverloadWakeup
 
 	// FixMissingDomains restores the regeneration of node-spanning
 	// scheduling domains after CPU hotplug (§3.4): the upstream code
 	// "dropped the call to the function generating domains across NUMA
 	// nodes during code refactoring".
-	FixMissingDomains bool
+	FixMissingDomains
+
+	// AllFixes enables every fix: the top of the lattice.
+	AllFixes = FixGroupImbalance | FixGroupConstruction | FixOverloadWakeup | FixMissingDomains
+)
+
+// Fixes lists the four single fixes in lattice order.
+var Fixes = []Features{FixGroupImbalance, FixGroupConstruction, FixOverloadWakeup, FixMissingDomains}
+
+// fixNames are the short names of Fixes, index for index.
+var fixNames = []string{"gi", "gc", "oow", "md"}
+
+// Has reports whether f contains every fix of g.
+func (f Features) Has(g Features) bool { return f&g == g }
+
+// String renders the set with the short fix names joined by "+" in
+// lattice order ("gi+oow"), or "none" for the empty set.
+func (f Features) String() string {
+	var parts []string
+	for i, fix := range Fixes {
+		if f.Has(fix) {
+			parts = append(parts, fixNames[i])
+		}
+	}
+	if len(parts) == 0 {
+		return "none"
+	}
+	return strings.Join(parts, "+")
 }
 
-// AllFixes returns a Features value with every fix enabled.
-func AllFixes() Features {
-	return Features{
-		FixGroupImbalance:    true,
-		FixGroupConstruction: true,
-		FixOverloadWakeup:    true,
-		FixMissingDomains:    true,
+// ParseFeatures is String's inverse. It rejects unknown and repeated
+// fix names.
+func ParseFeatures(s string) (Features, bool) {
+	if s == "none" {
+		return 0, true
 	}
+	var f Features
+	for _, part := range strings.Split(s, "+") {
+		i := slices.Index(fixNames, part)
+		if i < 0 || f.Has(Fixes[i]) {
+			return 0, false
+		}
+		f |= Fixes[i]
+	}
+	return f, true
 }
 
 // PowerPolicy models the system power-management policy. The
@@ -100,7 +144,7 @@ type Config struct {
 	DisableBalance bool
 	// Power is the machine power policy (see PowerPolicy).
 	Power PowerPolicy
-	// Features toggles the four bug fixes.
+	// Features is the set of enabled bug fixes (0: the studied kernel).
 	Features Features
 }
 

@@ -86,8 +86,8 @@ func (s *Scheduler) domainKey(f Features) domainKey {
 	return domainKey{
 		interval:    s.cfg.BalanceInterval,
 		online:      s.online,
-		includeNUMA: !s.domainsBroken || f.FixMissingDomains,
-		gcFixed:     f.FixGroupConstruction,
+		includeNUMA: !s.domainsBroken || f.Has(FixMissingDomains),
+		gcFixed:     f.Has(FixGroupConstruction),
 	}
 }
 

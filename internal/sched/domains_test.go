@@ -121,7 +121,7 @@ func TestBuggyGroupConstruction(t *testing.T) {
 func TestFixedGroupConstruction(t *testing.T) {
 	topo := topology.Bulldozer8()
 	cfg := DefaultConfig()
-	cfg.Features.FixGroupConstruction = true
+	cfg.Features |= FixGroupConstruction
 	s := newTestSched(topo, cfg)
 
 	core16 := topology.CoreID(16) // on node 2
@@ -205,7 +205,7 @@ func TestMissingDomainsAfterHotplug(t *testing.T) {
 func TestFixedDomainsAfterHotplug(t *testing.T) {
 	topo := topology.Bulldozer8()
 	cfg := DefaultConfig()
-	cfg.Features.FixMissingDomains = true
+	cfg.Features |= FixMissingDomains
 	s := newTestSched(topo, cfg)
 	if err := s.DisableCPU(63); err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestFixedDomainsAfterHotplug(t *testing.T) {
 func TestHotplugSpanExcludesOfflineCore(t *testing.T) {
 	topo := topology.TwoNode(4)
 	cfg := DefaultConfig()
-	cfg.Features.FixMissingDomains = true
+	cfg.Features |= FixMissingDomains
 	s := newTestSched(topo, cfg)
 	if err := s.DisableCPU(2); err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestGridDeepHierarchy(t *testing.T) {
 func TestGridBalancingSpreads(t *testing.T) {
 	// 18 hogs forked on one corner of the mesh spread to one per core
 	// even across the 4-hop diameter.
-	cfg := DefaultConfig().WithFixes(AllFixes())
+	cfg := DefaultConfig().WithFixes(AllFixes)
 	eng := sim.New(9)
 	s := New(eng, topology.Grid(3, 3, 2), cfg)
 	s.Start()
@@ -357,13 +357,11 @@ func TestHierarchiesSharedPerTopology(t *testing.T) {
 	// storm: the current online set under each construction flag pair.
 	keys := map[domainKey]bool{}
 	note := func() {
-		for _, gc := range []bool{false, true} {
-			for _, md := range []bool{false, true} {
-				keys[a.domainKey(Features{FixGroupConstruction: gc, FixMissingDomains: md})] = true
-			}
+		for _, f := range []Features{0, FixGroupConstruction, FixMissingDomains, FixGroupConstruction | FixMissingDomains} {
+			keys[a.domainKey(f)] = true
 		}
 	}
-	a.SetDivergenceProbe(&DivergenceProbe{Armed: AllFixes()})
+	a.SetDivergenceProbe(&DivergenceProbe{Armed: AllFixes})
 	note()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 60; i++ {

@@ -122,10 +122,10 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 }
 
 // ApplyFeatures switches the fix set of a (typically just-cloned)
-// scheduler and rebuilds the domain hierarchy under the new flags. When
-// the new flags leave the hierarchy's key unchanged — group imbalance and
+// scheduler to f and rebuilds the domain hierarchy under it. When f
+// leaves the hierarchy's key unchanged — group imbalance and
 // overload-on-wakeup never enter it, and the missing-domains fix does not
-// before a hotplug event — it only sets the flags: a rebuild would return
+// before a hotplug event — it only sets the fixes: a rebuild would return
 // pointer-identical hierarchies, every core would keep its balance
 // bookkeeping (see below), and the divergence probe's verdict, read from
 // fields of the key, could not change.
@@ -169,22 +169,28 @@ func (s *Scheduler) ApplyFeatures(f Features) {
 	}
 }
 
-// DivergenceProbe watches a run on behalf of feature flags that are NOT
+// DivergenceProbe watches a run on behalf of fixes that are NOT
 // enabled, and records which of them would have changed at least one
-// scheduling decision had they been enabled. A flag that never fires is a
+// scheduling decision had they been enabled. A fix that never fires is a
 // proof that enabling it would have produced the exact same trajectory:
 // every detector is evaluated at the decision it guards, on the live
-// scheduler state, by recomputing the decision with the flag flipped —
+// scheduler state, by recomputing the decision with the fix flipped —
 // so by induction over the (deterministic) event sequence, a run under
 // the extended fix set is byte-identical to the observed one. The
 // campaign's collapsed cell runner uses this to skip lattice configs
 // whose outcome is already determined.
 type DivergenceProbe struct {
-	// Armed selects the flags to watch. Only flags unset in the
+	// Armed is the set of fixes to watch. Only fixes absent from the
 	// scheduler's config are meaningful.
 	Armed Features
-	// Fired accumulates the armed flags whose fix would have diverged.
+	// Fired accumulates the armed fixes whose flip would have diverged.
 	Fired Features
+}
+
+// Watching reports whether p still watches fix f: f is armed and has
+// not fired yet. It is false on a nil probe.
+func (p *DivergenceProbe) Watching(f Features) bool {
+	return p != nil && p.Armed.Has(f) && !p.Fired.Has(f)
 }
 
 // SetDivergenceProbe installs (or clears, with nil) a divergence probe.
@@ -203,29 +209,22 @@ func (s *Scheduler) SetDivergenceProbe(p *DivergenceProbe) {
 // reads the group-imbalance flag).
 func (s *Scheduler) Probe() *DivergenceProbe { return s.probe }
 
-// probeDomainsCheck fires the construction flags whose flip would change
+// probeDomainsCheck fires the construction fixes whose flip would change
 // the current domain hierarchy. Called after every rebuild and at probe
 // attach: domain structure is the one place the group-construction and
 // missing-domains fixes act, so comparing the hierarchy that the flipped
-// flag would have built against the real one is a complete divergence
+// fix would have built against the real one is a complete divergence
 // test for both.
 func (s *Scheduler) probeDomainsCheck() {
 	p := s.probe
-	if p == nil {
-		return
+	if p.Watching(FixGroupConstruction) &&
+		!s.hierarchyMatches(s.domainKey(s.cfg.Features^FixGroupConstruction)) {
+		p.Fired |= FixGroupConstruction
 	}
-	if p.Armed.FixGroupConstruction && !p.Fired.FixGroupConstruction {
-		f := s.cfg.Features
-		f.FixGroupConstruction = !f.FixGroupConstruction
-		if !s.hierarchyMatches(s.domainKey(f)) {
-			p.Fired.FixGroupConstruction = true
-		}
-	}
-	if p.Armed.FixMissingDomains && !p.Fired.FixMissingDomains {
-		f := s.cfg.Features
-		f.FixMissingDomains = !f.FixMissingDomains
-		if alt := s.domainKey(f); alt != s.domainKey(s.cfg.Features) && !s.hierarchyMatches(alt) {
-			p.Fired.FixMissingDomains = true
+	if p.Watching(FixMissingDomains) {
+		alt := s.domainKey(s.cfg.Features ^ FixMissingDomains)
+		if alt != s.domainKey(s.cfg.Features) && !s.hierarchyMatches(alt) {
+			p.Fired |= FixMissingDomains
 		}
 	}
 }

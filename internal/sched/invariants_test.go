@@ -120,7 +120,7 @@ func TestPropertyAccountingBuggy(t *testing.T) {
 func TestPropertyAccountingFixed(t *testing.T) {
 	checkFastPath(t)
 	f := func(seed int64) bool {
-		cfg := DefaultConfig().WithFixes(AllFixes())
+		cfg := DefaultConfig().WithFixes(AllFixes)
 		e := randomWorkload(t, topology.Bulldozer8(), cfg, seed, 100*sim.Millisecond)
 		checkAccounting(t, e, 100*sim.Millisecond)
 		return true
@@ -200,7 +200,7 @@ func TestPropertyWeightedFairness(t *testing.T) {
 func TestPropertyWorkConservationFixed(t *testing.T) {
 	checkFastPath(t)
 	f := func(seed int64) bool {
-		cfg := DefaultConfig().WithFixes(AllFixes())
+		cfg := DefaultConfig().WithFixes(AllFixes)
 		e := newEnv(topology.TwoNode(4), cfg)
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(16)
@@ -277,7 +277,7 @@ func TestPropertyExitDrainsCleanly(t *testing.T) {
 func TestPropertyHotplugConservesThreads(t *testing.T) {
 	checkFastPath(t)
 	f := func(seed int64) bool {
-		e := randomWorkload(t, topology.TwoNode(2), DefaultConfig().WithFixes(AllFixes()), seed, 30*sim.Millisecond)
+		e := randomWorkload(t, topology.TwoNode(2), DefaultConfig().WithFixes(AllFixes), seed, 30*sim.Millisecond)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for i := 0; i < 3; i++ {
 			c := topology.CoreID(1 + rng.Intn(3)) // keep cpu 0 online

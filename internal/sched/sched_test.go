@@ -254,7 +254,7 @@ func TestMinVruntimeMonotonic(t *testing.T) {
 func TestWorkConservationAllFixes(t *testing.T) {
 	// With every fix applied, a mixed hog workload on the full machine
 	// must keep wasted core time negligible.
-	cfg := DefaultConfig().WithFixes(AllFixes())
+	cfg := DefaultConfig().WithFixes(AllFixes)
 	e := newEnv(topology.Bulldozer8(), cfg)
 	for i := 0; i < 64; i++ {
 		e.hog("h", topology.CoreID(0), ThreadOpts{})

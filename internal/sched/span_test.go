@@ -20,10 +20,10 @@ import (
 // an in-package test cannot import campaign.
 func TestDomainSpanIsUnionOfGroups(t *testing.T) {
 	settings := []sched.Features{
-		{},
-		{FixGroupConstruction: true},
-		{FixMissingDomains: true},
-		{FixGroupConstruction: true, FixMissingDomains: true},
+		0,
+		sched.FixGroupConstruction,
+		sched.FixMissingDomains,
+		sched.FixGroupConstruction | sched.FixMissingDomains,
 	}
 	for _, spec := range campaign.BuiltinTopologies() {
 		for _, f := range settings {

@@ -77,7 +77,7 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 		_ = s.CPULoad(prev)
 	}
 
-	if s.cfg.Features.FixOverloadWakeup && s.cfg.Power == PowerPerformance {
+	if s.cfg.Features.Has(FixOverloadWakeup) && s.cfg.Power == PowerPerformance {
 		if cpu, ok := s.fixedWakeupTarget(prev, allowed); ok {
 			s.traceConsidered(cpu, trace.OpWakeup, s.OnlineSet().And(allowed))
 			s.traceWakeup(t, prev, cpu, s.OnlineSet().And(allowed), trace.WakeFixed)
@@ -86,10 +86,10 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 		// No idle core anywhere: fall back to the original algorithm.
 	}
 	cpu, considered := s.originalWakeupTarget(t, waker, prev, allowed)
-	if p := s.probe; p != nil && p.Armed.FixOverloadWakeup && !p.Fired.FixOverloadWakeup &&
-		!s.cfg.Features.FixOverloadWakeup && s.cfg.Power == PowerPerformance {
+	if s.probe.Watching(FixOverloadWakeup) &&
+		!s.cfg.Features.Has(FixOverloadWakeup) && s.cfg.Power == PowerPerformance {
 		if fcpu, ok := s.fixedWakeupTarget(prev, allowed); ok && fcpu != cpu {
-			p.Fired.FixOverloadWakeup = true
+			s.probe.Fired |= FixOverloadWakeup
 		}
 	}
 	s.traceWakeup(t, prev, cpu, considered, trace.WakeOriginal)

@@ -50,7 +50,7 @@ func TestOverloadOnWakeupBug(t *testing.T) {
 
 func TestOverloadOnWakeupFix(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Features.FixOverloadWakeup = true
+	cfg.Features |= FixOverloadWakeup
 	e, wakee, waker := wakeupScenario(t, cfg)
 	e.eng.After(0, func() { e.s.Wake(wakee, waker) })
 	e.run(sim.Millisecond)
@@ -68,7 +68,7 @@ func TestOverloadOnWakeupFixGatedByPowerPolicy(t *testing.T) {
 	// §3.3: "we only enforce the new wakeup strategy if the system's power
 	// management policy does not allow cores to enter low-power states".
 	cfg := DefaultConfig()
-	cfg.Features.FixOverloadWakeup = true
+	cfg.Features |= FixOverloadWakeup
 	cfg.Power = PowerSaving
 	e, wakee, waker := wakeupScenario(t, cfg)
 	e.eng.After(0, func() { e.s.Wake(wakee, waker) })
@@ -82,7 +82,7 @@ func TestFixPrefersIdlePrevCore(t *testing.T) {
 	// With the fix, a wakee whose previous core is idle returns there
 	// even if other cores have been idle longer.
 	cfg := DefaultConfig()
-	cfg.Features.FixOverloadWakeup = true
+	cfg.Features |= FixOverloadWakeup
 	e := newEnv(topology.TwoNode(4), cfg)
 	wakee := e.hog("wakee", 5, ThreadOpts{})
 	e.run(5 * sim.Millisecond)
@@ -164,7 +164,7 @@ func TestWakeupCountersTrackPlacement(t *testing.T) {
 // TestLongestIdlePicked verifies the fix picks the core idle the longest.
 func TestLongestIdlePicked(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Features.FixOverloadWakeup = true
+	cfg.Features |= FixOverloadWakeup
 	e := newEnv(topology.SMP(4), cfg)
 	// Occupy cpu 0 permanently.
 	e.hog("hog", 0, ThreadOpts{Affinity: NewCPUSet(0)})

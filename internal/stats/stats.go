@@ -1,86 +1,18 @@
-// Package stats provides the small set of descriptive statistics used by
-// the benchmark harness: the paper reports run times "averaged over five
-// runs" (Table 2) and speedup factors (Tables 1 and 3).
+// Package stats provides the descriptive statistics the tables and
+// artifacts report: percentiles of a sorted sample (latency digests,
+// metric snapshots, serve tails), the speedup factors of the paper's
+// Tables 1 and 3, and the percent changes of its Table 2.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Min returns the smallest value, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator), or 0 when
-// fewer than two samples exist.
-func Stddev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// Median returns the middle value (average of the two middle values for
-// even-length input), or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
-}
-
-// Percentile returns the p-th percentile (0-100) using linear
-// interpolation between order statistics, or 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
-}
-
-// PercentileSorted is Percentile for input already sorted ascending: a
-// caller that reads several percentiles of one sample sorts it once.
+// PercentileSorted returns the p-th percentile (0-100) of a sample
+// sorted ascending, interpolating linearly between order statistics; p
+// outside [0, 100] clamps to the extremes, and an empty sample gives 0.
+// A caller that reads several percentiles of one sample sorts it once.
 // Integer samples interpolate in float64 after converting the two order
 // statistics, so for values below 2^53, where the conversion is exact
 // and monotone, the result equals that of a sorted float64 copy.

@@ -2,6 +2,7 @@ package viz
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -98,8 +99,9 @@ func AnalyzeEpisodes(episodes []Episode, window sim.Time) EpisodeStats {
 		durs = append(durs, float64(e.Duration()))
 	}
 	s.Mean = s.Total / sim.Time(len(episodes))
-	s.P50 = sim.Time(stats.Percentile(durs, 50))
-	s.P95 = sim.Time(stats.Percentile(durs, 95))
+	slices.Sort(durs)
+	s.P50 = sim.Time(stats.PercentileSorted(durs, 50))
+	s.P95 = sim.Time(stats.PercentileSorted(durs, 95))
 	if window > 0 {
 		s.WindowShare = float64(s.Total) / float64(window)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func fixedMachine(topo *topology.Topology, seed int64) *machine.Machine {
-	return machine.New(topo, sched.DefaultConfig().WithFixes(sched.AllFixes()), seed)
+	return machine.New(topo, sched.DefaultConfig().WithFixes(sched.AllFixes), seed)
 }
 
 func TestNASSuiteShape(t *testing.T) {

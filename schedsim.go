@@ -5,7 +5,9 @@
 //
 //   - build a simulated multicore NUMA machine running the paper's CFS
 //     model (NewMachine, Bulldozer8, DefaultConfig),
-//   - toggle each of the paper's four scheduler bugs and fixes (Features),
+//   - toggle each of the paper's four scheduler bugs and fixes (Features,
+//     a set of FixGroupImbalance, FixGroupConstruction, FixOverloadWakeup
+//     and FixMissingDomains),
 //   - run the paper's workloads (NASSuite, LaunchMake, NewTPCH,
 //     StartNoise) or build custom ones (NewProgram, process/thread
 //     spawning, spinlocks, barriers, work queues),
@@ -94,7 +96,7 @@ var (
 type (
 	// Config carries the CFS tunables and feature flags.
 	Config = sched.Config
-	// Features selects the four bug fixes independently.
+	// Features is a set of the four bug fixes; 0 is the studied kernel.
 	Features = sched.Features
 	// Scheduler is the CFS model (usually accessed via Machine.Sched).
 	Scheduler = sched.Scheduler
@@ -111,12 +113,19 @@ var (
 	// DefaultConfig returns kernel-default tunables with all four bugs
 	// present — the kernel the paper studied.
 	DefaultConfig = sched.DefaultConfig
-	// AllFixes returns a Features value with every fix enabled.
-	AllFixes = sched.AllFixes
 	// NewCPUSet builds an affinity mask from core ids.
 	NewCPUSet = sched.NewCPUSet
 	// FullCPUSet builds a mask of cores [0, n).
 	FullCPUSet = sched.FullCPUSet
+)
+
+// The four bug fixes, each one bit of Features, and their union.
+const (
+	FixGroupImbalance    = sched.FixGroupImbalance
+	FixGroupConstruction = sched.FixGroupConstruction
+	FixOverloadWakeup    = sched.FixOverloadWakeup
+	FixMissingDomains    = sched.FixMissingDomains
+	AllFixes             = sched.AllFixes
 )
 
 // Machine and workload programs.

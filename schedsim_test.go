@@ -39,7 +39,7 @@ func TestPublicBugToggle(t *testing.T) {
 		db.RunQuery(0, 0, schedsim.Second)
 		return m.Sched.Counters().Wakeups
 	}
-	if run(schedsim.Features{}) == 0 || run(schedsim.AllFixes()) == 0 {
+	if run(0) == 0 || run(schedsim.AllFixes) == 0 {
 		t.Fatal("no wakeups observed through public API")
 	}
 }
