@@ -41,13 +41,13 @@ func (m *Machine) Fork() *Machine {
 		Eng:      eng2,
 		Topo:     m.Topo,
 		Sched:    sc2,
-		threads:  make(map[int]*MThread, len(m.threads)),
+		threads:  make([]*MThread, len(m.threads)),
 		nextProc: m.nextProc,
 	}
 	sc2.SetHooks(m2)
 
 	// Sync primitives first (scalar state only): thread pointers inside
-	// them are filled once the thread map exists.
+	// them are filled once the thread table exists.
 	for _, ol := range m.locks {
 		nl := &SpinLock{id: ol.id, Acquisitions: ol.Acquisitions, Contended: ol.Contended}
 		m2.locks = append(m2.locks, nl)
@@ -81,8 +81,7 @@ func (m *Machine) Fork() *Machine {
 	}
 
 	// Processes and threads, in creation order (m.procs, then each proc's
-	// thread list — never the tid map, whose iteration order is random).
-	tmap := make(map[*MThread]*MThread, len(m.threads))
+	// thread list).
 	for _, op := range m.procs {
 		if op.onDone != nil {
 			panic("machine: Fork with a Proc.OnDone hook")
@@ -99,29 +98,30 @@ func (m *Machine) Fork() *Machine {
 			nt := m2.forkThread(ot, np)
 			np.threads = append(np.threads, nt)
 			m2.threads[nt.T.ID()] = nt
-			tmap[ot] = nt
 		}
 	}
 
 	// Primitive membership: rebuild every thread list in source order.
 	for i, ol := range m.locks {
 		nl := m2.locks[i]
-		nl.holder = tmap[ol.holder]
-		nl.spinners = remapThreads(ol.spinners, tmap)
+		if ol.holder != nil {
+			nl.holder = m2.threads[ol.holder.T.ID()]
+		}
+		nl.spinners = m2.remapThreads(ol.spinners)
 	}
 	for i, ob := range m.barriers {
-		m2.barriers[i].arrived = remapThreads(ob.arrived, tmap)
+		m2.barriers[i].arrived = m2.remapThreads(ob.arrived)
 	}
 	for i, oq := range m.waitqs {
-		m2.waitqs[i].waiters = remapThreads(oq.waiters, tmap)
+		m2.waitqs[i].waiters = m2.remapThreads(oq.waiters)
 	}
 	for i, of := range m.flags {
-		m2.flags[i].spinners = remapThreads(of.spinners, tmap)
+		m2.flags[i].spinners = m2.remapThreads(of.spinners)
 	}
 	for i, oq := range m.workqs {
 		nq := m2.workqs[i]
-		nq.popWaiters = remapThreads(oq.popWaiters, tmap)
-		nq.drainers = remapThreads(oq.drainers, tmap)
+		nq.popWaiters = m2.remapThreads(oq.popWaiters)
+		nq.drainers = m2.remapThreads(oq.drainers)
 	}
 	return m2
 }
@@ -166,15 +166,15 @@ func restoreHandle(eng *sim.Engine, src sim.Handle, cb func(uint64), arg uint64)
 	return eng.RestoreAtCall(src.When(), seq, cb, arg)
 }
 
-// remapThreads translates a primitive's member list into fork threads,
-// preserving order. Empty lists stay nil.
-func remapThreads(ts []*MThread, tmap map[*MThread]*MThread) []*MThread {
+// remapThreads translates a primitive's member list into m's (the
+// fork's) threads by tid, preserving order. Empty lists stay nil.
+func (m *Machine) remapThreads(ts []*MThread) []*MThread {
 	if len(ts) == 0 {
 		return nil
 	}
 	out := make([]*MThread, len(ts))
 	for i, t := range ts {
-		out[i] = tmap[t]
+		out[i] = m.threads[t.T.ID()]
 	}
 	return out
 }

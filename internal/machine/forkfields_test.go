@@ -30,7 +30,7 @@ var forkRules = map[string]string{
 	"Machine.Topo":             "shared: the machine description",
 	"Machine.Sched":            "deep: the scheduler's clone (sched.Scheduler.Clone)",
 	"Machine.procs":            "deep: each Proc copied",
-	"Machine.threads":          "deep: rebuilt from the copied threads",
+	"Machine.threads":          "deep: the copied threads, each at its tid",
 	"Machine.locks":            "deep: each SpinLock copied",
 	"Machine.barriers":         "deep: each SpinBarrier copied",
 	"Machine.waitqs":           "deep: each WaitQueue copied",

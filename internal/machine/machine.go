@@ -17,7 +17,7 @@ type Machine struct {
 	Sched *sched.Scheduler
 
 	procs    []*Proc
-	threads  map[int]*MThread // scheduler tid -> VM thread
+	threads  []*MThread // indexed by scheduler tid; nil for a tid without a VM thread
 	locks    []*SpinLock
 	barriers []*SpinBarrier
 	waitqs   []*WaitQueue
@@ -31,10 +31,9 @@ type Machine struct {
 func New(topo *topology.Topology, cfg sched.Config, seed int64) *Machine {
 	eng := sim.New(seed)
 	m := &Machine{
-		Eng:     eng,
-		Topo:    topo,
-		Sched:   sched.New(eng, topo, cfg),
-		threads: map[int]*MThread{},
+		Eng:   eng,
+		Topo:  topo,
+		Sched: sched.New(eng, topo, cfg),
 	}
 	m.Sched.SetHooks(m)
 	m.Sched.Start()
@@ -183,8 +182,14 @@ func (m *Machine) DisableCore(c topology.CoreID) error { return m.Sched.DisableC
 // EnableCore re-enables a disabled core.
 func (m *Machine) EnableCore(c topology.CoreID) error { return m.Sched.EnableCPU(c) }
 
-// Thread returns the VM thread for a scheduler thread id.
-func (m *Machine) Thread(tid int) *MThread { return m.threads[tid] }
+// Thread returns the VM thread for a scheduler thread id, or nil when
+// the scheduler thread has none.
+func (m *Machine) Thread(tid int) *MThread {
+	if tid < len(m.threads) {
+		return m.threads[tid]
+	}
+	return nil
+}
 
 // --- sched.Hooks implementation -----------------------------------------
 
@@ -193,7 +198,7 @@ func (m *Machine) Thread(tid int) *MThread { return m.threads[tid] }
 // VM work is deferred to a fresh event so it never reenters the scheduler
 // mid-context-switch.
 func (m *Machine) ThreadStarted(cpu topology.CoreID, st *sched.Thread) {
-	t := m.threads[st.ID()]
+	t := m.Thread(st.ID())
 	if t == nil || t.done {
 		return
 	}
@@ -213,7 +218,7 @@ func (m *Machine) ThreadStarted(cpu topology.CoreID, st *sched.Thread) {
 // ThreadStopped pauses the thread's program, banking compute progress and
 // spin time.
 func (m *Machine) ThreadStopped(cpu topology.CoreID, st *sched.Thread, reason sched.StopReason) {
-	t := m.threads[st.ID()]
+	t := m.Thread(st.ID())
 	if t == nil {
 		return
 	}

@@ -225,7 +225,12 @@ func (p *Proc) newThread(prog Program, opts SpawnOpts) *MThread {
 	}
 	m := p.m
 	mt.bindCallbacks(m)
-	p.m.threads[st.ID()] = mt
+	// Tids are dense and increasing; pad over scheduler threads that
+	// have no VM thread.
+	for len(m.threads) < st.ID() {
+		m.threads = append(m.threads, nil)
+	}
+	m.threads = append(m.threads, mt)
 	p.threads = append(p.threads, mt)
 	p.alive++
 	return mt

@@ -110,25 +110,20 @@ func (s *Scheduler) computeGroupStats(g *groupStats, set CPUSet) {
 // overlapping NUMA domains the kernel's should_we_balance scopes the check
 // to the balancing core's own group (group_balance_cpu), which is what we
 // implement — otherwise domains seen only by remote cores would never be
-// balanced.
+// balanced. An online core is idle exactly when it is outside busyMask,
+// which occSync keeps exact at every transition.
 func (s *Scheduler) designatedCPU(c *CPU, d *Domain) topology.CoreID {
 	if d.local < 0 {
 		return -1
 	}
-	mask := d.localMask // precomputed group_balance_mask of d's local group
-	first := topology.CoreID(-1)
-	mask.ForEach(func(id topology.CoreID) {
-		if first >= 0 {
-			return
-		}
-		if s.cpus[id].online && s.cpus[id].idle() {
-			first = id
-		}
-	})
-	if first >= 0 {
-		return first
+	id := d.localMask.And(s.online).AndNot(s.busyMask).First()
+	if id < 0 {
+		id = d.localMask.First()
 	}
-	return mask.First()
+	if checkFastPaths {
+		s.verifyDesignated(c, d, id)
+	}
+	return id
 }
 
 // balanceInterval returns the effective re-balance interval for c at
@@ -368,21 +363,18 @@ func (s *Scheduler) collectGroupStats(c *CPU, d *Domain) (groups []*groupStats, 
 // has a queued thread. Only such a group can yield a steal (Algorithm 1,
 // lines 13–16), so pickBusiestGroup would return nil under either
 // group-imbalance flag: the pass ends VerdictNoBusiest and the
-// divergence probe cannot fire. Groups overlap at NUMA levels, where a
-// non-local group may contain the balancing core, so the local group is
-// excluded by its index. The balancing core is online at every call
-// site, so d.local is the group the full pass picks as local
-// (verifyNoBusiest asserts it).
+// divergence probe cannot fire. d.others is the union of those groups.
+// Groups overlap at NUMA levels, where a non-local group may contain the
+// balancing core; the union still holds exactly the cores some other
+// group holds. The balancing core is online at every call site, so
+// d.local is the group the full pass picks as local (verifyNoBusiest
+// asserts it).
 func (s *Scheduler) noneStealable(d *Domain) bool {
-	if d.local < 0 {
-		return false
+	none := d.local >= 0 && d.others.And(s.queuedMask).Empty()
+	if checkFastPaths {
+		s.verifyNoneStealable(d, none)
 	}
-	for i, g := range d.Groups {
-		if i != d.local && !g.And(s.queuedMask).Empty() {
-			return false
-		}
-	}
-	return true
+	return none
 }
 
 // noBusiest ends a pass that noneStealable showed cannot steal, with the
@@ -415,14 +407,57 @@ func (s *Scheduler) noBusiest(c *CPU, d *Domain, op trace.Op) {
 	} else {
 		s.count(trace.KindBalance)
 	}
-	if checkNoBusiest {
+	if checkFastPaths {
 		s.verifyNoBusiest(c, d)
 	}
 }
 
-// checkNoBusiest makes every noBusiest exit check itself against the
-// full pass. Tests set it; nothing else does.
-var checkNoBusiest bool
+// checkFastPaths makes every fast path of the balance and decay code
+// check itself against the code it replaces: each noBusiest exit
+// against the full pass, each designatedCPU and noneStealable answer
+// against a scan of the cores or groups, and each decayMemo hit against
+// a recompute. Tests set it; nothing else does.
+var checkFastPaths bool
+
+// verifyDesignated panics unless id is the core a scan of d's local
+// balance mask picks: the first online idle core, else the first core.
+func (s *Scheduler) verifyDesignated(c *CPU, d *Domain, id topology.CoreID) {
+	want := topology.CoreID(-1)
+	for _, cc := range d.localMask.Cores() {
+		if s.cpus[cc].online && s.cpus[cc].idle() {
+			want = cc
+			break
+		}
+	}
+	if want < 0 {
+		want = d.localMask.First()
+	}
+	if id != want {
+		panic(fmt.Sprintf("sched: designated core of cpu %d (%s) at %v is %d, a scan of the local group finds %d", c.id, d.Name, s.eng.Now(), id, want))
+	}
+}
+
+// verifyNoneStealable panics unless none equals a scan of d's groups
+// other than the local one for a queued thread.
+func (s *Scheduler) verifyNoneStealable(d *Domain, none bool) {
+	want := d.local >= 0
+	for i, g := range d.Groups {
+		if i != d.local && !g.And(s.queuedMask).Empty() {
+			want = false
+		}
+	}
+	if none != want {
+		panic(fmt.Sprintf("sched: noneStealable(%s) at %v = %v, a scan of the groups finds %v", d.Name, s.eng.Now(), none, want))
+	}
+}
+
+// verifyDecayHit panics unless the decayMemo hit k for d equals a
+// recompute.
+func verifyDecayHit(d sim.Time, k float64) {
+	if want := decayFactor(d); k != want {
+		panic(fmt.Sprintf("sched: decay memo holds %v for %v, a recompute gives %v", k, d, want))
+	}
+}
 
 // verifyNoBusiest panics unless the noBusiest exit just taken equals the
 // full pass: every busy online core of d.Span, found by rescan, has its
@@ -530,7 +565,7 @@ func (s *Scheduler) moveTasks(src, dst *CPU, amount float64, level int) (int, bo
 		if now-t.lastRan < s.cfg.MigrationCost && dst.balanceFailed[level] < 1 && moved >= minTasks {
 			continue
 		}
-		load := t.load(now)
+		load := t.load(now, s.decay)
 		s.migrateThread(t, src, dst, trace.OpPeriodicBalance)
 		t.migrationsPulled++
 		moved++

@@ -302,6 +302,30 @@ func BenchmarkLoadBalance(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedTick times one tick period of bulldozer8 under NOHZ
+// with two hogs pinned to core 0. Core 0 ticks and preempts between
+// them, and, holding two threads, keeps a NOHZ balancer awake, which
+// balances every due level on behalf of each tickless idle core
+// (§2.2.2): passes whose span holds core 0 find its queued hog and fail
+// to steal it (tasksets), the others end on the NoBusiest fast path.
+// Each op advances one TickPeriod, so the load averages fold as they do
+// in a run; BenchmarkLoadBalance repeats one instant and folds nothing.
+func BenchmarkSchedTick(b *testing.B) {
+	e := newEnv(topology.Bulldozer8(), DefaultConfig())
+	for i := 0; i < 2; i++ {
+		e.hog("pinned", 0, ThreadOpts{Affinity: NewCPUSet(0)})
+	}
+	e.run(100 * sim.Millisecond) // warm the pools and scratch buffers
+	if e.s.nohzBalancer < 0 || e.s.counters.NohzBalancePasses == 0 {
+		b.Fatal("no NOHZ balancer runs")
+	}
+	period := e.s.cfg.TickPeriod
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.run(period)
+	}
+}
+
 // awayCore returns the first core of a group of d other than the local
 // one that the local group does not contain.
 func awayCore(d *Domain) topology.CoreID {

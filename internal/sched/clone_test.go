@@ -41,6 +41,7 @@ var cloneRules = map[string]string{
 	"Scheduler.gsScratch":    "reset: balance-pass scratch",
 	"Scheduler.gsGroups":     "reset: balance-pass scratch",
 	"Scheduler.stealScratch": "reset: balance-pass scratch",
+	"Scheduler.decay":        "shared: caches a pure function, and forks run on their parent's goroutine",
 	"CPU.rq":                 "deep: rebuilt from the source runqueue",
 	"CPU.curr":               "remapped: the clone's thread",
 	"CPU.tickTm":             "reset: re-registered on the fork's engine",

@@ -201,7 +201,7 @@ func (s *Scheduler) startThread(c *CPU, t *Thread) {
 	t.state = StateRunning
 	t.cpu = c.id
 	t.execStart = now
-	t.la.setRunnable(now, true)
+	t.la.setRunnable(now, true, s.decay)
 	s.counters.Switches++
 	s.occSync(c)
 	s.adjustOccupancy()
@@ -313,7 +313,7 @@ func (s *Scheduler) tick(c *CPU) {
 	now := s.eng.Now()
 	if c.curr != nil {
 		s.updateCurr(c)
-		c.curr.la.advance(now)
+		c.curr.la.advance(now, s.decay)
 		c.loadAt = -1 // the advance may change curr's decayed load
 		s.checkPreemptTick(c)
 	}
@@ -400,7 +400,7 @@ func (s *Scheduler) enqueueThread(c *CPU, t *Thread, flag enqueueFlag) {
 	}
 	t.state = StateRunnable
 	t.cpu = c.id
-	t.la.setRunnable(now, true)
+	t.la.setRunnable(now, true, s.decay)
 	c.rq.enqueue(t)
 	c.rq.updateMinVruntime(c.curr)
 	s.occSync(c)

@@ -58,6 +58,11 @@ func (s CPUSet) Or(o CPUSet) CPUSet {
 	return CPUSet{[2]uint64{s.bits[0] | o.bits[0], s.bits[1] | o.bits[1]}}
 }
 
+// AndNot returns the cores of s that are not in o.
+func (s CPUSet) AndNot(o CPUSet) CPUSet {
+	return CPUSet{[2]uint64{s.bits[0] &^ o.bits[0], s.bits[1] &^ o.bits[1]}}
+}
+
 // Equal reports whether the two sets contain the same cores.
 func (s CPUSet) Equal(o CPUSet) bool { return s.bits == o.bits }
 

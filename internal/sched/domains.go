@@ -40,6 +40,9 @@ type Domain struct {
 	// (see groupBalanceMask): the designated-core check runs on every
 	// due balance level, and the mask only depends on the hierarchy.
 	localMask CPUSet
+	// others is the union of every group but the local one: the cores a
+	// pass could steal from, which noneStealable tests in one step.
+	others CPUSet
 }
 
 // localGroup returns the index of the group containing cpu, or -1.
@@ -145,8 +148,14 @@ func buildHierarchy(topo *topology.Topology, key domainKey) [][]*Domain {
 	key.online.ForEach(func(c topology.CoreID) { hier[c] = buildDomains(topo, key, c) })
 	for _, domains := range hier {
 		for _, d := range domains {
-			if d.local >= 0 {
-				d.localMask = groupBalanceMask(hier, d.Groups[d.local], d.Name)
+			if d.local < 0 {
+				continue
+			}
+			d.localMask = groupBalanceMask(hier, d.Groups[d.local], d.Name)
+			for i, g := range d.Groups {
+				if i != d.local {
+					d.others = d.others.Or(g)
+				}
 			}
 		}
 	}

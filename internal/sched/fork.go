@@ -59,6 +59,7 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		queuedMask:     s.queuedMask,
 		busyMask:       s.busyMask,
 		loadGen:        s.loadGen,
+		decay:          s.decay,
 	}
 
 	ns.groups = make([]*TaskGroup, len(s.groups))

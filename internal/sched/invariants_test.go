@@ -12,14 +12,17 @@ import (
 // This file holds property-based tests over randomized workloads: the
 // global invariants that must hold for ANY thread mix, on both the buggy
 // and the fixed scheduler (the bugs waste cores; they never corrupt
-// accounting). The randomized runs also check every NoBusiest fast-path
-// exit of the balancer against the full pass (checkFastPath).
+// accounting). The randomized runs also check every fast path of the
+// balancer and the load decay against the code it replaces
+// (checkFastPath).
 
-// checkFastPath makes every NoBusiest fast-path exit for the rest of the
-// test assert that it equals the full balance pass (verifyNoBusiest).
+// checkFastPath makes every fast path for the rest of the test assert
+// that it equals the code it replaces: each NoBusiest exit the full
+// balance pass (verifyNoBusiest), each designated core and stealability
+// answer a scan, each decay-memo hit a recompute.
 func checkFastPath(t *testing.T) {
-	checkNoBusiest = true
-	t.Cleanup(func() { checkNoBusiest = false })
+	checkFastPaths = true
+	t.Cleanup(func() { checkFastPaths = false })
 }
 
 // randomWorkload spawns hogs and sleepers from a seeded generator and

@@ -100,6 +100,11 @@ type Scheduler struct {
 	gsGroups     []*groupStats
 	stealScratch []*Thread
 
+	// decay caches the load-average decay factor (see decayMemo). It
+	// holds a pure function's results, so clones share it: a fork runs
+	// on its parent's goroutine.
+	decay *decayMemo
+
 	// Work-conservation accounting: integral over time of
 	// min(#idle cores, #queued threads), i.e. core-time that the paper's
 	// invariant says should have been used. curIdle/curQueued are the
@@ -150,6 +155,7 @@ func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Scheduler {
 		nohzBalancer: -1,
 		idleHead:     -1,
 		idleTail:     -1,
+		decay:        new(decayMemo),
 	}
 	s.rootGroup = s.NewGroup("root")
 	for i := 0; i < topo.NumCores(); i++ {
@@ -331,7 +337,7 @@ func (s *Scheduler) BlockCurrent(t *Thread, st ThreadState) {
 	s.updateCurr(c)
 	t.state = st
 	t.lastRan = now
-	t.la.setRunnable(now, false)
+	t.la.setRunnable(now, false, s.decay)
 	c.curr = nil
 	s.occSync(c)
 	s.adjustOccupancy()
@@ -351,7 +357,7 @@ func (s *Scheduler) ExitCurrent(t *Thread) {
 	s.updateCurr(c)
 	t.state = StateExited
 	t.exitedAt = now
-	t.la.setRunnable(now, false)
+	t.la.setRunnable(now, false, s.decay)
 	t.group.threads--
 	s.loadGen++ // the autogroup divisor changed for the group's threads
 	c.curr = nil
@@ -475,9 +481,9 @@ func (s *Scheduler) CPULoad(cpu topology.CoreID) float64 {
 		return c.loadVal
 	}
 	load := 0.0
-	c.rq.each(func(t *Thread) bool { load += t.load(now); return true })
+	c.rq.each(func(t *Thread) bool { load += t.load(now, s.decay); return true })
 	if c.curr != nil {
-		load += c.curr.load(now)
+		load += c.curr.load(now, s.decay)
 	}
 	c.loadAt = now
 	c.loadGenAt = s.loadGen

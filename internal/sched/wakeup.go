@@ -73,7 +73,7 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 	if waker != nil && waker.cpu >= 0 && s.cpus[waker.cpu].online && allowed.Has(waker.cpu) &&
 		s.topo.NodeOf(waker.cpu) != s.topo.NodeOf(prev) {
 		_ = s.CPULoad(waker.cpu)
-		_ = t.load(s.eng.Now())
+		_ = t.load(s.eng.Now(), s.decay)
 		_ = s.CPULoad(prev)
 	}
 
@@ -141,7 +141,7 @@ func (s *Scheduler) originalWakeupTarget(t *Thread, waker *Thread, prev topology
 			// domain only when its core carries less load than the
 			// wakee's previous core.
 			now := s.eng.Now()
-			if s.CPULoad(wcpu)+t.load(now) < s.CPULoad(prev) {
+			if s.CPULoad(wcpu)+t.load(now, s.decay) < s.CPULoad(prev) {
 				target = wcpu
 			}
 		}

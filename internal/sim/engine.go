@@ -11,9 +11,10 @@
 // tournament, so its steady state is allocation-free: one-shot events
 // come from a free-list pool (handles carry a generation counter, so a
 // stale handle can never cancel a recycled event), cancellation is lazy
-// (O(1), dead events are skipped when popped), and periodic activity uses
+// (O(1), dead events are skipped when popped), periodic activity uses
 // Timer, which reschedules one persistent event in place instead of
-// freeing and reallocating an event every cycle.
+// freeing and reallocating an event every cycle, and an event due at the
+// current instant skips the heap for a FIFO lane.
 package sim
 
 import "fmt"
@@ -56,7 +57,7 @@ type Event struct {
 	when     Time
 	seq      uint64
 	gen      uint64
-	index    int32 // heap index, -1 when not queued
+	index    int32 // heap index; notQueued; or -2-i for lane slot i
 	canceled bool
 	pooled   bool // recycled through the engine free list after popping
 
@@ -88,7 +89,7 @@ func (h Handle) When() Time {
 
 // Active reports whether the handle still names a pending event.
 func (h Handle) Active() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled && h.ev.index >= 0
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled && h.ev.index != notQueued
 }
 
 // Seq returns the pending event's sequence number, or false when the
@@ -103,10 +104,23 @@ func (h Handle) Seq() (uint64, bool) {
 }
 
 // Engine is a discrete-event simulator clock and event queue.
+//
+// The queue has two parts. Events due later than now sit in the heap.
+// An event scheduled for now itself goes to the tail of the lane, a
+// FIFO (a Timer still in the heap moves in place there instead):
+// AfterCall(0) resumes and ResetAfter(0) resched timers are up to a
+// third of a sweep's events, and they need no sift. Lane events are all due
+// now and queue in sequence order, and time cannot pass them (a heap
+// event due later never sorts ahead), so the lane's head is its
+// minimum; each pop takes the lane head or the heap top, whichever is
+// first in (when, seq) order, the same total order as one heap.
 type Engine struct {
 	now       Time
 	seq       uint64
 	heap      []*Event
+	lane      []*Event // events due now, in sequence order from laneHead
+	laneHead  int      // first unpopped slot of lane
+	laneLen   int      // events in lane; slots a Timer.Reset left are nil
 	free      []*Event // recycled one-shot events
 	rng       *RNG
 	processed uint64
@@ -129,7 +143,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending reports the number of events currently queued (including
 // cancelled events that have not yet been popped).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
 
 // PendingHighWater reports the largest pending-event count ever reached —
 // the event heap's high-water mark, a health signal for the
@@ -156,10 +170,15 @@ func eventLess(a, b *Event) bool {
 func (e *Engine) heapPush(ev *Event) {
 	ev.index = int32(len(e.heap))
 	e.heap = append(e.heap, ev)
-	if len(e.heap) > e.maxHeap {
-		e.maxHeap = len(e.heap)
-	}
+	e.noteHighWater()
 	e.siftUp(int(ev.index))
+}
+
+// noteHighWater raises the pending-event high-water mark after a push.
+func (e *Engine) noteHighWater() {
+	if n := len(e.heap) + e.laneLen; n > e.maxHeap {
+		e.maxHeap = n
+	}
 }
 
 // heapPop removes and returns the earliest event.
@@ -174,7 +193,7 @@ func (e *Engine) heapPop() *Event {
 	if n > 0 {
 		e.siftDown(0)
 	}
-	ev.index = -1
+	ev.index = notQueued
 	return ev
 }
 
@@ -235,6 +254,67 @@ func (e *Engine) siftDown(i int) bool {
 	return i > start
 }
 
+// --- same-instant lane --------------------------------------------------
+
+// notQueued is the index of an event in neither the heap nor the lane.
+const notQueued = -1
+
+func (e *Engine) lanePush(ev *Event) {
+	ev.index = int32(-2 - len(e.lane))
+	e.lane = append(e.lane, ev)
+	e.laneLen++
+	e.noteHighWater()
+}
+
+// laneFront returns the lane's first event, skipping the nil slots that
+// Timer.Reset leaves. The lane must hold an event.
+func (e *Engine) laneFront() *Event {
+	for e.lane[e.laneHead] == nil {
+		e.laneHead++
+	}
+	return e.lane[e.laneHead]
+}
+
+// laneUnlink removes ev from its lane slot, leaving the slot nil, and
+// rewinds the lane once it holds no event.
+func (e *Engine) laneUnlink(ev *Event) {
+	e.lane[-2-int(ev.index)] = nil
+	ev.index = notQueued
+	if e.laneLen--; e.laneLen == 0 {
+		e.lane, e.laneHead = e.lane[:0], 0
+	}
+}
+
+// peek returns the earliest queued event, live or cancelled, without
+// removing it; nil when nothing is queued. With the lane empty it costs
+// one branch more than reading the heap top.
+func (e *Engine) peek() *Event {
+	if e.laneLen != 0 {
+		if ev := e.laneFront(); len(e.heap) == 0 || eventLess(ev, e.heap[0]) {
+			return ev
+		}
+	}
+	if len(e.heap) == 0 {
+		return nil
+	}
+	return e.heap[0]
+}
+
+// pop removes and returns the earliest queued event, live or
+// cancelled; nil when nothing is queued.
+func (e *Engine) pop() *Event {
+	ev := e.peek()
+	switch {
+	case ev == nil:
+	case ev.index >= 0:
+		e.heapPop()
+	default: // the lane's first slot
+		e.laneHead++
+		e.laneUnlink(ev)
+	}
+	return ev
+}
+
 // --- event pool ---------------------------------------------------------
 
 // get returns a recycled one-shot event or allocates a fresh one.
@@ -245,7 +325,7 @@ func (e *Engine) get() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{pooled: true, index: -1}
+	return &Event{pooled: true, index: notQueued}
 }
 
 // release recycles a popped one-shot event. Bumping the generation makes
@@ -274,7 +354,11 @@ func (e *Engine) schedule(ev *Event, t Time) Handle {
 	ev.when = t
 	ev.seq = e.seq
 	e.seq++
-	e.heapPush(ev)
+	if t == e.now {
+		e.lanePush(ev)
+	} else {
+		e.heapPush(ev)
+	}
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -321,7 +405,7 @@ func (e *Engine) AfterCall(d Time, cb func(uint64), arg uint64) Handle {
 // whose event already fired, was cancelled, or was recycled.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.canceled || ev.index < 0 {
+	if ev == nil || ev.gen != h.gen || ev.canceled || ev.index == notQueued {
 		return
 	}
 	ev.canceled = true
@@ -332,21 +416,25 @@ func (e *Engine) Cancel(h Handle) {
 // Step executes the earliest pending event, skipping (and recycling)
 // cancelled ones. It reports false when no live event remains.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ev := e.heapPop()
+	for ev := e.pop(); ev != nil; ev = e.pop() {
 		if ev.canceled {
 			e.release(ev)
 			continue
 		}
-		if ev.when < e.now {
-			panic("sim: event queue went backwards")
-		}
-		e.now = ev.when
-		e.processed++
-		e.dispatch(ev)
+		e.fire(ev)
 		return true
 	}
 	return false
+}
+
+// fire advances the clock to the popped live event ev and runs it.
+func (e *Engine) fire(ev *Event) {
+	if ev.when < e.now {
+		panic("sim: event queue went backwards")
+	}
+	e.now = ev.when
+	e.processed++
+	e.dispatch(ev)
 }
 
 // dispatch runs ev's callback. One-shot events are released first, so the
@@ -367,16 +455,15 @@ func (e *Engine) dispatch(ev *Event) {
 }
 
 // NextEventAt reports the time of the earliest live pending event,
-// recycling cancelled events found at the heap head on the way. It
+// recycling cancelled events found at the queue head on the way. It
 // returns false when no live event remains. Event-granular drive loops
 // (machine.RunUntilDone, the campaign drive loop) use it to decide
 // whether the next Step would stay within a deadline — stepping exactly
 // to a completion instant instead of overshooting by a time chunk.
 func (e *Engine) NextEventAt() (Time, bool) {
-	for len(e.heap) > 0 {
-		next := e.heap[0]
+	for next := e.peek(); next != nil; next = e.peek() {
 		if next.canceled {
-			e.release(e.heapPop())
+			e.release(e.pop())
 			continue
 		}
 		return next.when, true
@@ -388,16 +475,16 @@ func (e *Engine) NextEventAt() (Time, bool) {
 // event is later than t, then advances the clock to exactly t. Cancelled
 // events encountered at the head are recycled without a full Step.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 {
-		next := e.heap[0]
-		if next.canceled {
-			e.release(e.heapPop())
-			continue
-		}
-		if next.when > t {
+	for next := e.peek(); next != nil; next = e.peek() {
+		if next.when > t && !next.canceled {
 			break
 		}
-		e.Step()
+		e.pop()
+		if next.canceled {
+			e.release(next)
+			continue
+		}
+		e.fire(next)
 	}
 	if e.now < t {
 		e.now = t
@@ -431,7 +518,7 @@ type Timer struct {
 // NewTimer returns an unarmed timer that runs fn at each fire.
 func (e *Engine) NewTimer(fn func()) *Timer {
 	tm := &Timer{eng: e, fn: fn}
-	tm.ev.index = -1
+	tm.ev.index = notQueued
 	tm.ev.timer = tm
 	return tm
 }
@@ -444,12 +531,18 @@ func (tm *Timer) Reset(t Time) {
 	ev := &tm.ev
 	ev.canceled = false
 	if ev.index >= 0 {
-		// Still queued (pending, or lazily stopped): move it in place.
+		// Still in the heap (pending, or lazily stopped): move it in
+		// place.
 		ev.when = t
 		ev.seq = e.seq
 		e.seq++
 		e.heapFix(ev)
 		return
+	}
+	if ev.index != notQueued {
+		// In the lane, whose order a fresh sequence number would break:
+		// leave its slot empty and queue it anew.
+		e.laneUnlink(ev)
 	}
 	e.schedule(ev, t)
 }
@@ -470,7 +563,7 @@ func (tm *Timer) Stop() {
 }
 
 // Pending reports whether a fire is scheduled.
-func (tm *Timer) Pending() bool { return tm.ev.index >= 0 && !tm.ev.canceled }
+func (tm *Timer) Pending() bool { return tm.ev.index != notQueued && !tm.ev.canceled }
 
 // When returns the pending fire time, or -1 when the timer is not pending.
 func (tm *Timer) When() Time {
@@ -480,8 +573,8 @@ func (tm *Timer) When() Time {
 	return tm.ev.when
 }
 
-// fire runs the callback. The event was already popped (index -1), so the
-// callback may Reset the timer freely.
+// fire runs the callback. The event was already popped (notQueued), so
+// the callback may Reset the timer freely.
 func (tm *Timer) fire() {
 	tm.fn()
 }

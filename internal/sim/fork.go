@@ -71,7 +71,7 @@ func (tm *Timer) RestoreFrom(src *Timer) {
 	}
 	e := tm.eng
 	e.checkRestore(src.ev.when, src.ev.seq)
-	if tm.ev.index >= 0 {
+	if tm.ev.index != notQueued {
 		panic("sim: RestoreFrom on an armed timer")
 	}
 	tm.ev.canceled = false

@@ -131,9 +131,12 @@ func TestForkReplaysByteIdentical(t *testing.T) {
 // it. A new field fails the test until it is copied or its rule is
 // named here.
 var forkRules = map[string]string{
-	"heap": "reset: each owner re-registers its live events on the fork",
-	"free": "reset: the fork recycles its own events",
-	"rng":  "deep: copied, the fork draws from its own RNG at the same position",
+	"heap":     "reset: each owner re-registers its live events on the fork",
+	"lane":     "reset: each owner re-registers its live events on the fork's heap",
+	"laneHead": "reset: the fork's lane starts empty",
+	"laneLen":  "reset: the fork's lane starts empty",
+	"free":     "reset: the fork recycles its own events",
+	"rng":      "deep: copied, the fork draws from its own RNG at the same position",
 }
 
 // TestForkCopiesEveryField: every Engine field either has a rule in

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -46,7 +44,8 @@ func LaunchMake(m *machine.Machine, opts MakeOpts) *machine.Proc {
 	if opts.Threads <= 0 {
 		opts = DefaultMakeOpts()
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := seededRand(opts.Seed)
+	defer randPool.Put(rng)
 	p := m.NewProc("make", machine.ProcOpts{})
 	// Every worker runs one rolled job loop. Its jittered compile and
 	// header-I/O durations are drawn here, worker by worker, into its

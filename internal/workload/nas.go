@@ -16,6 +16,7 @@ package workload
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -157,7 +158,8 @@ func (a NASApp) Launch(m *machine.Machine, opts NASLaunchOpts) *machine.Proc {
 			iters = 1
 		}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed ^ nameSeed(a.Name)))
+	rng := seededRand(opts.Seed ^ nameSeed(a.Name))
+	defer randPool.Put(rng)
 	p := m.NewProc(a.Name, machine.ProcOpts{Cap: a.Cap})
 
 	// Fixed problem size: per-thread work shrinks as threads grow.
@@ -294,6 +296,21 @@ func nameSeed(name string) int64 {
 		h *= prime64
 	}
 	return int64(h)
+}
+
+// randPool recycles the generators that launches draw from only while
+// they run (NAS and make scripts, TPC-H query shapes): a fresh
+// rand.NewSource is about 4.9 KB, built once per launch. Workloads that
+// draw during the run (serve, noise) keep their own.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand returns a pooled generator reseeded with seed, which draws
+// exactly what rand.New(rand.NewSource(seed)) would: Seed re-initializes
+// the whole source. Return it with randPool.Put once done.
+func seededRand(seed int64) *rand.Rand {
+	rng := randPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
 }
 
 // jitter returns d randomized by +-frac.

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -116,7 +115,8 @@ func (d *TPCH) Queue() *machine.WorkQueue { return d.queue }
 // many short straggler-sensitive stages; the rest vary between longer
 // scan-like stages and shorter join stages.
 func (d *TPCH) synthesizeQueries() {
-	rng := rand.New(rand.NewSource(d.opts.Seed))
+	rng := seededRand(d.opts.Seed)
+	defer randPool.Put(rng)
 	scale := d.opts.Scale
 	for q := 0; q < NumQueries; q++ {
 		var s queryShape

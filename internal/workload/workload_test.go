@@ -340,3 +340,28 @@ func TestNASJitterSeedsDecorrelated(t *testing.T) {
 		t.Error("nameSeed not deterministic")
 	}
 }
+
+// TestSeededRandMatchesFresh: a generator that drew before and was then
+// reseeded, and whatever generator seededRand takes from the pool, draw
+// exactly what a fresh rand.New(rand.NewSource(seed)) draws, so pooling
+// changes no launch's script or query shapes.
+func TestSeededRandMatchesFresh(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40, nameSeed("lu")} {
+		used := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
+		for i := 0; i < 1000; i++ {
+			used.Float64()
+		}
+		used.Seed(seed)
+		pooled := seededRand(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for i := 0; i < 100_000; i++ {
+			f, n := fresh.Float64(), fresh.Intn(1000)
+			for _, r := range []*rand.Rand{used, pooled} {
+				if rf, rn := r.Float64(), r.Intn(1000); rf != f || rn != n {
+					t.Fatalf("seed %d, draw %d: reseeded (%v, %d), fresh (%v, %d)", seed, i, rf, rn, f, n)
+				}
+			}
+		}
+		randPool.Put(pooled)
+	}
+}
