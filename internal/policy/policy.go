@@ -26,7 +26,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/modsched"
@@ -158,14 +157,5 @@ func Builtin() []Policy {
 	for _, name := range builtinNames {
 		out = append(out, registry[name])
 	}
-	return out
-}
-
-// Names lists every registered policy name, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := append([]string(nil), regOrder...)
-	sort.Strings(out)
 	return out
 }

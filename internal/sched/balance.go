@@ -416,7 +416,9 @@ func (s *Scheduler) noBusiest(c *CPU, d *Domain, op trace.Op) {
 // check itself against the code it replaces: each noBusiest exit
 // against the full pass, each designatedCPU and noneStealable answer
 // against a scan of the cores or groups, and each decayMemo hit against
-// a recompute. Tests set it; nothing else does.
+// a recompute. It also makes every runqueue enqueue and dequeue check
+// that the queue is sorted and that queuedWt is the sum of its threads'
+// weights (cfsRQ.verify). Tests set it; nothing else does.
 var checkFastPaths bool
 
 // verifyDesignated panics unless id is the core a scan of d's local
@@ -543,12 +545,8 @@ func (s *Scheduler) moveTasks(src, dst *CPU, amount float64, level int) (int, bo
 		minTasks = 1
 	}
 	// Snapshot the source queue into the reused scratch buffer (the
-	// migrations below mutate the tree while we iterate).
-	s.stealScratch = s.stealScratch[:0]
-	src.rq.each(func(t *Thread) bool {
-		s.stealScratch = append(s.stealScratch, t)
-		return true
-	})
+	// migrations below mutate the queue while we iterate).
+	s.stealScratch = append(s.stealScratch[:0], src.rq.q...)
 	for _, t := range s.stealScratch {
 		if moved >= s.cfg.MaxMigrate {
 			break

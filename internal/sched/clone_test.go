@@ -42,7 +42,7 @@ var cloneRules = map[string]string{
 	"Scheduler.gsGroups":     "reset: balance-pass scratch",
 	"Scheduler.stealScratch": "reset: balance-pass scratch",
 	"Scheduler.decay":        "shared: caches a pure function, and forks run on their parent's goroutine",
-	"CPU.rq":                 "deep: rebuilt from the source runqueue",
+	"CPU.rq":                 "deep: the queue remapped in order to the clone's threads, the rest copied",
 	"CPU.curr":               "remapped: the clone's thread",
 	"CPU.tickTm":             "reset: re-registered on the fork's engine",
 	"CPU.reschedTm":          "reset: re-registered on the fork's engine",
@@ -50,8 +50,6 @@ var cloneRules = map[string]string{
 	"CPU.nextBalance":        "deep: slice copied",
 	"CPU.balanceFailed":      "deep: slice copied",
 	"Thread.group":           "remapped: the clone's group",
-	"Thread.onRQ":            "deep: rebuilt with the runqueue",
-	"Thread.queued":          "deep: rebuilt with the runqueue",
 }
 
 // settable returns an addressable, settable view of a (possibly

@@ -11,7 +11,7 @@ import (
 // tick/balance bookkeeping.
 type CPU struct {
 	id     topology.CoreID
-	rq     *cfsRQ
+	rq     cfsRQ
 	curr   *Thread
 	online bool
 
@@ -27,9 +27,11 @@ type CPU struct {
 	tickless  bool // NOHZ: idle and not ticking
 
 	// ticking and rescheduling: persistent per-core timers, re-armed in
-	// place (no allocation per cycle).
+	// place (no allocation per cycle), and the core's offset on the
+	// staggered tick grid (see nextTickAt).
 	tickTm    *sim.Timer
 	reschedTm *sim.Timer
+	tickPhase sim.Time
 
 	// domains and balancing
 	domains        []*Domain
@@ -49,12 +51,6 @@ type CPU struct {
 	loadGenAt uint64
 	loadVal   float64
 }
-
-// ID returns the core id.
-func (c *CPU) ID() topology.CoreID { return c.id }
-
-// Online reports whether the core is enabled.
-func (c *CPU) Online() bool { return c.online }
 
 // nrRunning mirrors the kernel's rq->nr_running: queued plus current.
 func (c *CPU) nrRunning() int {
@@ -281,11 +277,11 @@ func (s *Scheduler) idleOrder() []topology.CoreID {
 }
 
 // nextTickAt returns the next tick boundary for c on its staggered grid
-// (each core's tick is offset within the period, like real timer
-// interrupts).
+// (each core's tick is offset within the period by c.tickPhase, like
+// real timer interrupts).
 func (s *Scheduler) nextTickAt(c *CPU) sim.Time {
 	period := s.cfg.TickPeriod
-	phase := sim.Time(int64(c.id)) * period / sim.Time(len(s.cpus))
+	phase := c.tickPhase
 	now := s.eng.Now()
 	n := (now-phase)/period + 1
 	if phase+n*period <= now {

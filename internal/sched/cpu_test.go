@@ -167,7 +167,7 @@ func TestRunqueueWeightAccounting(t *testing.T) {
 	a := e.hog("a", 0, ThreadOpts{Nice: 0})
 	b := e.hog("b", 0, ThreadOpts{Nice: 5})
 	e.run(2 * sim.Millisecond)
-	rq := e.s.cpus[0].rq
+	rq := &e.s.cpus[0].rq
 	curr := e.s.cpus[0].curr
 	wantQueued := a.Weight() + b.Weight() - curr.Weight()
 	if rq.queuedWt != wantQueued {

@@ -145,8 +145,7 @@ type Thread struct {
 	lastRan   sim.Time // last time it was descheduled (cache hotness)
 	la        loadAvg
 
-	onRQ   rqHandle // handle into the runqueue tree when queued
-	queued bool
+	queued bool // waiting in its core's runqueue
 
 	// Runqueue-wait span tracking for the latency probe: waitSince marks
 	// when the thread last became runnable (migrations do not restart

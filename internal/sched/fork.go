@@ -62,28 +62,31 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		decay:          s.decay,
 	}
 
+	// Groups, threads and CPUs are copied into one slab per type: a fork
+	// allocates three arrays instead of one object per entity.
+	groups := make([]TaskGroup, len(s.groups))
 	ns.groups = make([]*TaskGroup, len(s.groups))
 	for i, g := range s.groups {
-		cg := *g
-		ns.groups[i] = &cg
+		groups[i] = *g
+		ns.groups[i] = &groups[i]
 	}
 	ns.rootGroup = ns.groups[s.rootGroup.id]
 
+	threads := make([]Thread, len(s.threads))
 	ns.threads = make([]*Thread, len(s.threads))
 	for i, t := range s.threads {
-		ct := *t
-		ct.group = ns.groups[t.group.id]
-		// Runqueue membership is rebuilt below, per CPU.
-		ct.onRQ = rqHandle{}
-		ct.queued = false
-		ns.threads[i] = &ct
+		threads[i] = *t
+		threads[i].group = ns.groups[t.group.id]
+		ns.threads[i] = &threads[i]
 	}
 
+	cpus := make([]CPU, len(s.cpus))
 	ns.cpus = make([]*CPU, len(s.cpus))
 	for i, c := range s.cpus {
-		nc := &CPU{
+		nc := &cpus[i]
+		*nc = CPU{
 			id:             c.id,
-			rq:             newCFSRQ(),
+			rq:             c.rq,
 			online:         c.online,
 			accruedUpTo:    c.accruedUpTo,
 			idleSince:      c.idleSince,
@@ -91,6 +94,7 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 			idleNext:       c.idleNext,
 			inIdle:         c.inIdle,
 			tickless:       c.tickless,
+			tickPhase:      c.tickPhase,
 			domains:        c.domains, // immutable after construction
 			pinnedFailure:  c.pinnedFailure,
 			reschedPending: c.reschedPending,
@@ -103,14 +107,12 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		if c.curr != nil {
 			nc.curr = ns.threads[c.curr.id]
 		}
-		c.rq.each(func(t *Thread) bool {
-			nt := ns.threads[t.id]
-			nt.onRQ = nc.rq.tree.Insert(rqKey{nt.vruntime, nt.id, nt})
-			nt.queued = true
-			return true
-		})
-		nc.rq.queuedWt = c.rq.queuedWt
-		nc.rq.minVruntime = c.rq.minVruntime
+		// The clone's threads carry the same (vruntime, tid) keys, so the
+		// source's order needs no re-sort, only remapping.
+		nc.rq.q = make([]*Thread, len(c.rq.q))
+		for j, t := range c.rq.q {
+			nc.rq.q[j] = ns.threads[t.id]
+		}
 		nc.nextBalance = append([]sim.Time(nil), c.nextBalance...)
 		nc.balanceFailed = append([]int(nil), c.balanceFailed...)
 		nc.tickTm = eng.NewTimer(func() { ns.tick(nc) })

@@ -13,13 +13,16 @@ import (
 // global invariants that must hold for ANY thread mix, on both the buggy
 // and the fixed scheduler (the bugs waste cores; they never corrupt
 // accounting). The randomized runs also check every fast path of the
-// balancer and the load decay against the code it replaces
+// balancer and the load decay against the code it replaces, and the
+// runqueue's order and weight sum at every enqueue and dequeue
 // (checkFastPath).
 
 // checkFastPath makes every fast path for the rest of the test assert
 // that it equals the code it replaces: each NoBusiest exit the full
 // balance pass (verifyNoBusiest), each designated core and stealability
-// answer a scan, each decay-memo hit a recompute.
+// answer a scan, each decay-memo hit a recompute. Every runqueue enqueue
+// and dequeue also asserts that the queue is sorted and that queuedWt is
+// its threads' weight sum (cfsRQ.verify).
 func checkFastPath(t *testing.T) {
 	checkFastPaths = true
 	t.Cleanup(func() { checkFastPaths = false })

@@ -24,6 +24,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -158,14 +159,15 @@ func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Scheduler {
 		decay:        new(decayMemo),
 	}
 	s.rootGroup = s.NewGroup("root")
-	for i := 0; i < topo.NumCores(); i++ {
+	n := topo.NumCores()
+	for i := 0; i < n; i++ {
 		c := &CPU{
-			id:       topology.CoreID(i),
-			rq:       newCFSRQ(),
-			online:   true,
-			idlePrev: -1,
-			idleNext: -1,
-			loadAt:   -1,
+			id:        topology.CoreID(i),
+			online:    true,
+			idlePrev:  -1,
+			idleNext:  -1,
+			loadAt:    -1,
+			tickPhase: sim.Time(i) * cfg.TickPeriod / sim.Time(n),
 		}
 		// Per-core timers, bound once: the tick and resched events of a
 		// core's whole lifetime reuse these two heap entries instead of
@@ -465,7 +467,7 @@ func (s *Scheduler) IsIdle(cpu topology.CoreID) bool { return s.cpus[cpu].idle()
 // QueuedThreads returns a snapshot of the threads waiting on cpu in
 // vruntime order.
 func (s *Scheduler) QueuedThreads(cpu topology.CoreID) []*Thread {
-	return s.cpus[cpu].rq.threads()
+	return slices.Clone(s.cpus[cpu].rq.q)
 }
 
 // CPULoad returns the load of cpu's runqueue: the sum of the loads of its
@@ -481,7 +483,9 @@ func (s *Scheduler) CPULoad(cpu topology.CoreID) float64 {
 		return c.loadVal
 	}
 	load := 0.0
-	c.rq.each(func(t *Thread) bool { load += t.load(now, s.decay); return true })
+	for _, t := range c.rq.q {
+		load += t.load(now, s.decay)
+	}
 	if c.curr != nil {
 		load += c.curr.load(now, s.decay)
 	}
@@ -499,19 +503,13 @@ func (s *Scheduler) StealOne(dst, src topology.CoreID) bool {
 	if dst == src || !s.cpus[dst].online || !s.cpus[src].online {
 		return false
 	}
-	var victim *Thread
-	s.cpus[src].rq.each(func(t *Thread) bool {
+	for _, t := range s.cpus[src].rq.q {
 		if t.affinity.Has(dst) {
-			victim = t
-			return false
+			s.migrateThread(t, s.cpus[src], s.cpus[dst], trace.OpSteal)
+			return true
 		}
-		return true
-	})
-	if victim == nil {
-		return false
 	}
-	s.migrateThread(victim, s.cpus[src], s.cpus[dst], trace.OpSteal)
-	return true
+	return false
 }
 
 // CanSteal reports whether dst could legally steal at least one waiting
@@ -520,15 +518,12 @@ func (s *Scheduler) CanSteal(dst, src topology.CoreID) bool {
 	if !s.cpus[dst].online || !s.cpus[src].online {
 		return false
 	}
-	ok := false
-	s.cpus[src].rq.each(func(t *Thread) bool {
+	for _, t := range s.cpus[src].rq.q {
 		if t.affinity.Has(dst) {
-			ok = true
-			return false
+			return true
 		}
-		return true
-	})
-	return ok
+	}
+	return false
 }
 
 // occSync folds cpu c's current idle/queued contribution into the
@@ -621,8 +616,9 @@ func (s *Scheduler) DisableCPU(cpu topology.CoreID) error {
 		s.markWaiting(t, false)
 		c.rq.enqueue(t)
 	}
-	// Drain the runqueue onto allowed online cores.
-	for _, t := range c.rq.threads() {
+	// Drain the runqueue onto allowed online cores, leftmost first.
+	for len(c.rq.q) > 0 {
+		t := c.rq.q[0]
 		dst := t.affinity.And(s.OnlineSet()).First()
 		if dst < 0 {
 			dst = s.OnlineSet().First() // affinity broken by hotplug
